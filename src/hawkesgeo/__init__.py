@@ -9,7 +9,6 @@ diagnostics.
 """
 
 from .diagnostics import (
-    DiagnosticsReport,
     EvalSplit,
     background_qq,
     categorical_accuracy,
@@ -72,7 +71,6 @@ __all__ = [
     "CountSeries",
     "DataFormatError",
     "DegenerateEventError",
-    "DiagnosticsReport",
     "DiffusionConfig",
     "EmbeddingPair",
     "EvalSplit",

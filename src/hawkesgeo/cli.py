@@ -15,19 +15,17 @@ import sys
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, EvalSplit, background_qq, \
-    categorical_accuracy, hellinger_divergence, kendall_distance_correlation, \
-    phi_rmse, split_eval
-from .em import FitConfig, GammaPrior, NumericalError, e_step, fit
-from .io import DataFormatError, atomic_write, discretize_counts, \
+from .diagnostics import EvalSplit, background_qq, categorical_accuracy, \
+    hellinger_divergence, kendall_distance_correlation, phi_rmse, split_eval
+from .em import MODES, FitConfig, GammaPrior, NumericalError, e_step, fit
+from .io import SCHEMA_VERSION, DataFormatError, discretize_counts, \
     load_counts_csv, load_embedding_csv, load_events_csv, load_model, \
-    load_report, reorder_to_labels, save_events_csv, save_model, save_report, \
-    write_curve_csv, write_embedding_csv, write_qq_csv
+    load_report, read_json, reorder_to_labels, save_events_csv, save_model, \
+    save_report, write_curve_csv, write_embedding_csv, write_json, \
+    write_qq_csv
 from .model import EmbeddingPair, ModelParams, influence_matrix
 from .simulate import ground_truth_branching, sample_ground_truth, simulate_thinning
 from .spectral import init_params
-
-SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
@@ -41,37 +39,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Built-in defaults, applied after the config file.  argparse itself defaults
-# everything to None so "was this flag given" stays decidable.
-_DEFAULTS = {
-    "simulate": {
-        "n": None, "m": 2, "R": 1, "N": None, "T": None, "seed": 0,
-        "out_events": "events.csv", "out_truth": "truth_model.json",
-    },
-    "fit": {
-        "events": None, "mode": "hhg-b", "epochs": 500, "R": 1, "m": 2,
-        "eps": None, "eps1": None, "eps2": None, "dm_alpha": 1.0,
-        "inner_steps": 4, "prior_alpha": 1.0, "prior_beta": 0.0,
-        "branching_floor": 1e-12, "seed": 0, "frozen_embedding": None,
-        "horizon": None, "train_end": None, "out": "model.json",
-        "out_final": None, "report": None,
-    },
-    "evaluate": {
-        "events": None, "model": None, "split_time": None, "test_days": None,
-        "horizon": None, "out": None,
-    },
-    "diagnose": {
-        "events": None, "model": None, "truth_model": None,
-        "split_time": None, "test_days": None, "horizon": None, "seed": 0,
-        "out": None,
-    },
-    "discretize": {
-        "counts": None, "threshold": 10.0, "out": "events.csv",
-    },
-    "export": {
-        "what": None, "model": None, "report": None, "diagnostics": None,
-        "out": None,
-    },
+# Each subcommand's options as (flag, kind, default, help); kind is a type or
+# a tuple of allowed values.  argparse defaults every option to None so "was
+# this flag given" stays decidable; the defaults here apply after the config
+# file, whose accepted keys are exactly these options.
+_OPTIONS = {
+    "simulate": (
+        ("--n", int, None, "number of event types (required)"),
+        ("--m", int, 2, "embedding dimension"),
+        ("--R", int, 1, "number of kernel bases"),
+        ("--N", int, None, "target number of events (stop after the Nth)"),
+        ("--T", float, None, "time horizon (alternative to --N)"),
+        ("--seed", int, 0, "seed for sampling and simulation"),
+        ("--out-events", str, "events.csv", "events CSV path"),
+        ("--out-truth", str, "truth_model.json", "ground-truth model path"),
+    ),
+    "fit": (
+        ("--events", str, None, "events CSV path (required)"),
+        ("--mode", MODES, "hhg-b", "estimator mode"),
+        ("--epochs", int, 500, "EM epochs"),
+        ("--R", int, 1, "number of kernel bases"),
+        ("--m", int, 2, "embedding dimension"),
+        ("--eps", float, None, "hhg-a learning rate (default n/N)"),
+        ("--eps1", float, None, "hhg-b curvature regularizer (default off)"),
+        ("--eps2", float, None, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
+        ("--dm-alpha", float, 1.0, "density-normalization exponent"),
+        ("--inner-steps", int, 4, "hhg-b inner steps per epoch"),
+        ("--prior-alpha", float, 1.0, "Gamma prior shape on decay rates"),
+        ("--prior-beta", float, 0.0, "Gamma prior rate on decay rates"),
+        ("--frozen-embedding", str, None,
+         "coordinates CSV; required for geo, otherwise an initialization"),
+        ("--horizon", float, None, "override the record horizon"),
+        ("--train-end", float, None, "drop events at or after this time before fitting"),
+        ("--out", str, "model.json", "best-scoring model path"),
+        ("--out-final", str, None, "also write the last-epoch model here"),
+        ("--report", str, None, "fit report path (learning curve etc.)"),
+    ),
+    "evaluate": (
+        ("--events", str, None, "events CSV path (required)"),
+        ("--model", str, None, "model path (required)"),
+        ("--split-time", float, None, "train/test boundary"),
+        ("--test-days", float, None, "alternative: test window is the last so many days"),
+        ("--horizon", float, None, "override the record horizon"),
+        ("--out", str, None, "write the JSON summary here instead of stdout"),
+    ),
+    "diagnose": (
+        ("--events", str, None, "events CSV path (required)"),
+        ("--model", str, None, "fitted model path (required)"),
+        ("--truth-model", str, None, "ground-truth model; enables recovery metrics"),
+        ("--split-time", float, None, "train/test boundary for split metrics"),
+        ("--test-days", float, None, "alternative: test window is the last so many days"),
+        ("--horizon", float, None, "override the record horizon"),
+        ("--seed", int, 0, "seed for residual sampling"),
+        ("--out", str, None, "write the JSON report here instead of stdout"),
+    ),
+    "discretize": (
+        ("--counts", str, None, "counts CSV path (required)"),
+        ("--threshold", float, 10.0, "count increment per event"),
+        ("--out", str, "events.csv", "events CSV path"),
+    ),
+    "export": (
+        ("--what", ("embedding", "curve", "qq"), None, "what to export"),
+        ("--model", str, None, "model path (for --what embedding)"),
+        ("--report", str, None, "fit report path (for --what curve)"),
+        ("--diagnostics", str, None, "diagnose output path (for --what qq)"),
+        ("--out", str, None, "output CSV path"),
+    ),
 }
 
 
@@ -80,101 +113,25 @@ def _build_parser() -> _Parser:
                      description="Hawkes processes with latent geometric "
                                  "excitation structure.")
     sub = parser.add_subparsers(dest="command")
-
-    def opt(p, name, type_=None, help_="", choices=None):
-        kwargs = {"default": None, "help": help_}
-        if type_ is not None:
-            kwargs["type"] = type_
-        if choices is not None:
-            kwargs["choices"] = choices
-        p.add_argument(name, **kwargs)
-
-    p = sub.add_parser("simulate", help="sample a ground truth and a record from it")
-    opt(p, "--n", int, "number of event types (required)")
-    opt(p, "--m", int, "embedding dimension (default 2)")
-    opt(p, "--R", int, "number of kernel bases (default 1)")
-    opt(p, "--N", int, "target number of events (stop after the Nth)")
-    opt(p, "--T", float, "time horizon (alternative to --N)")
-    opt(p, "--seed", int, "seed for sampling and simulation (default 0)")
-    opt(p, "--out-events", help_="events CSV path (default events.csv)")
-    opt(p, "--out-truth", help_="ground-truth model path (default truth_model.json)")
-    opt(p, "--config", help_="JSON file with option values")
-
-    p = sub.add_parser("fit", help="estimate a model from an event record")
-    opt(p, "--events", help_="events CSV path (required)")
-    opt(p, "--mode", help_="estimator mode (default hhg-b)",
-        choices=["hhg-a", "hhg-b", "hhg-dm", "frb", "geo"])
-    opt(p, "--epochs", int, "EM epochs (default 500)")
-    opt(p, "--R", int, "number of kernel bases (default 1)")
-    opt(p, "--m", int, "embedding dimension (default 2)")
-    opt(p, "--eps", float, "hhg-a learning rate (default n/N)")
-    opt(p, "--eps1", float, "hhg-b curvature regularizer (default off)")
-    opt(p, "--eps2", float, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)")
-    opt(p, "--dm-alpha", float, "density-normalization exponent (default 1)")
-    opt(p, "--inner-steps", int, "hhg-b inner steps per epoch (default 4)")
-    opt(p, "--prior-alpha", float, "Gamma prior shape on decay rates (default 1)")
-    opt(p, "--prior-beta", float, "Gamma prior rate on decay rates (default 0)")
-    opt(p, "--branching-floor", float, "attribution floor (default 1e-12)")
-    opt(p, "--seed", int, "seed (default 0)")
-    opt(p, "--frozen-embedding", help_="coordinates CSV; required for geo, "
-                                       "otherwise an initialization")
-    opt(p, "--horizon", float, "override the record horizon")
-    opt(p, "--train-end", float, "drop events at or after this time before fitting")
-    opt(p, "--out", help_="best-scoring model path (default model.json)")
-    opt(p, "--out-final", help_="also write the last-epoch model here")
-    opt(p, "--report", help_="fit report path (learning curve etc.)")
-    opt(p, "--config", help_="JSON file with option values")
-
-    p = sub.add_parser("evaluate", help="per-event log-likelihood across a time split")
-    opt(p, "--events", help_="events CSV path (required)")
-    opt(p, "--model", help_="model path (required)")
-    opt(p, "--split-time", float, "train/test boundary")
-    opt(p, "--test-days", float, "alternative: test window is the last so many days")
-    opt(p, "--horizon", float, "override the record horizon")
-    opt(p, "--out", help_="write the JSON summary here instead of stdout")
-    opt(p, "--config", help_="JSON file with option values")
-
-    p = sub.add_parser("diagnose", help="residual and recovery diagnostics for a fit")
-    opt(p, "--events", help_="events CSV path (required)")
-    opt(p, "--model", help_="fitted model path (required)")
-    opt(p, "--truth-model", help_="ground-truth model; enables recovery metrics")
-    opt(p, "--split-time", float, "train/test boundary for split metrics")
-    opt(p, "--test-days", float, "alternative: test window is the last so many days")
-    opt(p, "--horizon", float, "override the record horizon")
-    opt(p, "--seed", int, "seed for residual sampling (default 0)")
-    opt(p, "--out", help_="write the JSON report here instead of stdout")
-    opt(p, "--config", help_="JSON file with option values")
-
-    p = sub.add_parser("discretize", help="turn cumulative daily counts into events")
-    opt(p, "--counts", help_="counts CSV path (required)")
-    opt(p, "--threshold", float, "count increment per event (default 10)")
-    opt(p, "--out", help_="events CSV path (default events.csv)")
-    opt(p, "--config", help_="JSON file with option values")
-
-    p = sub.add_parser("export", help="plot-ready CSVs from saved artifacts")
-    opt(p, "--what", help_="what to export", choices=["embedding", "curve", "qq"])
-    opt(p, "--model", help_="model path (for --what embedding)")
-    opt(p, "--report", help_="fit report path (for --what curve)")
-    opt(p, "--diagnostics", help_="diagnose output path (for --what qq)")
-    opt(p, "--out", help_="output CSV path")
-    opt(p, "--config", help_="JSON file with option values")
-
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for flag, kind, default, help_ in options:
+            if default is not None:
+                help_ = f"{help_} (default {default})"
+            if isinstance(kind, tuple):
+                p.add_argument(flag, default=None, choices=kind, help=help_)
+            else:
+                p.add_argument(flag, default=None, type=kind, help=help_)
+        p.add_argument("--config", default=None, help="JSON file with option values")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset options from the config file, then from built-in defaults."""
-    defaults = _DEFAULTS[args.command]
+    defaults = {flag[2:].replace("-", "_"): default
+                for flag, _, default, _ in _OPTIONS[args.command]}
     if args.config is not None:
-        try:
-            with open(args.config) as f:
-                doc = json.load(f)
-        except OSError as exc:
-            raise DataFormatError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{args.config}: not valid JSON ({exc})") from None
-        if not isinstance(doc, dict):
-            raise DataFormatError(f"{args.config}: expected a JSON object")
+        doc = read_json(args.config)
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys for {args.command}: "
@@ -233,18 +190,20 @@ def _frozen_embedding(args, record):
     return EmbeddingPair(X, Y)
 
 
-def _write_json(doc: dict, path) -> None:
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _emit_json(doc: dict, path) -> None:
     if path is None:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
-        _write_json(doc, path)
+        write_json(doc, path)
+
+
+def _opt_float(v):
+    # a zero-intensity event scores -inf and a collapsed embedding has no
+    # distance ranking (nan); keep the document strict JSON
+    if v is None or not np.isfinite(v):
+        return None
+    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +211,7 @@ def _emit_json(doc: dict, path) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    """sample a ground truth and a record from it"""
     _require(args, "n")
     if args.N is None and args.T is None:
         raise UsageError("give --N or --T")
@@ -268,13 +228,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_config(args, record) -> FitConfig:
+def _fit_config(args) -> FitConfig:
     kwargs = dict(
         mode=args.mode, epochs=args.epochs, R=args.R, m=args.m,
         eps=args.eps, eps1=args.eps1, dm_alpha=args.dm_alpha,
         inner_steps=args.inner_steps,
         prior=GammaPrior(args.prior_alpha, args.prior_beta),
-        branching_floor=args.branching_floor, seed=args.seed,
     )
     if args.eps2 is not None:
         kwargs["eps2"] = args.eps2
@@ -285,6 +244,7 @@ def _fit_config(args, record) -> FitConfig:
 
 
 def _cmd_fit(args) -> int:
+    """estimate a model from an event record"""
     _require(args, "events")
     record = load_events_csv(args.events, horizon=args.horizon)
     if args.train_end is not None:
@@ -300,7 +260,7 @@ def _cmd_fit(args) -> int:
         args.m = emb.reception.shape[1]
     elif args.mode == "geo":
         raise UsageError("mode geo requires --frozen-embedding")
-    config = _fit_config(args, record)
+    config = _fit_config(args)
     if args.frozen_embedding is not None:
         init = init_params(record, R=config.R, m=config.m,
                            alpha=config.dm_alpha, embedding=emb)
@@ -318,7 +278,6 @@ def _cmd_fit(args) -> int:
             "eps2": config.eps2, "dm_alpha": config.dm_alpha,
             "inner_steps": config.inner_steps,
             "prior_alpha": config.prior.alpha, "prior_beta": config.prior.beta,
-            "branching_floor": config.branching_floor, "seed": config.seed,
         }
         save_report(report, args.report, config=recorded)
 
@@ -335,6 +294,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    """per-event log-likelihood across a time split"""
     _require(args, "events", "model")
     record = load_events_csv(args.events, horizon=args.horizon)
     params = _load_aligned_model(args.model, record)
@@ -343,86 +303,66 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("give --split-time or --test-days")
     train, test = split_eval(record, params, EvalSplit(split_time))
     n_train = int(np.sum(record.times < split_time))
-
-    def opt_float(v):
-        # a zero-intensity event scores -inf; keep the document strict JSON
-        if v is None or not np.isfinite(v):
-            return None
-        return float(v)
-
     doc = {
         "schema_version": SCHEMA_VERSION,
         "split_time": split_time,
         "n_train": n_train,
         "n_test": record.N - n_train,
-        "train_ll_per_event": opt_float(train),
-        "test_ll_per_event": opt_float(test),
+        "train_ll_per_event": _opt_float(train),
+        "test_ll_per_event": _opt_float(test),
     }
     _emit_json(doc, args.out)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
+    """residual and recovery diagnostics for a fit"""
     _require(args, "events", "model")
     record = load_events_csv(args.events, horizon=args.horizon)
     params = _load_aligned_model(args.model, record)
-    rep = DiagnosticsReport()
+    doc = {"schema_version": SCHEMA_VERSION, "train_ll_per_event": None,
+           "test_ll_per_event": None, "n_train": record.N, "n_test": 0,
+           "hellinger": None, "phi_rmse": None, "kendall_tau": None, "notes": []}
 
     split_time = _split_time(args, record)
+    window = (0.0, record.horizon)
     if split_time is not None:
-        rep.train_ll_per_event, rep.test_ll_per_event = \
-            split_eval(record, params, EvalSplit(split_time))
-        rep.n_train = int(np.sum(record.times < split_time))
-        rep.n_test = record.N - rep.n_train
+        train, test = split_eval(record, params, EvalSplit(split_time))
+        doc["train_ll_per_event"] = _opt_float(train)
+        doc["test_ll_per_event"] = _opt_float(test)
+        doc["n_train"] = int(np.sum(record.times < split_time))
+        doc["n_test"] = record.N - doc["n_train"]
         window = (split_time, record.horizon)
-    else:
-        rep.n_train = record.N
-        window = (0.0, record.horizon)
 
-    rep.accuracy, rep.accuracy_naive = categorical_accuracy(record, params, window)
+    accuracy, accuracy_naive = categorical_accuracy(record, params, window)
+    doc["accuracy"] = _opt_float(accuracy)
+    doc["accuracy_naive"] = _opt_float(accuracy_naive)
     branching = e_step(record, params)
-    rep.qq_points = background_qq(record, params, branching, seed=args.seed)
+    qq_points = background_qq(record, params, branching, seed=args.seed)
+    doc["qq_points"] = [] if qq_points is None else qq_points.tolist()
 
     if args.truth_model is not None:
         truth = _load_aligned_model(args.truth_model, record)
-        rep.hellinger = hellinger_divergence(
-            branching, ground_truth_branching(record, truth))
-        rep.phi_rmse = phi_rmse(influence_matrix(params), influence_matrix(truth))
+        doc["hellinger"] = _opt_float(hellinger_divergence(
+            branching, ground_truth_branching(record, truth)))
+        doc["phi_rmse"] = _opt_float(phi_rmse(influence_matrix(params),
+                                              influence_matrix(truth)))
         if isinstance(params, ModelParams) and isinstance(truth, ModelParams):
-            rep.kendall_tau = kendall_distance_correlation(
-                params.embedding, truth.embedding)
+            doc["kendall_tau"] = _opt_float(kendall_distance_correlation(
+                params.embedding, truth.embedding))
+            if doc["kendall_tau"] is None:
+                doc["notes"].append("kendall_tau is null: an embedding has all cross "
+                                    "distances equal (collapsed), so it ranks nothing")
         else:
-            rep.notes.append("kendall_tau needs embeddings on both models")
+            doc["notes"].append("kendall_tau needs embeddings on both models")
     else:
-        rep.notes.append("no truth model: hellinger/phi_rmse/kendall_tau skipped")
-
-    def opt_float(v):
-        # degenerate fits can produce nan metrics (e.g. a collapsed embedding
-        # has no distance ranking); keep the document strict-JSON parseable
-        if v is None or not np.isfinite(v):
-            return None
-        return float(v)
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "train_ll_per_event": opt_float(rep.train_ll_per_event),
-        "test_ll_per_event": opt_float(rep.test_ll_per_event),
-        "n_train": rep.n_train,
-        "n_test": rep.n_test,
-        "accuracy": opt_float(rep.accuracy),
-        "accuracy_naive": opt_float(rep.accuracy_naive),
-        "hellinger": opt_float(rep.hellinger),
-        "phi_rmse": opt_float(rep.phi_rmse),
-        "kendall_tau": opt_float(rep.kendall_tau),
-        "qq_points": ([] if rep.qq_points is None
-                      else [[float(a), float(b)] for a, b in rep.qq_points]),
-        "notes": rep.notes,
-    }
+        doc["notes"].append("no truth model: hellinger/phi_rmse/kendall_tau skipped")
     _emit_json(doc, args.out)
     return 0
 
 
 def _cmd_discretize(args) -> int:
+    """turn cumulative daily counts into events"""
     _require(args, "counts")
     series = load_counts_csv(args.counts)
     record = discretize_counts(series, threshold=args.threshold)
@@ -432,6 +372,7 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    """plot-ready CSVs from saved artifacts"""
     _require(args, "what")
     if args.what == "embedding":
         _require(args, "model")
@@ -446,15 +387,7 @@ def _cmd_export(args) -> int:
         write_curve_csv(load_report(args.report), out)
     else:
         _require(args, "diagnostics")
-        try:
-            with open(args.diagnostics) as f:
-                doc = json.load(f)
-        except OSError as exc:
-            raise DataFormatError(f"cannot read diagnostics: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(
-                f"{args.diagnostics}: not valid JSON ({exc})") from None
-        points = doc.get("qq_points")
+        points = read_json(args.diagnostics).get("qq_points")
         if not isinstance(points, list):
             raise DataFormatError("diagnostics file lacks qq_points")
         out = args.out or "qq.csv"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -22,23 +22,6 @@ class EvalSplit:
     def __post_init__(self):
         if self.split_time < 0.0:
             raise ValueError("split_time must be nonnegative")
-
-
-@dataclass
-class DiagnosticsReport:
-    """Bundle of whatever diagnostics a run could compute (others are None)."""
-
-    train_ll_per_event: float | None = None
-    test_ll_per_event: float | None = None
-    n_train: int = 0
-    n_test: int = 0
-    hellinger: float | None = None
-    phi_rmse: float | None = None
-    kendall_tau: float | None = None
-    accuracy: float | None = None
-    accuracy_naive: float | None = None
-    qq_points: np.ndarray | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def split_eval(record: EventRecord, params, split: EvalSplit):
@@ -152,13 +135,21 @@ def categorical_accuracy(record: EventRecord, params, window):
 
 
 def kendall_distance_correlation(learned: EmbeddingPair, truth: EmbeddingPair) -> float:
-    """Kendall tau-b between all n^2 cross dyad distances of two embeddings."""
+    """Kendall tau-b between all n^2 cross dyad distances of two embeddings.
+
+    NaN, with a ``NumericsWarning``, when either embedding has all its cross
+    distances equal (for instance every point collapsed onto one), since such
+    an embedding ranks no dyad above another.
+    """
     if learned.n != truth.n:
         raise ValueError("embeddings must cover the same types")
     d_learned = cdist(learned.reception, learned.influence).ravel()
     d_truth = cdist(truth.reception, truth.influence).ravel()
-    tau = kendalltau(d_learned, d_truth).statistic
-    return float(tau)
+    tau = float(kendalltau(d_learned, d_truth).statistic)
+    if np.isnan(tau):
+        warnings.warn("an embedding has all cross distances equal; kendall tau is nan",
+                      NumericsWarning)
+    return tau
 
 
 def phi_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:

@@ -32,6 +32,10 @@ from .model import (
 
 MODES = ("hhg-a", "hhg-b", "hhg-dm", "frb", "geo")
 
+# Attribution entries below this probability are dropped and each event's row
+# renormalized, so the stored attribution keeps only pairs that carry mass.
+BRANCHING_FLOOR = 1e-12
+
 
 class NumericalError(RuntimeError):
     """A fit or simulation left the numerically trustworthy regime."""
@@ -81,8 +85,6 @@ class FitConfig:
     dm_alpha: float = 1.0
     inner_steps: int = 4
     prior: GammaPrior = field(default_factory=GammaPrior)
-    branching_floor: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mode", str(self.mode).lower())
@@ -100,8 +102,6 @@ class FitConfig:
             raise ValueError("eps2 must be nonnegative")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
-        if self.branching_floor < 0.0:
-            raise ValueError("branching_floor must be nonnegative")
         if self.mode == "hhg-b" and self.eps1 is None and self.eps2 == 0.0:
             raise ValueError("hhg-b needs eps1 or eps2 set, else the Newton system is singular")
 
@@ -258,22 +258,26 @@ def _branching_from_response(record, H, lam, pairs, R, floor):
     return i_all, j_all, r_all, p_all
 
 
-def e_step(record: EventRecord, params, floor: float = 1e-12) -> BranchingStructure:
-    """Closed-form posterior attribution under the current parameters.
-
-    Pair entries below ``floor`` are dropped and each event's remaining
-    probabilities renormalized to sum to one exactly.
-    """
-    H, lam, pairs = _pair_response(record, params)
+def _attribute(record, params, H, lam, pairs, floor) -> BranchingStructure:
+    """The posterior attribution from ``_pair_response``'s output."""
     R = H.shape[0]
     i_all, j_all, r_all, p_all = _branching_from_response(record, H, lam, pairs, R, floor)
     p_bg = params.mu[record.types] / lam
-    sums = p_bg + np.bincount(j_all, weights=p_all, minlength=record.N)
     # renormalize so each row sums to one after the floor truncation
-    scale = 1.0 / sums
-    p_all = p_all * scale[j_all]
-    p_bg = p_bg * scale
-    return BranchingStructure(record, i_all, j_all, r_all, p_all, p_bg, R)
+    scale = 1.0 / (p_bg + np.bincount(j_all, weights=p_all, minlength=record.N))
+    return BranchingStructure(record, i_all, j_all, r_all, p_all * scale[j_all],
+                              p_bg * scale, R)
+
+
+def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
+    """Closed-form posterior attribution under the current parameters.
+
+    Pair entries below ``floor`` are dropped and each event's remaining
+    probabilities renormalized to sum to one exactly; ``floor=0`` keeps every
+    pair.
+    """
+    H, lam, pairs = _pair_response(record, params)
+    return _attribute(record, params, H, lam, pairs, floor)
 
 
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
@@ -325,12 +329,8 @@ def update_kappa(branching: BranchingStructure, record: EventRecord, prior: Gamm
 
 
 def update_beta_sq(branching: BranchingStructure, embedding: EmbeddingPair, r: int,
-                   m: int | None = None, current: float | None = None) -> float:
+                   current: float | None = None) -> float:
     """Attribution-weighted mean squared reach per dimension for basis ``r``."""
-    if m is None:
-        m = embedding.m
-    elif m != embedding.m:
-        raise ValueError("m disagrees with the embedding dimension")
     X, Y = embedding.reception, embedding.influence
     with np.errstate(over="ignore"):  # runaway embeddings produce inf, caught downstream
         d2 = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
@@ -341,7 +341,7 @@ def update_beta_sq(branching: BranchingStructure, embedding: EmbeddingPair, r: i
         if current is None:
             raise ValueError("degenerate beta_sq update with no previous value to keep")
         return float(current)
-    out = float(np.sum(M * d2) / (m * mass))
+    out = float(np.sum(M * d2) / (embedding.m * mass))
     if out <= 0.0:
         # every attributed dyad sits at distance zero; guard the collapse
         warnings.warn(f"basis {r} collapsed to zero reach; flooring beta_sq",
@@ -392,16 +392,9 @@ def update_xi(branching: BranchingStructure, record: EventRecord, gamma):
     return xi_raw / mean, gamma * mean
 
 
-def update_mu(branching: BranchingStructure, record: EventRecord,
-              n: int | None = None, T: float | None = None) -> np.ndarray:
+def update_mu(branching: BranchingStructure, record: EventRecord) -> np.ndarray:
     """Background rates: attributed exogenous mass per type over the horizon."""
-    if n is None:
-        n = record.n
-    elif n != record.n:
-        raise ValueError("n disagrees with the record")
-    if T is None:
-        T = record.horizon
-    return branching.background_mass_by_type / T
+    return branching.background_mass_by_type / record.horizon
 
 
 def update_influence_points(branching: BranchingStructure, record: EventRecord,
@@ -564,12 +557,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         curve[epoch] = ll
         if ll > best_ll:
             best_ll, best_params, best_epoch = ll, params, epoch
-        i_all, j_all, r_all, p_all = _branching_from_response(
-            record, H, lam, pairs, H.shape[0], config.branching_floor)
-        p_bg = params.mu[record.types] / lam
-        scale = 1.0 / (p_bg + np.bincount(j_all, weights=p_all, minlength=record.N))
-        branching = BranchingStructure(record, i_all, j_all, r_all,
-                                       p_all * scale[j_all], p_bg * scale, H.shape[0])
+        branching = _attribute(record, params, H, lam, pairs, BRANCHING_FLOOR)
         prev_params = params
         try:
             if config.mode == "frb":

@@ -45,7 +45,7 @@ class ReceptionHessian:
         return diag[:, None, None] * np.eye(m)[None, :, :] - self.outer_sum
 
 
-def _gaussian_terms(record: EventRecord, params: ModelParams, branching):
+def _gaussian_terms(record: EventRecord, params: ModelParams):
     """Shared pieces: per-basis affinities, displacement vectors, masses."""
     X = params.embedding.reception
     Y = params.embedding.influence
@@ -68,7 +68,7 @@ def reception_gradient(record: EventRecord, params: ModelParams,
     The repulsive part sums once per occurrence of each influencing type; the
     attractive part weighs displacement by attributed mass.
     """
-    diff, G, weights = _gaussian_terms(record, params, branching)
+    diff, G, weights = _gaussian_terms(record, params)
     M = branching.dyad_mass  # (R, n, n)
     a = np.zeros_like(params.embedding.reception)
     for r in range(params.R):
@@ -81,7 +81,7 @@ def reception_gradient(record: EventRecord, params: ModelParams,
 def reception_hessian(record: EventRecord, params: ModelParams,
                       branching) -> ReceptionHessian:
     """Per-type blocks of the surrogate Hessian, in split form."""
-    diff, G, weights = _gaussian_terms(record, params, branching)
+    diff, G, weights = _gaussian_terms(record, params)
     M = branching.dyad_mass
     n, m = params.embedding.reception.shape
     c = np.zeros(n)

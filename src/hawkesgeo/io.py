@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import BranchingStructure, FitReport, FullRankParams
-from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning
+from .em import FitReport, FullRankParams
+from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
+    horizon_past
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +50,29 @@ def atomic_write(path, mode: str = "w"):
         except OSError:
             pass
         raise
+
+
+def write_json(doc: dict, path) -> None:
+    """Write a JSON document atomically: indent 2, sorted keys, trailing newline."""
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def read_json(path) -> dict:
+    """Read a JSON document whose top level must be an object."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except FileNotFoundError:
+        raise DataFormatError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +123,7 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
     order = np.argsort(times_arr, kind="stable")
     types_arr, times_arr = types_arr[order], times_arr[order]
     if horizon is None:
-        if times_arr.size:
-            horizon = times_arr[-1] * (1.0 + 1e-9)
-            if horizon <= times_arr[-1]:
-                horizon = times_arr[-1] + 1e-9
-        else:
-            horizon = 1.0
+        horizon = horizon_past(times_arr)
     elif times_arr.size and horizon <= times_arr[-1]:
         raise DataFormatError("horizon must lie strictly after the last event")
     return EventRecord(types_arr, times_arr, len(labels), horizon,
@@ -232,7 +251,7 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     types_arr, times_arr = types_arr[order], times_arr[order]
     horizon = float(max(d[-1] for d in series.days))
     if times_arr.size and horizon <= times_arr[-1]:
-        horizon = times_arr[-1] * (1.0 + 1e-9) + 1e-12
+        horizon = horizon_past(times_arr)
     return EventRecord(types_arr, times_arr, len(series.labels), horizon, series.labels)
 
 
@@ -281,9 +300,7 @@ def save_model(params, path, labels=None) -> None:
         }
     else:
         raise TypeError("params must be ModelParams or FullRankParams")
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def _require(doc: dict, fields: set, path) -> None:
@@ -297,15 +314,7 @@ def _require(doc: dict, fields: set, path) -> None:
 
 def load_model(path, with_labels: bool = False):
     """Load a model document; rejects unknown versions and unknown fields."""
-    if not os.path.exists(path):
-        raise DataFormatError(f"model file not found: {path}")
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: model document must be an object")
+    doc = read_json(path)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
@@ -377,21 +386,17 @@ def save_report(report: FitReport, path, config: dict | None = None) -> None:
                          else [float(v) for v in report.branching.p_background]),
         "config": config or {},
     }
-    with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_report(path) -> dict:
-    if not os.path.exists(path):
-        raise DataFormatError(f"report file not found: {path}")
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+    """Load a fit report document; its ``curve`` must be a list of numbers."""
+    doc = read_json(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version")
+    curve = doc.get("curve")
+    if not (isinstance(curve, list) and all(isinstance(v, (int, float)) for v in curve)):
+        raise DataFormatError(f"{path}: report lacks a numeric curve")
     return doc
 
 

@@ -100,6 +100,15 @@ class EventRecord:
         return EventRecord(self.types[keep], self.times[keep], self.n, t_end, self.labels)
 
 
+def horizon_past(times) -> float:
+    """A horizon just past the last of the sorted ``times``; 1.0 when empty."""
+    if len(times) == 0:
+        return 1.0
+    horizon = times[-1] * (1.0 + 1e-9)
+    # the relative pad vanishes at time zero
+    return horizon if horizon > times[-1] else times[-1] + 1e-9
+
+
 def pair_indices(record: EventRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ordered pairs ``(i, j)`` with ``t_i < t_j`` in a sorted record.
 
@@ -240,54 +249,6 @@ class ModelParams:
 # kernels
 
 
-def spatial_kernel(x, y, beta_sq: float, m: int | None = None) -> float:
-    """Isotropic Gaussian affinity ``(2 pi b)^(-m/2) exp(-|x-y|^2 / (2 b))``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if beta_sq <= 0.0 or not np.isfinite(beta_sq):
-        raise ValueError("beta_sq must be positive and finite")
-    if m is None:
-        m = x.shape[-1]
-    d2 = np.sum((x - y) ** 2, axis=-1)
-    return (2.0 * np.pi * beta_sq) ** (-m / 2.0) * np.exp(-d2 / (2.0 * beta_sq))
-
-
-def normalized_spatial_kernel(x_j, y, X, beta_sq: float) -> float:
-    """Share of the Gaussian affinity of ``y`` that lands on receptor ``x_j``.
-
-    ``X`` is the full (n, m) set of reception points; ``x_j`` must be one of
-    its rows.  The Gaussian prefactor cancels, and squared distances are
-    clamped (see ``SQDIST_CLAMP``) so the denominator stays positive.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if beta_sq <= 0.0 or not np.isfinite(beta_sq):
-        raise ValueError("beta_sq must be positive and finite")
-    row = np.all(X == x_j, axis=1)
-    if not row.any():
-        raise ValueError("x_j is not a row of X")
-    d2 = np.sum((X - y) ** 2, axis=1)
-    w = np.exp(-np.minimum(d2, SQDIST_CLAMP * beta_sq) / (2.0 * beta_sq))
-    return float(w[np.argmax(row)] / w.sum())
-
-
-def temporal_kernel(tau, kappa: float):
-    """Unit-mass exponential clock ``kappa * exp(-kappa * tau)`` for tau >= 0."""
-    if kappa <= 0.0 or not np.isfinite(kappa):
-        raise ValueError("kappa must be positive and finite")
-    tau = np.asarray(tau, dtype=np.float64)
-    out = np.where(tau >= 0.0, kappa * np.exp(-kappa * np.maximum(tau, 0.0)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def half_life(kappa: float) -> float:
-    """Time for an exponential clock to shed half its remaining mass."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    return float(np.log(2.0) / kappa)
-
-
 def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -> float:
     """Excitation of a type ``k_from`` occurrence on type ``k_to`` at lag tau.
 
@@ -339,16 +300,7 @@ def intensity(k: int, t: float, record: EventRecord, params) -> float:
     """
     if t < 0.0 or t > record.horizon:
         raise ValueError("t must lie in [0, horizon]")
-    A = params.amplitudes()
-    prior = record.times < t
-    val = float(params.mu[k])
-    if prior.any():
-        tau = t - record.times[prior]
-        src = record.types[prior]
-        for r in range(A.shape[0]):
-            kap = params.kappa[r]
-            val += float(np.sum(A[r, k, src] * kap * np.exp(-kap * tau)))
-    return val
+    return float(intensities_at(record, params, [t])[0, k])
 
 
 def intensities_at(record: EventRecord, params, times) -> np.ndarray:
@@ -433,9 +385,3 @@ def influence_matrix(params) -> np.ndarray:
     """Time-integrated pairwise response mass, ``phi[k, l]`` for l -> k."""
     return params.amplitudes().sum(axis=0)
 
-
-def reorder_types(params: ModelParams, perm) -> ModelParams:
-    """Re-index every per-type quantity by ``perm`` (new id -> old id)."""
-    perm = np.asarray(perm, dtype=np.int64)
-    emb = EmbeddingPair(params.embedding.reception[perm], params.embedding.influence[perm])
-    return ModelParams(emb, params.kernels, params.xi[perm], params.mu[perm])

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import BranchingStructure, NumericalError, e_step
-from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, influence_matrix
+from .em import BRANCHING_FLOOR, BranchingStructure, NumericalError, e_step
+from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, horizon_past, \
+    influence_matrix
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,13 @@ def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
         else:
             lam_bar = tot
 
-    if T is not None:
-        horizon = T
-    elif ev_times:
-        horizon = ev_times[-1] * (1.0 + 1e-9)
-        if horizon <= ev_times[-1]:
-            horizon = ev_times[-1] + 1e-9
-    else:
-        horizon = 1.0
+    horizon = T if T is not None else horizon_past(ev_times)
     return EventRecord(np.array(ev_types, dtype=np.int64),
                        np.array(ev_times, dtype=np.float64), n, horizon)
 
 
 def ground_truth_branching(record: EventRecord, truth,
-                           floor: float = 1e-12) -> BranchingStructure:
+                           floor: float = BRANCHING_FLOOR) -> BranchingStructure:
     """The posterior attribution of a record under its generating model."""
     params = truth.params if isinstance(truth, GroundTruth) else truth
     return e_step(record, params, floor=floor)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hawkesgeo.cli import cli_dispatch
+from hawkesgeo.cli import _build_parser, cli_dispatch
 from hawkesgeo.io import (
     load_events_csv,
     load_model,
@@ -13,6 +13,7 @@ from hawkesgeo.io import (
     reorder_to_labels,
     save_model,
 )
+from hawkesgeo.model import EmbeddingPair, ModelParams, NumericsWarning
 
 COUNTS = ("location,day,cumulative_count\n"
           "LA,0,0\nLA,1,5\nLA,2,25\n"
@@ -51,6 +52,24 @@ class TestDispatch:
 
     def test_unknown_mode_rejected(self, capsys):
         assert cli_dispatch(["fit", "--events", "x.csv", "--mode", "psychic"]) == 1
+
+    def test_config_keys_are_the_parsed_options(self, tmp_path, capsys):
+        commands = ("simulate", "fit", "evaluate", "diagnose", "discretize", "export")
+        parser = _build_parser()
+        names = {c: set(vars(parser.parse_args([c]))) - {"command", "config"}
+                 for c in commands}
+        every = set().union(*names.values())
+        cfg = tmp_path / "cfg.json"
+        for command in commands:
+            # null values leave every option unset, so each run stops at its
+            # first missing required option
+            cfg.write_text(json.dumps(dict.fromkeys(names[command])))
+            assert cli_dispatch([command, "--config", str(cfg)]) == 1
+            assert "unknown config keys" not in capsys.readouterr().err
+            for key in sorted(every - names[command]):
+                cfg.write_text(json.dumps({key: None}))
+                assert cli_dispatch([command, "--config", str(cfg)]) == 1
+                assert f"unknown config keys for {command}: {key}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -323,6 +342,22 @@ class TestDiagnose:
         assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
                              "--model", str(bad)]) == 2
 
+    def test_collapsed_embedding_notes_the_null_kendall_tau(self, workdir, tmp_path,
+                                                           capsys):
+        params, labels = load_model(workdir / "model.json", with_labels=True)
+        zeros = np.zeros_like(params.embedding.reception)
+        collapsed = ModelParams(EmbeddingPair(zeros, zeros), params.kernels,
+                                params.xi, params.mu)
+        save_model(collapsed, tmp_path / "collapsed.json", labels=labels)
+        with pytest.warns(NumericsWarning, match="kendall"):
+            rc = cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
+                               "--model", str(tmp_path / "collapsed.json"),
+                               "--truth-model", str(workdir / "truth.json")])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kendall_tau"] is None
+        assert any(note.startswith("kendall_tau is null") for note in doc["notes"])
+
 
 class TestDiscretize:
     def test_counts_to_events(self, tmp_path, capsys):
@@ -403,8 +438,15 @@ class TestExport:
         assert cli_dispatch(["export", "--what", "embedding"]) == 1
         no_qq = tmp_path / "noqq.json"
         no_qq.write_text(json.dumps({"schema_version": 1}))
-        assert cli_dispatch(["export", "--what", "qq",
-                             "--diagnostics", str(no_qq)]) == 2
+        array = tmp_path / "array.json"
+        array.write_text("[1, 2]")
+        for what, flag, path in (("qq", "--diagnostics", no_qq),
+                                 ("qq", "--diagnostics", array),
+                                 ("curve", "--report", array),
+                                 ("curve", "--report", no_qq)):
+            capsys.readouterr()
+            assert cli_dispatch(["export", "--what", what, flag, str(path)]) == 2
+            assert "data error:" in capsys.readouterr().err
 
     def test_full_rank_model_has_no_embedding(self, workdir, tmp_path, capsys):
         rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),

@@ -300,6 +300,12 @@ class TestKendall:
                               np.array([[1.0], [2.0]]))
         assert_allclose(kendall_distance_correlation(learned, truth), -1.0, rtol=0)
 
+    def test_collapsed_embedding_gives_nan_with_a_warning(self, rng):
+        collapsed = EmbeddingPair(np.zeros((4, 2)), np.zeros((4, 2)))
+        truth = EmbeddingPair(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+        with pytest.warns(NumericsWarning, match="all cross distances equal"):
+            assert np.isnan(kendall_distance_correlation(collapsed, truth))
+
     def test_size_mismatch_rejected(self, rng):
         a = EmbeddingPair(np.zeros((3, 2)), np.zeros((3, 2)))
         b = EmbeddingPair(np.zeros((4, 2)), np.zeros((4, 2)))

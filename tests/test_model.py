@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawkesgeo.geometry import _gaussian_terms
+from hawkesgeo.io import reorder_to_labels
 from hawkesgeo.model import (
     EmbeddingPair,
     EventRecord,
@@ -16,20 +18,22 @@ from hawkesgeo.model import (
     ModelParams,
     NumericsWarning,
     compensator,
-    half_life,
     influence_matrix,
     intensities_at,
     intensity,
     log_likelihood,
-    normalized_spatial_kernel,
     pair_indices,
-    reorder_types,
     response,
-    spatial_kernel,
-    temporal_kernel,
 )
 
-from conftest import brute_intensity, brute_loglik, make_model, make_record
+from conftest import brute_intensity, brute_loglik, brute_response, make_model, make_record
+
+
+def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
+    """One basis with xi = gamma = 1, so amplitudes are the bare spatial weights."""
+    n = np.shape(X)[0]
+    return ModelParams(EmbeddingPair(X, Y), KernelBank([beta_sq], [kappa], [1.0]),
+                       np.ones(n), np.full(n, 0.1))
 
 
 class TestEventRecord:
@@ -72,21 +76,23 @@ class TestEventRecord:
 
 class TestKernels:
     def test_spatial_kernel_unit_distance(self):
-        # m=2, beta^2=1, |x-y|=1: (2 pi)^-1 e^-1/2
-        val = spatial_kernel(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
-        assert_allclose(val, 0.09653235263005391, rtol=1e-14)
+        # the surrogate's raw Gaussian, m=2, beta^2=1, |x-y|=1: (2 pi)^-1 e^-1/2
+        params = unit_model(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        _, G, _ = _gaussian_terms(EventRecord([], [], 1, 1.0), params)
+        assert_allclose(G[0, 0, 0], 0.09653235263005391, rtol=1e-14)
 
     def test_spatial_kernel_peak_at_zero_distance(self):
         x = np.array([0.3, -0.2])
-        assert spatial_kernel(x, x, 0.7) > spatial_kernel(x, x + 0.1, 0.7)
+        params = unit_model(np.array([x, x + 0.1]), np.array([x, x]), beta_sq=0.7)
+        _, G, _ = _gaussian_terms(EventRecord([], [], 2, 1.0), params)
+        assert G[0, 0, 0] > G[0, 1, 0]
 
     def test_normalized_weights_two_receptors(self):
         # 1-d layout: receptors at 0 and 1, influencer at 0, beta^2=1.
         # Weights reduce to the logistic pair (1, e^-1/2) normalized.
         X = np.array([[0.0], [1.0]])
-        y = np.array([0.0])
-        w0 = normalized_spatial_kernel(X[0], y, X, 1.0)
-        w1 = normalized_spatial_kernel(X[1], y, X, 1.0)
+        A = unit_model(X, np.zeros((2, 1))).amplitudes()
+        w0, w1 = A[0, :, 0]
         assert_allclose(w0, 0.6224593312018546, rtol=1e-14)
         assert_allclose(w1, 0.3775406687981454, rtol=1e-14)
         assert_allclose(w0 + w1, 1.0, rtol=1e-15)
@@ -100,12 +106,16 @@ class TestKernels:
         assert_allclose(cols, np.ones_like(cols), atol=1e-12)
 
     def test_temporal_kernel_halved_at_half_life(self):
-        assert_allclose(temporal_kernel(np.log(2.0) / 2.0, 2.0), 1.0, rtol=1e-14)
+        # one type carries its whole unit mass, so the response is the clock
+        # kappa e^(-kappa tau): at tau = ln 2 / kappa with kappa=2 it is 1
+        params = unit_model(np.zeros((1, 2)), np.zeros((1, 2)), kappa=2.0)
+        assert_allclose(response(0, 0, np.log(2.0) / 2.0, params), 1.0, rtol=1e-14)
 
     def test_half_life(self):
-        assert_allclose(half_life(0.2075), 3.3404683400479292, rtol=1e-12)
-        assert_allclose(temporal_kernel(half_life(1.7), 1.7),
-                        0.5 * temporal_kernel(0.0, 1.7), rtol=1e-12)
+        # ln 2 / 0.2075 = 3.3404683400479292: the clock halves over that lag
+        params = unit_model(np.zeros((1, 2)), np.zeros((1, 2)), kappa=0.2075)
+        assert_allclose(response(0, 0, 0.5 + 3.3404683400479292, params),
+                        0.5 * response(0, 0, 0.5, params), rtol=1e-12)
 
 
 class TestResponse:
@@ -119,18 +129,8 @@ class TestResponse:
             params = make_model(rng, n=4, m=2, R=2)
             tau = rng.uniform(0.05, 2.0)
             k_to, k_from = rng.integers(0, 4, size=2)
-            want = sum(
-                params.xi[k_from] * params.kernels.gamma[r]
-                * normalized_spatial_kernel(
-                    params.embedding.reception[k_to],
-                    params.embedding.influence[k_from],
-                    params.embedding.reception,
-                    params.kernels.beta_sq[r],
-                )
-                * temporal_kernel(tau, params.kernels.kappa[r])
-                for r in range(2)
-            )
-            assert_allclose(response(k_to, k_from, tau, params), want, rtol=1e-12)
+            assert_allclose(response(k_to, k_from, tau, params),
+                            brute_response(params, k_to, k_from, tau), rtol=1e-12)
 
     def test_single_basis_slice(self, rng):
         params = make_model(rng, n=3, R=2)
@@ -164,7 +164,7 @@ class TestIntensity:
         table = intensities_at(record, params, ts)
         for q, t in enumerate(ts):
             for k in range(4):
-                assert_allclose(table[q, k], intensity(k, t, record, params),
+                assert_allclose(table[q, k], brute_intensity(record, params, k, t),
                                 rtol=1e-10)
 
     def test_events_excluded_at_their_own_time(self, rng):
@@ -246,5 +246,7 @@ class TestInfluenceMatrix:
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         relabeled = EventRecord(inv[record.types], record.times, n, record.horizon)
-        assert_allclose(log_likelihood(relabeled, reorder_types(params, perm)),
+        labels = [str(k) for k in range(n)]
+        reordered = reorder_to_labels(params, labels, [labels[k] for k in perm])
+        assert_allclose(log_likelihood(relabeled, reordered),
                         log_likelihood(record, params), rtol=1e-12)
