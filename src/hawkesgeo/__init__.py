@@ -64,14 +64,13 @@ from .simulate import (
     sample_ground_truth,
     simulate_thinning,
 )
-from .spectral import DiffusionConfig, diffusion_embed, init_params
+from .spectral import diffusion_embed, init_params
 
 __all__ = [
     "BranchingStructure",
     "CountSeries",
     "DataFormatError",
     "DegenerateEventError",
-    "DiffusionConfig",
     "EmbeddingPair",
     "EvalSplit",
     "EventRecord",

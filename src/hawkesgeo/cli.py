@@ -59,7 +59,7 @@ _OPTIONS = {
         ("--mode", MODES, "hhg-b", "estimator mode"),
         ("--epochs", int, 500, "EM epochs"),
         ("--R", int, 1, "number of kernel bases"),
-        ("--m", int, 2, "embedding dimension"),
+        ("--m", int, None, "embedding dimension (default 2, or the frozen embedding's)"),
         ("--eps", float, None, "hhg-a learning rate (default n/N)"),
         ("--eps1", float, None, "hhg-b curvature regularizer (default off)"),
         ("--eps2", float, None, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
@@ -126,8 +126,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from built-in defaults."""
+def _resolve(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
+    """Fill unset options from the config file, then from built-in defaults.
+
+    ``parser`` converts and checks each config value as its flag's text.
+    """
     defaults = {flag[2:].replace("-", "_"): default
                 for flag, _, default, _ in _OPTIONS[args.command]}
     if args.config is not None:
@@ -137,8 +140,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"unknown config keys for {args.command}: "
                              + ", ".join(unknown))
         for key, value in doc.items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+            if getattr(args, key) is None and value is not None:
+                flag = f"--{key.replace('_', '-')}={value}"
+                try:
+                    setattr(args, key, getattr(parser.parse_args([args.command, flag]), key))
+                except UsageError as exc:
+                    raise UsageError(f"config file {args.config}: {exc}") from None
     for key, value in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -231,14 +238,12 @@ def _cmd_simulate(args) -> int:
 def _fit_config(args) -> FitConfig:
     kwargs = dict(
         mode=args.mode, epochs=args.epochs, R=args.R, m=args.m,
-        eps=args.eps, eps1=args.eps1, dm_alpha=args.dm_alpha,
+        eps=args.eps, eps1=args.eps1, eps2=args.eps2, dm_alpha=args.dm_alpha,
         inner_steps=args.inner_steps,
         prior=GammaPrior(args.prior_alpha, args.prior_beta),
     )
-    if args.eps2 is not None:
-        kwargs["eps2"] = args.eps2
-    try:
-        return FitConfig(**kwargs)
+    try:  # unset options take FitConfig's defaults
+        return FitConfig(**{key: v for key, v in kwargs.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -414,7 +419,7 @@ def cli_dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        args = _resolve(args)
+        args = _resolve(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -461,7 +461,7 @@ def _initial_frb(record: EventRecord, config: FitConfig):
 
 def _m_step_geometric(record, params, br, config):
     from .geometry import embedding_inner_loop, hhg_a_step, reception_gradient
-    from .spectral import DiffusionConfig, density_normalize, diffusion_embed
+    from .spectral import density_normalize, diffusion_embed
 
     R = params.R
     kern = params.kernels
@@ -490,7 +490,7 @@ def _m_step_geometric(record, params, br, config):
                                     record.N, steps=config.inner_steps)
     elif config.mode == "hhg-dm":
         A = density_normalize(influence_matrix(cand), config.dm_alpha)
-        emb2 = diffusion_embed(A, DiffusionConfig(alpha=config.dm_alpha, m=cand.m))
+        emb2 = diffusion_embed(A, cand.m)
         cand = ModelParams(emb2, cand.kernels, cand.xi, cand.mu)
     return cand
 

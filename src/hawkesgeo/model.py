@@ -109,22 +109,29 @@ def horizon_past(times) -> float:
     return horizon if horizon > times[-1] else times[-1] + 1e-9
 
 
+def _earlier_pairs(times, start: int, stop: int):
+    """Flat ``(i_idx, j_idx)`` of every ``i`` with ``t_i < t_j``, ``j`` in ``[start, stop)``.
+
+    In sorted ``times`` the events before ``j`` are the first
+    ``searchsorted(times, t_j, "left")``, so tied events never pair.
+    """
+    n_earlier = np.searchsorted(times, times[start:stop], side="left")
+    total = int(n_earlier.sum())
+    j_idx = np.repeat(np.arange(start, stop, dtype=np.int64), n_earlier)
+    starts = np.cumsum(n_earlier) - n_earlier
+    i_idx = np.arange(total, dtype=np.int64) - np.repeat(starts, n_earlier)
+    return i_idx, j_idx
+
+
 def pair_indices(record: EventRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ordered pairs ``(i, j)`` with ``t_i < t_j`` in a sorted record.
 
     Returns flat arrays ``(i_idx, j_idx, dt)``; events with tied times never
-    pair with each other.
+    pair with each other.  There are O(N^2) pairs, so they are built only for
+    attribution (``e_step`` and ``fit``); scoring runs on decayed counts.
     """
-    times = record.times
-    # number of events strictly earlier than each event; ties are excluded
-    # because the record is sorted, so those are exactly the first L_j events
-    n_earlier = np.searchsorted(times, times, side="left")
-    total = int(n_earlier.sum())
-    j_idx = np.repeat(np.arange(record.N, dtype=np.int64), n_earlier)
-    starts = np.concatenate(([0], np.cumsum(n_earlier)[:-1]))
-    i_idx = np.arange(total, dtype=np.int64) - np.repeat(starts, n_earlier)
-    dt = times[j_idx] - times[i_idx]
-    return i_idx, j_idx, dt
+    i_idx, j_idx = _earlier_pairs(record.times, 0, record.N)
+    return i_idx, j_idx, record.times[j_idx] - record.times[i_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +277,8 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
 # intensity and likelihood
 
 
-def _pair_response(record: EventRecord, params, pairs=None, amplitudes=None):
-    """Per-pair response values and per-event intensities.
+def _pair_response(record: EventRecord, params, pairs=None):
+    """Per-pair response values and per-event intensities, for attribution.
 
     Returns ``(H, lam, pairs)`` where ``H[r, e]`` is the basis-``r`` response
     along stored pair ``e`` and ``lam[j]`` the intensity at event ``j``.
@@ -279,7 +286,7 @@ def _pair_response(record: EventRecord, params, pairs=None, amplitudes=None):
     if pairs is None:
         pairs = pair_indices(record)
     i_idx, j_idx, dt = pairs
-    A = params.amplitudes() if amplitudes is None else amplitudes
+    A = params.amplitudes()
     R = A.shape[0]
     n = record.n
     dyad = record.types[j_idx] * n + record.types[i_idx]
@@ -290,6 +297,15 @@ def _pair_response(record: EventRecord, params, pairs=None, amplitudes=None):
         H[r] = A[r].ravel()[dyad] * (kap * np.exp(-kap * dt))
         lam += np.bincount(j_idx, weights=H[r], minlength=record.N)
     return H, lam, pairs
+
+
+def _rates(mu, kappa, A, S) -> np.ndarray:
+    """Intensity of every type, ``mu + sum_r kappa_r A_r S_r``, from the counts
+    ``S[r, l]`` of past type-``l`` events decayed by the basis-``r`` clock."""
+    lam = mu.astype(np.float64, copy=True)
+    for r in range(A.shape[0]):
+        lam += kappa[r] * (A[r] @ S[r])
+    return lam
 
 
 def intensity(k: int, t: float, record: EventRecord, params) -> float:
@@ -306,8 +322,8 @@ def intensity(k: int, t: float, record: EventRecord, params) -> float:
 def intensities_at(record: EventRecord, params, times) -> np.ndarray:
     """Conditional intensities of every type at each query time, ``(q, n)``.
 
-    Uses the exponential-decay recursion, so repeated queries cost
-    ``O((N + q) n R)`` plus one ``n x n`` product per query.
+    Each query sees the events strictly before it.  Runs the decayed-count
+    recursion (Ozaki 1979), not event pairs: ``q`` queries cost ``O((N + q) n^2 R)``.
     """
     ts = np.asarray(times, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
@@ -326,17 +342,13 @@ def intensities_at(record: EventRecord, params, times) -> np.ndarray:
             S[:, record.types[ev]] += 1.0
             cur = te
             ev += 1
-        S_t = S * np.exp(-kappa * (t - cur))[:, None]
+        S *= np.exp(-kappa * (t - cur))[:, None]
         cur = t
-        lam = params.mu.astype(np.float64, copy=True)
-        for r in range(R):
-            lam += kappa[r] * (A[r] @ S_t[r])
-        out[qi] = lam
-        S = S_t
+        out[qi] = _rates(params.mu, kappa, A, S)
     return out
 
 
-def compensator(record: EventRecord, params, window=None, amplitudes=None) -> float:
+def compensator(record: EventRecord, params, window=None) -> float:
     """Integral of the total intensity over ``[t_a, t_b]``, in closed form.
 
     Exact for this model: each occurrence's spatial mass sums to one over the
@@ -345,7 +357,7 @@ def compensator(record: EventRecord, params, window=None, amplitudes=None) -> fl
     t_a, t_b = (0.0, record.horizon) if window is None else window
     if not (0.0 <= t_a <= t_b <= record.horizon):
         raise ValueError("window must satisfy 0 <= t_a <= t_b <= horizon")
-    A = params.amplitudes() if amplitudes is None else amplitudes
+    A = params.amplitudes()
     total = (t_b - t_a) * float(np.sum(params.mu))
     live = record.times < t_b
     if live.any():
@@ -364,21 +376,22 @@ def log_likelihood(record: EventRecord, params, window=None) -> float:
     """Exact log-likelihood of the events falling in ``[t_a, t_b)``.
 
     Each scored event's intensity conditions on the full record history before
-    it, including events outside the window.  A scored event with zero
-    intensity yields ``-inf`` (with a warning naming the event).
+    it, including events outside the window; by ``intensities_at``, ``q``
+    scored events cost ``O((N + q) n^2 R)`` and build no event pairs.  A scored
+    event with zero intensity yields ``-inf`` (with a warning naming the event).
     """
     t_a, t_b = (0.0, record.horizon) if window is None else window
-    _, lam, _ = _pair_response(record, params)
-    scored = (record.times >= t_a) & (record.times < t_b)
-    lam_s = lam[scored]
-    if np.any(lam_s <= 0.0):
-        bad = int(np.flatnonzero(scored)[np.argmax(lam_s <= 0.0)])
+    idx = np.flatnonzero((record.times >= t_a) & (record.times < t_b))
+    table = intensities_at(record, params, record.times[idx])
+    lam = table[np.arange(idx.size), record.types[idx]]  # the realized types
+    if np.any(lam <= 0.0):
+        bad = int(idx[np.argmax(lam <= 0.0)])
         warnings.warn(
             f"zero intensity at scored event {bad}; log-likelihood is -inf",
             NumericsWarning,
         )
         return float("-inf")
-    return float(np.sum(np.log(lam_s)) - compensator(record, params, (t_a, t_b)))
+    return float(np.sum(np.log(lam)) - compensator(record, params, (t_a, t_b)))
 
 
 def influence_matrix(params) -> np.ndarray:

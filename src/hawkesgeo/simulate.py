@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import BRANCHING_FLOOR, BranchingStructure, NumericalError, e_step
-from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, horizon_past, \
-    influence_matrix
+from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, _rates, \
+    horizon_past, influence_matrix
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,14 @@ def sample_ground_truth(n: int, m: int = 2, R: int = 1, seed: int = 0) -> Ground
 
 def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
                       target_events: int | None = None,
-                      event_cap: int = 2_000_000,
-                      check_bound: bool = False) -> EventRecord:
+                      event_cap: int = 2_000_000) -> EventRecord:
     """Simulate the process exactly by thinning.
 
     Stops at horizon ``T`` or after ``target_events`` accepted events
     (whichever first; at least one must be given).  In target mode the record
     horizon is placed just past the last event.  Per proposal the draws are:
-    waiting time, acceptance, then (if accepted) the type.
+    waiting time, acceptance, then (if accepted) the type.  An intensity above
+    the bound at any proposal raises ``NumericalError``.
     """
     params = truth.params if isinstance(truth, GroundTruth) else truth
     if T is None and target_events is None:
@@ -97,15 +97,12 @@ def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
         decay = np.exp(-kappa * w)
         S *= decay[:, None]
         tot = mu_total + float(np.einsum("r,rl,rl->", kappa, acol, S))
-        if check_bound and tot > lam_bar * (1.0 + 1e-9):
-            raise AssertionError("thinning bound violated")
+        if tot > lam_bar * (1.0 + 1e-9):
+            raise NumericalError(f"intensity {tot:.6g} over the thinning bound {lam_bar:.6g}")
         t = t_new
         u = rng.random()
         if u * lam_bar <= tot:
-            lam_vec = mu.copy()
-            for r in range(R):
-                lam_vec += kappa[r] * (A[r] @ S[r])
-            cum = np.cumsum(lam_vec)
+            cum = np.cumsum(_rates(mu, kappa, A, S))
             k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
             k = min(k, n - 1)
             ev_types.append(k)

@@ -9,25 +9,13 @@ component carries no contrast and is dropped.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning
+from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
+    _earlier_pairs
 
 _SMOOTHING = 1e-12
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    """Density-normalization exponent and target embedding dimension."""
-
-    alpha: float = 1.0
-    m: int = 2
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 def density_normalize(phi: np.ndarray, alpha: float) -> np.ndarray:
@@ -78,8 +66,10 @@ def _walk_coordinates(B: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def diffusion_embed(A: np.ndarray, config: DiffusionConfig) -> EmbeddingPair:
-    """Embed receivers and influencers from the two row-normalized walks."""
+def diffusion_embed(A: np.ndarray, m: int) -> EmbeddingPair:
+    """Embed receivers and influencers in ``m`` dimensions from the two walks."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
@@ -90,8 +80,8 @@ def diffusion_embed(A: np.ndarray, config: DiffusionConfig) -> EmbeddingPair:
     B_recv = A / row[:, None]
     At = A.T
     B_infl = At / col[:, None]
-    X = _walk_coordinates(B_recv, config.m)
-    Y = _walk_coordinates(B_infl, config.m)
+    X = _walk_coordinates(B_recv, m)
+    Y = _walk_coordinates(B_infl, m)
     return EmbeddingPair(X, Y)
 
 
@@ -109,25 +99,18 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
     """Crude pairwise influence counts with a single exponential clock.
 
     Each ordered pair of types accumulates the clock value at its observed
-    lags, with the clock's rate set from the mean interarrival time.
+    lags, with the clock's rate set from the mean interarrival time.  It is a
+    pair sum over 512 receiving events at a time, since fits depend on its rounding.
     """
     t_hat = event_time_scale(record)
     kap = 1.0 / t_hat
     n = record.n
     times = record.times
     types = record.types
-    n_earlier = np.searchsorted(times, times, side="left")
     phi = np.zeros(n * n)
     chunk = 512
     for s in range(0, record.N, chunk):
-        e = min(s + chunk, record.N)
-        counts = n_earlier[s:e]
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        jj = np.repeat(np.arange(s, e, dtype=np.int64), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ii = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+        ii, jj = _earlier_pairs(times, s, min(s + chunk, record.N))
         vals = kap * np.exp(-kap * (times[jj] - times[ii]))
         phi += np.bincount(types[jj] * n + types[ii], weights=vals, minlength=n * n)
     return phi.reshape(n, n)
@@ -147,7 +130,7 @@ def init_params(record: EventRecord, R: int = 1, m: int = 2,
     t_hat = event_time_scale(record)
     if embedding is None:
         A = density_normalize(init_influence_guess(record), alpha)
-        emb = diffusion_embed(A, DiffusionConfig(alpha=alpha, m=m))
+        emb = diffusion_embed(A, m)
     else:
         if embedding.reception.shape[0] != record.n:
             raise ValueError("embedding size does not match number of types")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hawkesgeo.em import BranchingStructure
+from hawkesgeo.em import BranchingStructure, FullRankParams
 from hawkesgeo.model import EmbeddingPair, EventRecord, KernelBank, ModelParams
 
 
@@ -98,6 +98,9 @@ def brute_normalized_g(params, r, k, l):
 def brute_response(params, k_to, k_from, tau):
     if tau <= 0.0:
         return 0.0
+    if isinstance(params, FullRankParams):
+        return sum(params.phi[k_to, k_from] * w * kap * np.exp(-kap * tau)
+                   for w, kap in zip(params.w, params.kappa))
     kb = params.kernels
     total = 0.0
     for r in range(kb.R):

@@ -176,6 +176,20 @@ class TestFit:
         assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
                              "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"epochs": "many"}, "argument --epochs: invalid int value: 'many'"),
+        ({"epochs": 2.7}, "argument --epochs: invalid int value: '2.7'"),
+        ({"eps2": [0.1]}, "argument --eps2: invalid float value: '[0.1]'"),
+        ({"mode": "psychic"}, "argument --mode: invalid choice: 'psychic'"),
+    ])
+    def test_config_values_converted_like_flags(self, workdir, tmp_path, capsys,
+                                                doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                             "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_frozen_embedding_round_trip(self, workdir, tmp_path):
         emb = tmp_path / "emb.csv"
         assert cli_dispatch(["export", "--what", "embedding",
@@ -203,6 +217,17 @@ class TestFit:
         assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
                              "--mode", "geo", "--m", "3",
                              "--frozen-embedding", str(emb)]) == 1
+        assert "disagrees" in capsys.readouterr().err
+        # without --m the file's dimension is used, not the default 2
+        emb3 = tmp_path / "emb3.csv"
+        emb3.write_text("type_label,coord_1,coord_2,coord_3\n"
+                        "0,0.0,0.1,0.2\n1,0.5,0.3,0.9\n2,1.0,0.8,0.4\n")
+        base = ["fit", "--events", str(workdir / "events.csv"), "--mode", "geo",
+                "--epochs", "2", "--frozen-embedding", str(emb3),
+                "--out", str(tmp_path / "geo3.json")]
+        assert cli_dispatch(base) == 0
+        assert load_model(tmp_path / "geo3.json").m == 3
+        assert cli_dispatch(base + ["--m", "2"]) == 1
         assert "disagrees" in capsys.readouterr().err
 
     def test_frozen_embedding_missing_labels(self, workdir, tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawkesgeo.em import FullRankParams
 from hawkesgeo.geometry import _gaussian_terms
 from hawkesgeo.io import reorder_to_labels
 from hawkesgeo.model import (
@@ -17,6 +18,7 @@ from hawkesgeo.model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
+    _pair_response,
     compensator,
     influence_matrix,
     intensities_at,
@@ -34,6 +36,28 @@ def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
     n = np.shape(X)[0]
     return ModelParams(EmbeddingPair(X, Y), KernelBank([beta_sq], [kappa], [1.0]),
                        np.ones(n), np.full(n, 0.1))
+
+
+def tied_record(rng, n, N, T=5.0):
+    """A random record on whole-number times: N > T events force ties."""
+    record = make_record(rng, n, N, T)
+    return EventRecord(record.types, np.floor(record.times), n, T)
+
+
+def make_full_rank(rng, n, R=2):
+    w = rng.uniform(0.2, 1.0, size=R)
+    return FullRankParams(rng.uniform(0.0, 0.4, size=(n, n)), rng.uniform(0.3, 3.0, size=R),
+                          w / w.sum(), rng.uniform(0.05, 0.5, size=n))
+
+
+def scoring_cases(rng):
+    """(record, params) pairs: plain, tied times, R = 2 and full-rank models."""
+    return [
+        (make_record(rng, 3, N=12, T=5.0), make_model(rng, 3)),
+        (tied_record(rng, 3, N=12), make_model(rng, 3, R=2)),
+        (make_record(rng, 4, N=10, T=5.0), make_full_rank(rng, 4)),
+        (tied_record(rng, 4, N=10), make_full_rank(rng, 4, R=1)),
+    ]
 
 
 class TestEventRecord:
@@ -72,6 +96,7 @@ class TestEventRecord:
         got = sorted(zip(i_idx.tolist(), j_idx.tolist()))
         assert got == [(0, 2), (1, 2)]
         assert_allclose(dt, [0.5, 0.5])
+        assert all(a.size == 0 for a in pair_indices(EventRecord([], [], 1, 1.0)))
 
 
 class TestKernels:
@@ -177,10 +202,12 @@ class TestIntensity:
 
 class TestCompensator:
     def test_against_quadrature(self, rng):
+        cases = []
         for _ in range(6):
             n = int(rng.integers(2, 5))
             record = make_record(rng, n, N=int(rng.integers(4, 12)), T=5.0)
-            params = make_model(rng, n, R=int(rng.integers(1, 3)))
+            cases.append((record, make_model(rng, n, R=int(rng.integers(1, 3)))))
+        for record, params in cases + scoring_cases(rng):
             ll = log_likelihood(record, params)
             assert_allclose(ll, brute_loglik(record, params), rtol=1e-9)
 
@@ -213,6 +240,8 @@ class TestLogLikelihood:
             np.ones(1), np.array([0.4]))
         assert_allclose(log_likelihood(record, params),
                         12 * np.log(0.4) - 0.4 * 8.0, rtol=1e-12)
+        empty = EventRecord([], [], 1, 8.0)
+        assert_allclose(log_likelihood(empty, params), -0.4 * 8.0, rtol=1e-12)
 
     def test_window_scores_add_up(self, rng):
         record = make_record(rng, 3, N=20)
@@ -221,6 +250,15 @@ class TestLogLikelihood:
         parts = log_likelihood(record, params, (0.0, 3.0)) + \
             log_likelihood(record, params, (3.0, record.horizon))
         assert_allclose(total, parts, rtol=1e-10)
+        # windows that start inside the history, one of them at a tie
+        for record, params in [(record, params)] + scoring_cases(rng):
+            lam = _pair_response(record, params)[1]
+            for window in [(0.0, 3.0), (2.0, 4.5), (3.0, record.horizon)]:
+                scored = (record.times >= window[0]) & (record.times < window[1])
+                pairwise = np.sum(np.log(lam[scored])) - \
+                    compensator(record, params, window)
+                assert_allclose(log_likelihood(record, params, window), pairwise,
+                                rtol=1e-12)
 
     def test_zero_intensity_event_gives_minus_inf(self):
         record = EventRecord([0], [0.5], 1, 1.0)
@@ -230,6 +268,15 @@ class TestLogLikelihood:
             np.ones(1), np.array([0.0]))
         with pytest.warns(NumericsWarning):
             assert log_likelihood(record, params) == -np.inf
+        # the warning names the first failing event by its record index; here
+        # it is the second scored event
+        record = EventRecord([0, 0, 1, 1], [0.5, 1.0, 1.5, 2.0], 2, 3.0)
+        params = ModelParams(
+            EmbeddingPair(np.zeros((2, 2)), np.zeros((2, 2))),
+            KernelBank([1.0], [1.0], [0.0]),
+            np.ones(2), np.array([0.3, 0.0]))
+        with pytest.warns(NumericsWarning, match="scored event 2;"):
+            assert log_likelihood(record, params, (0.7, 3.0)) == -np.inf
 
 
 class TestInfluenceMatrix:

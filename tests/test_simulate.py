@@ -90,8 +90,7 @@ class TestThinning:
 
     def test_bound_checked_in_debug_mode(self):
         truth = sample_ground_truth(n=5, seed=6)
-        record = simulate_thinning(truth, target_events=300, seed=3,
-                                   check_bound=True)
+        record = simulate_thinning(truth, target_events=300, seed=3)
         assert record.N == 300
 
     def test_accepts_bare_params(self):

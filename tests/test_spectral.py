@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from hawkesgeo.model import EmbeddingPair, EventRecord, NumericsWarning
 from hawkesgeo.spectral import (
-    DiffusionConfig,
     density_normalize,
     diffusion_embed,
     event_time_scale,
@@ -42,14 +41,18 @@ class TestDensityNormalize:
 class TestDiffusionEmbed:
     def test_output_shapes(self, rng):
         A = rng.uniform(0.1, 1.0, size=(7, 7))
-        emb = diffusion_embed(A, DiffusionConfig(m=3))
+        emb = diffusion_embed(A, 3)
         assert emb.reception.shape == (7, 3)
         assert emb.influence.shape == (7, 3)
 
+    def test_dimension_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            diffusion_embed(rng.uniform(0.1, 1.0, size=(3, 3)), 0)
+
     def test_scale_invariance(self, rng):
         A = rng.uniform(0.1, 1.0, size=(5, 5))
-        e1 = diffusion_embed(A, DiffusionConfig(m=2))
-        e2 = diffusion_embed(3.7 * A, DiffusionConfig(m=2))
+        e1 = diffusion_embed(A, 2)
+        e2 = diffusion_embed(3.7 * A, 2)
         assert_allclose(e1.reception, e2.reception, atol=1e-12)
         assert_allclose(e1.influence, e2.influence, atol=1e-12)
 
@@ -57,15 +60,15 @@ class TestDiffusionEmbed:
         A = np.zeros((5, 5))
         A[:3, :3] = 1.0
         A[3:, 3:] = 1.0
-        emb = diffusion_embed(A, DiffusionConfig(m=1))
+        emb = diffusion_embed(A, 1)
         first = emb.reception[:, 0]
         assert_allclose(first[:3], first[0], atol=1e-9)
         assert_allclose(first[3:], first[3], atol=1e-9)
         assert abs(first[0] - first[3]) > 1e-3
 
     def test_identity_affinity_distances_deterministic(self):
-        emb1 = diffusion_embed(np.eye(4), DiffusionConfig(m=2))
-        emb2 = diffusion_embed(np.eye(4), DiffusionConfig(m=2))
+        emb1 = diffusion_embed(np.eye(4), 2)
+        emb2 = diffusion_embed(np.eye(4), 2)
         d1 = np.linalg.norm(emb1.reception[:, None] - emb1.reception[None, :],
                             axis=2)
         d2 = np.linalg.norm(emb2.reception[:, None] - emb2.reception[None, :],
@@ -75,13 +78,13 @@ class TestDiffusionEmbed:
     def test_rank_deficient_padded_with_warning(self):
         A = np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0])
         with pytest.warns(NumericsWarning):
-            emb = diffusion_embed(A, DiffusionConfig(m=2))
+            emb = diffusion_embed(A, 2)
         assert emb.reception.shape == (3, 2)
         assert_allclose(emb.reception, np.zeros((3, 2)))
 
     def test_sign_convention_largest_entry_positive(self, rng):
         A = rng.uniform(0.1, 1.0, size=(6, 6))
-        emb = diffusion_embed(A, DiffusionConfig(m=2))
+        emb = diffusion_embed(A, 2)
         for col in range(2):
             v = emb.reception[:, col]
             if np.any(v != 0.0):
