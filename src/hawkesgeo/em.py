@@ -243,30 +243,27 @@ class FitReport:
 # E-step
 
 
-def _branching_from_response(record, H, lam, pairs, R, floor):
+def _branching_from_response(H, lam, pairs, floor):
+    """The entries of ``p = H / lam[j]`` at or above ``floor``, as C-contiguous
+    ``(i, j, r, p)`` arrays in basis-major order; one boolean mask selects them."""
     i_idx, j_idx, _ = pairs
     if np.any(lam <= 0.0):
         raise DegenerateEventError(int(np.argmax(lam <= 0.0)))
-    inv = 1.0 / lam
-    P = i_idx.size
-    i_all = np.tile(i_idx, R)
-    j_all = np.tile(j_idx, R)
-    r_all = np.repeat(np.arange(R, dtype=np.int64), P)
-    p_all = (H * inv[j_idx][None, :]).ravel()
-    keep = p_all >= floor
-    i_all, j_all, r_all, p_all = i_all[keep], j_all[keep], r_all[keep], p_all[keep]
-    return i_all, j_all, r_all, p_all
+    p = H * (1.0 / lam)[j_idx]
+    keep = p >= floor
+    rows = np.arange(H.shape[0], dtype=np.int64)[:, None]
+    return (np.broadcast_to(i_idx, p.shape)[keep], np.broadcast_to(j_idx, p.shape)[keep],
+            np.broadcast_to(rows, p.shape)[keep], p[keep])
 
 
 def _attribute(record, params, H, lam, pairs, floor) -> BranchingStructure:
     """The posterior attribution from ``_pair_response``'s output."""
-    R = H.shape[0]
-    i_all, j_all, r_all, p_all = _branching_from_response(record, H, lam, pairs, R, floor)
+    i_all, j_all, r_all, p_all = _branching_from_response(H, lam, pairs, floor)
     p_bg = params.mu[record.types] / lam
     # renormalize so each row sums to one after the floor truncation
     scale = 1.0 / (p_bg + np.bincount(j_all, weights=p_all, minlength=record.N))
     return BranchingStructure(record, i_all, j_all, r_all, p_all * scale[j_all],
-                              p_bg * scale, R)
+                              p_bg * scale, H.shape[0])
 
 
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
@@ -283,31 +280,31 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
     """Attributed-data objective: a lower bound on the exact log-likelihood.
 
-    Valid for any branching whose rows sum to one, not just the E-step's.
-    Zero-probability entries contribute nothing; a positive-probability entry
-    on a zero response (or background weight on a zero rate) yields ``-inf``.
+    Valid for any branching whose rows sum to one.  A closed form over the
+    M-step statistics: ``Σ M·log A + Σ_r (mass_r·log κ_r − κ_r·lag_r) +
+    Σ_k bg_k·log μ_k − compensator``.  Positive ``dyad_mass`` on a zero
+    amplitude, or background mass on a zero rate, yields ``-inf``; a kernel
+    value that underflows at a long lag still adds its finite
+    ``log A + log κ − κ·lag``.
     """
     sums = branching.row_sums()
     if sums.size and np.max(np.abs(sums - 1.0)) > 1e-6:
         raise ValueError("branching rows must sum to one")
     A = params.amplitudes()
-    n = record.n
-    dt = record.times[branching.j_idx] - record.times[branching.i_idx]
-    dyad = record.types[branching.j_idx] * n + record.types[branching.i_idx]
-    kap = params.kappa[branching.r_idx]
-    amp = A.reshape(branching.R, -1)[branching.r_idx, dyad]
-    h = amp * kap * np.exp(-kap * dt)
-    live = branching.p > 0.0
-    if np.any(h[live] <= 0.0):
+    M = branching.dyad_mass
+    live = M > 0.0
+    if np.any(A[live] <= 0.0):
         warnings.warn("positive attribution on a zero response; bound is -inf", NumericsWarning)
         return float("-inf")
-    mu_j = params.mu[record.types]
-    live_b = branching.p_background > 0.0
-    if np.any(mu_j[live_b] <= 0.0):
+    bg = branching.background_mass_by_type
+    live_b = bg > 0.0
+    if np.any(params.mu[live_b] <= 0.0):
         warnings.warn("background attribution on a zero rate; bound is -inf", NumericsWarning)
         return float("-inf")
-    val = float(np.sum(branching.p[live] * np.log(h[live])))
-    val += float(np.sum(branching.p_background[live_b] * np.log(mu_j[live_b])))
+    kappa = params.kappa
+    val = float(np.sum(M[live] * np.log(A[live])))
+    val += float(np.sum(branching.mass_by_r * np.log(kappa) - kappa * branching.lag_mass_by_r))
+    val += float(np.sum(bg[live_b] * np.log(params.mu[live_b])))
     return val - compensator(record, params)
 
 

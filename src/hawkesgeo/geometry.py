@@ -126,7 +126,7 @@ def hhg_b_step(params: ModelParams, gradient: ReceptionGradient,
     X = params.embedding.reception
     n, m = X.shape
     atil = gradient.a - 2.0 * N * eps2 * X
-    neg_blocks = hessians.outer_sum - np.minimum(hessians.c, 0.0)[:, None, None] * np.eye(m)
+    neg_blocks = -hessians.assembled()
     eye = np.eye(m)
     step = np.zeros_like(X)
     try:

@@ -164,6 +164,8 @@ class CountSeries:
         for lab, d, c in zip(self.labels, self.days, self.cumulative):
             if d.shape != c.shape or d.ndim != 1 or d.size == 0:
                 raise ValueError(f"location {lab}: days and counts must be matched 1-d arrays")
+            if not (np.all(np.isfinite(d)) and np.all(np.isfinite(c))):
+                raise ValueError(f"location {lab}: days and counts must be finite")
             if np.any(np.diff(d) <= 0.0):
                 raise ValueError(f"location {lab}: days must be strictly increasing")
             if np.any(np.diff(c) < 0.0) or c[0] < 0.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import BRANCHING_FLOOR, BranchingStructure, NumericalError, e_step
+from .em import BranchingStructure, NumericalError, e_step
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, _rates, \
     horizon_past, influence_matrix
 
@@ -122,8 +122,7 @@ def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
                        np.array(ev_times, dtype=np.float64), n, horizon)
 
 
-def ground_truth_branching(record: EventRecord, truth,
-                           floor: float = BRANCHING_FLOOR) -> BranchingStructure:
+def ground_truth_branching(record: EventRecord, truth) -> BranchingStructure:
     """The posterior attribution of a record under its generating model."""
     params = truth.params if isinstance(truth, GroundTruth) else truth
-    return e_step(record, params, floor=floor)
+    return e_step(record, params)

@@ -7,10 +7,17 @@ a bug in the library cannot hide behind itself.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import brentq
 
 from hawkesgeo.em import BranchingStructure, FullRankParams
 from hawkesgeo.model import EmbeddingPair, EventRecord, KernelBank, ModelParams
+
+# Property tests replay the same examples on every run and never time out, so
+# the suite stays reproducible and its runtime bounded.
+settings.register_profile("hawkesgeo", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("hawkesgeo")
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +102,20 @@ def brute_normalized_g(params, r, k, l):
     return raw[k] / sum(raw)
 
 
-def brute_response(params, k_to, k_from, tau):
+def brute_response(params, k_to, k_from, tau, r=None):
+    """Response at lag tau summed over the bases, or basis ``r``'s term alone."""
     if tau <= 0.0:
         return 0.0
+    bases = range(params.R) if r is None else (r,)
     if isinstance(params, FullRankParams):
-        return sum(params.phi[k_to, k_from] * w * kap * np.exp(-kap * tau)
-                   for w, kap in zip(params.w, params.kappa))
+        return sum(params.phi[k_to, k_from] * params.w[b] * params.kappa[b]
+                   * np.exp(-params.kappa[b] * tau) for b in bases)
     kb = params.kernels
     total = 0.0
-    for r in range(kb.R):
-        total += (params.xi[k_from] * kb.gamma[r]
-                  * brute_normalized_g(params, r, k_to, k_from)
-                  * kb.kappa[r] * np.exp(-kb.kappa[r] * tau))
+    for b in bases:
+        total += (params.xi[k_from] * kb.gamma[b]
+                  * brute_normalized_g(params, b, k_to, k_from)
+                  * kb.kappa[b] * np.exp(-kb.kappa[b] * tau))
     return total
 
 
@@ -135,6 +144,31 @@ def brute_loglik(record, params, quad_order=50):
                     for k in range(record.n)) for t in ts]
         comp += 0.5 * (b - a) * np.dot(weights, vals)
     return ll - comp
+
+
+def brute_branching(record, params, floor):
+    """E-step attribution by loops, as ``(i, j, r, p)`` tuples and ``p_background``.
+
+    Entries come basis-major, then pair by pair in ``strict_pairs`` order;
+    those below ``floor`` (relative to the full intensity) are dropped and
+    each event's remaining probabilities renormalized to sum to one.
+    """
+    pairs = strict_pairs(record)
+    h = [[brute_response(params, record.types[j], record.types[i],
+                         record.times[j] - record.times[i], r) for (i, j) in pairs]
+         for r in range(params.R)]
+    lam = [params.mu[record.types[j]] for j in range(record.N)]
+    for r in range(params.R):
+        for (i, j), v in zip(pairs, h[r]):
+            lam[j] += v
+    entries = [(i, j, r, v / lam[j]) for r in range(params.R)
+               for (i, j), v in zip(pairs, h[r]) if v / lam[j] >= floor]
+    row = [params.mu[record.types[j]] / lam[j] for j in range(record.N)]
+    p_background = list(row)
+    for (_, j, _, p) in entries:
+        row[j] += p
+    return ([(i, j, r, p / row[j]) for (i, j, r, p) in entries],
+            np.array([pb / row[j] for j, pb in enumerate(p_background)]))
 
 
 # ---------------------------------------------------------------------------

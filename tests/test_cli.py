@@ -417,6 +417,12 @@ class TestDiscretize:
         bad = tmp_path / "bad.csv"
         bad.write_text("location,day,cumulative_count\nLA,0,5\nLA,1,3\n")
         assert cli_dispatch(["discretize", "--counts", str(bad)]) == 2
+        capsys.readouterr()
+        # an infinite count has no last threshold crossing
+        inf = tmp_path / "inf.csv"
+        inf.write_text("location,day,cumulative_count\nLA,0,0\nLA,1,inf\n")
+        assert cli_dispatch(["discretize", "--counts", str(inf)]) == 2
+        assert "location LA" in capsys.readouterr().err
 
 
 class TestExport:

@@ -7,6 +7,8 @@ independently of the package.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkesgeo.em import (
@@ -33,13 +35,22 @@ from hawkesgeo.model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
+    compensator,
     log_likelihood,
     response,
 )
 from hawkesgeo.simulate import sample_ground_truth, simulate_thinning
 from hawkesgeo.spectral import init_params
 
-from conftest import Surrogate, argmax_scalar, make_branching, make_model, make_record
+from conftest import (
+    Surrogate,
+    argmax_scalar,
+    brute_branching,
+    brute_response,
+    make_branching,
+    make_model,
+    make_record,
+)
 
 
 def cyclic_record(rng, n, N, T=10.0):
@@ -107,7 +118,112 @@ class TestEStep:
         assert exc.value.index == 0
 
 
+def assert_matches_oracle(record, params, floor):
+    """``e_step`` keeps the oracle's entries, in its order, with its probabilities."""
+    br = e_step(record, params, floor=floor)
+    entries, p_background = brute_branching(record, params, floor)
+    assert br.i_idx.tolist() == [e[0] for e in entries]
+    assert br.j_idx.tolist() == [e[1] for e in entries]
+    assert br.r_idx.tolist() == [e[2] for e in entries]
+    assert_allclose(br.p, [e[3] for e in entries], rtol=1e-12, atol=0.0)
+    assert_allclose(br.p_background, p_background, rtol=1e-12, atol=0.0)
+    return br
+
+
+def tied_record(rng, n, N):
+    """Times on a coarse grid, so runs of events share a time."""
+    times = np.sort(rng.integers(0, N // 3 + 1, size=N)) * 0.5
+    return EventRecord(rng.integers(0, n, size=N), times, n, times[-1] + 1.0)
+
+
+def clustered_record(rng, n):
+    """Three bursts 600 time units apart: lags inside a burst stay below one."""
+    times = np.sort(np.concatenate([c + rng.uniform(0.0, 1.0, size=4)
+                                    for c in (0.0, 600.0, 1200.0)]))
+    return EventRecord(rng.integers(0, n, size=times.size), times, n, 1202.0)
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(1, 4))
+    ticks = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=12)))
+    # types draw from at most n - 1 labels when n > 1, so some types never occur
+    types = draw(st.lists(st.integers(0, max(n - 2, 0)), min_size=len(ticks),
+                          max_size=len(ticks)))
+    record = EventRecord(types, np.array(ticks, dtype=np.float64) * 0.5, n,
+                         ticks[-1] * 0.5 + 1.0)
+    params = make_model(np.random.default_rng(draw(st.integers(0, 2**16))), n,
+                        R=draw(st.integers(1, 2)))
+    return record, params, draw(st.sampled_from([0.0, 1e-12]))
+
+
+class TestAttributionOracle:
+    @pytest.mark.parametrize("R", [1, 2])
+    @pytest.mark.parametrize("floor", [0.0, 1e-12])
+    def test_random_and_tied_records(self, rng, R, floor):
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            params = make_model(rng, n, R=R)
+            assert_matches_oracle(make_record(rng, n, N=int(rng.integers(5, 30))), params, floor)
+            br = assert_matches_oracle(tied_record(rng, n, N=24), params, floor)
+            assert np.all(br.record.times[br.i_idx] < br.record.times[br.j_idx])
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_entries_below_the_floor_are_dropped(self, rng, R):
+        # across bursts kappa * lag is at least 1.5 * 599, so those kernel values
+        # underflow to zero: floor 0 keeps them, floor 1e-12 drops them
+        record = clustered_record(rng, 3)
+        params = with_kernels(make_model(rng, 3, R=R), kappa=np.full(R, 1.5))
+        pairs = int(np.sum(record.times[:, None] < record.times[None, :]))
+        assert assert_matches_oracle(record, params, 0.0).p.size == R * pairs
+        assert assert_matches_oracle(record, params, 1e-12).p.size < R * pairs
+
+    @given(small_problems())
+    def test_property_matches_oracle(self, problem):
+        assert_matches_oracle(*problem)
+
+
+def per_entry_bound(record, params, br):
+    """``Σ p·log h + Σ p_bg·log μ − compensator`` entry by entry."""
+    total = 0.0
+    for i, j, r, p in zip(br.i_idx, br.j_idx, br.r_idx, br.p):
+        if p > 0.0:
+            h = brute_response(params, record.types[j], record.types[i],
+                               record.times[j] - record.times[i], r)
+            total += p * np.log(h)
+    for pb, k in zip(br.p_background, record.types):
+        if pb > 0.0:
+            total += pb * np.log(params.mu[k])
+    return total - compensator(record, params)
+
+
+def random_full_rank(rng, n, R):
+    return FullRankParams(rng.uniform(0.0, 0.5, size=(n, n)), rng.uniform(0.3, 3.0, size=R),
+                          np.full(R, 1.0 / R), rng.uniform(0.05, 0.5, size=n))
+
+
 class TestObjectiveBounds:
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_closed_form_matches_per_entry_sum(self, rng, R):
+        for _ in range(5):
+            n = int(rng.integers(2, 5))
+            record = make_record(rng, n, N=int(rng.integers(4, 15)))
+            for params in (make_model(rng, n, R=R), random_full_rank(rng, n, R)):
+                for br in (make_branching(rng, record, R), e_step(record, params)):
+                    assert_allclose(complete_data_loglik(record, params, br),
+                                    per_entry_bound(record, params, br), rtol=1e-10)
+
+    def test_underflowed_kernel_keeps_its_finite_term(self, rng):
+        # kappa * lag = 800: the kernel value exp(-800) rounds to zero, but its
+        # log is finite, so the bound is too
+        record = EventRecord([0, 0], [0.0, 400.0], 1, 401.0)
+        params = with_kernels(make_model(rng, 1), kappa=np.array([2.0]))
+        assert response(0, 0, 400.0, params) == 0.0
+        expected = (np.log(params.amplitudes()[0, 0, 0]) + np.log(2.0) - 800.0
+                    + np.log(params.mu[0]) - compensator(record, params))
+        assert_allclose(complete_data_loglik(record, params, one_pair_branching(record)),
+                        expected, rtol=1e-12)
+
     def test_lower_bound_at_estep_branching(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 6))

@@ -181,6 +181,14 @@ class TestCountsCsv:
         with pytest.raises(DataFormatError, match="SF.*increasing"):
             load_counts_csv(path)
 
+    @pytest.mark.parametrize("rows", ["LA,0,0\nLA,1,inf\n", "LA,0,0\nLA,1,nan\n",
+                                      "LA,0,0\nLA,nan,5\n"])
+    def test_non_finite_values_name_the_location(self, tmp_path, rows):
+        path = tmp_path / "counts.csv"
+        path.write_text(COUNTS_HEADER + rows)
+        with pytest.raises(DataFormatError, match="LA.*finite"):
+            load_counts_csv(path)
+
     def test_unparseable_number_names_the_line(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text(COUNTS_HEADER + "LA,0,0\nLA,one,5\n")
