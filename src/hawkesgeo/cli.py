@@ -3,21 +3,23 @@
 Every option can also be supplied through ``--config file.json`` (keys are the
 long option names with underscores); explicit flags win over the file, the
 file wins over built-in defaults, and unknown keys are rejected.  Exit status
-is 0 on success, 1 on usage errors, 2 on malformed data or artifacts, 3 on
-numerical failure.
+is 0 on success, 1 on usage errors, 2 on malformed data or artifacts or a
+file that cannot be read or written, 3 on numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .diagnostics import EvalSplit, background_qq, categorical_accuracy, \
     hellinger_divergence, kendall_distance_correlation, phi_rmse, split_eval
-from .em import MODES, FitConfig, GammaPrior, NumericalError, e_step, fit
+from .em import MODES, FitConfig, NumericalError, e_step, fit
 from .io import SCHEMA_VERSION, DataFormatError, discretize_counts, \
     load_counts_csv, load_embedding_csv, load_events_csv, load_model, \
     load_report, read_json, reorder_to_labels, save_events_csv, save_model, \
@@ -39,17 +41,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """Type of every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 # Each subcommand's options as (flag, kind, default, help); kind is a type or
 # a tuple of allowed values.  argparse defaults every option to None so "was
 # this flag given" stays decidable; the defaults here apply after the config
-# file, whose accepted keys are exactly these options.
+# file, whose accepted keys are exactly these options.  The fit options named
+# like FitConfig's fields become its fields, with its defaults.
 _OPTIONS = {
     "simulate": (
         ("--n", int, None, "number of event types (required)"),
         ("--m", int, 2, "embedding dimension"),
         ("--R", int, 1, "number of kernel bases"),
         ("--N", int, None, "target number of events (stop after the Nth)"),
-        ("--T", float, None, "time horizon (alternative to --N)"),
+        ("--T", _finite_float, None, "time horizon (alternative to --N)"),
         ("--seed", int, 0, "seed for sampling and simulation"),
         ("--out-events", str, "events.csv", "events CSV path"),
         ("--out-truth", str, "truth_model.json", "ground-truth model path"),
@@ -60,17 +74,17 @@ _OPTIONS = {
         ("--epochs", int, 500, "EM epochs"),
         ("--R", int, 1, "number of kernel bases"),
         ("--m", int, None, "embedding dimension (default 2, or the frozen embedding's)"),
-        ("--eps", float, None, "hhg-a learning rate (default n/N)"),
-        ("--eps1", float, None, "hhg-b curvature regularizer (default off)"),
-        ("--eps2", float, None, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
-        ("--dm-alpha", float, 1.0, "density-normalization exponent"),
+        ("--eps", _finite_float, None, "hhg-a learning rate (default n/N)"),
+        ("--eps1", _finite_float, None, "hhg-b curvature regularizer (default off)"),
+        ("--eps2", _finite_float, 0.0, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
+        ("--dm-alpha", _finite_float, 1.0, "density-normalization exponent"),
         ("--inner-steps", int, 4, "hhg-b inner steps per epoch"),
-        ("--prior-alpha", float, 1.0, "Gamma prior shape on decay rates"),
-        ("--prior-beta", float, 0.0, "Gamma prior rate on decay rates"),
+        ("--prior-alpha", _finite_float, 1.0, "Gamma prior shape on decay rates"),
+        ("--prior-beta", _finite_float, 0.0, "Gamma prior rate on decay rates"),
         ("--frozen-embedding", str, None,
          "coordinates CSV; required for geo, otherwise an initialization"),
-        ("--horizon", float, None, "override the record horizon"),
-        ("--train-end", float, None, "drop events at or after this time before fitting"),
+        ("--horizon", _finite_float, None, "override the record horizon"),
+        ("--train-end", _finite_float, None, "drop events at or after this time before fitting"),
         ("--out", str, "model.json", "best-scoring model path"),
         ("--out-final", str, None, "also write the last-epoch model here"),
         ("--report", str, None, "fit report path (learning curve etc.)"),
@@ -78,24 +92,24 @@ _OPTIONS = {
     "evaluate": (
         ("--events", str, None, "events CSV path (required)"),
         ("--model", str, None, "model path (required)"),
-        ("--split-time", float, None, "train/test boundary"),
-        ("--test-days", float, None, "alternative: test window is the last so many days"),
-        ("--horizon", float, None, "override the record horizon"),
+        ("--split-time", _finite_float, None, "train/test boundary"),
+        ("--test-days", _finite_float, None, "alternative: test window is the last so many days"),
+        ("--horizon", _finite_float, None, "override the record horizon"),
         ("--out", str, None, "write the JSON summary here instead of stdout"),
     ),
     "diagnose": (
         ("--events", str, None, "events CSV path (required)"),
         ("--model", str, None, "fitted model path (required)"),
         ("--truth-model", str, None, "ground-truth model; enables recovery metrics"),
-        ("--split-time", float, None, "train/test boundary for split metrics"),
-        ("--test-days", float, None, "alternative: test window is the last so many days"),
-        ("--horizon", float, None, "override the record horizon"),
+        ("--split-time", _finite_float, None, "train/test boundary for split metrics"),
+        ("--test-days", _finite_float, None, "alternative: test window is the last so many days"),
+        ("--horizon", _finite_float, None, "override the record horizon"),
         ("--seed", int, 0, "seed for residual sampling"),
         ("--out", str, None, "write the JSON report here instead of stdout"),
     ),
     "discretize": (
         ("--counts", str, None, "counts CSV path (required)"),
-        ("--threshold", float, 10.0, "count increment per event"),
+        ("--threshold", _finite_float, 10.0, "count increment per event"),
         ("--out", str, "events.csv", "events CSV path"),
     ),
     "export": (
@@ -175,9 +189,9 @@ def _split_time(args, record) -> float | None:
     if args.split_time is not None and args.test_days is not None:
         raise UsageError("give either --split-time or --test-days, not both")
     if args.split_time is not None:
-        return float(args.split_time)
+        return args.split_time
     if args.test_days is not None:
-        t = record.horizon - float(args.test_days)
+        t = record.horizon - args.test_days
         if t < 0.0:
             raise UsageError("--test-days exceeds the record horizon")
         return t
@@ -228,22 +242,16 @@ def _cmd_simulate(args) -> int:
     truth = sample_ground_truth(args.n, m=args.m, R=args.R, seed=s_truth)
     record = simulate_thinning(truth, T=args.T, seed=s_sim, target_events=args.N)
     save_events_csv(record, args.out_events)
-    save_model(truth.params, args.out_truth,
-               labels=[str(k) for k in range(args.n)])
+    save_model(truth.params, args.out_truth)
     print(f"simulate: {record.N} events over {record.n} types, horizon "
           f"{record.horizon:.6g} -> {args.out_events}, {args.out_truth}")
     return 0
 
 
 def _fit_config(args) -> FitConfig:
-    kwargs = dict(
-        mode=args.mode, epochs=args.epochs, R=args.R, m=args.m,
-        eps=args.eps, eps1=args.eps1, eps2=args.eps2, dm_alpha=args.dm_alpha,
-        inner_steps=args.inner_steps,
-        prior=GammaPrior(args.prior_alpha, args.prior_beta),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
     try:  # unset options take FitConfig's defaults
-        return FitConfig(**{key: v for key, v in kwargs.items() if v is not None})
+        return FitConfig(**{key: v for key, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -277,14 +285,7 @@ def _cmd_fit(args) -> int:
     if args.out_final is not None:
         save_model(report.params_final, args.out_final, labels=labels)
     if args.report is not None:
-        recorded = {
-            "mode": config.mode, "epochs": config.epochs, "R": config.R,
-            "m": config.m, "eps": config.eps, "eps1": config.eps1,
-            "eps2": config.eps2, "dm_alpha": config.dm_alpha,
-            "inner_steps": config.inner_steps,
-            "prior_alpha": config.prior.alpha, "prior_beta": config.prior.beta,
-        }
-        save_report(report, args.report, config=recorded)
+        save_report(report, args.report, config=asdict(config))
 
     best_ll = report.curve[report.best_epoch]
     print(f"fit[{config.mode}]: {report.curve.size} epochs, best train "
@@ -298,6 +299,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _split_scores(record, params, split_time) -> dict:
+    """The split fields of the evaluate and diagnose documents."""
+    train, test = split_eval(record, params, EvalSplit(split_time))
+    n_train = int(np.sum(record.times < split_time))
+    return {"n_train": n_train, "n_test": record.N - n_train,
+            "train_ll_per_event": _opt_float(train),
+            "test_ll_per_event": _opt_float(test)}
+
+
 def _cmd_evaluate(args) -> int:
     """per-event log-likelihood across a time split"""
     _require(args, "events", "model")
@@ -306,16 +316,8 @@ def _cmd_evaluate(args) -> int:
     split_time = _split_time(args, record)
     if split_time is None:
         raise UsageError("give --split-time or --test-days")
-    train, test = split_eval(record, params, EvalSplit(split_time))
-    n_train = int(np.sum(record.times < split_time))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "split_time": split_time,
-        "n_train": n_train,
-        "n_test": record.N - n_train,
-        "train_ll_per_event": _opt_float(train),
-        "test_ll_per_event": _opt_float(test),
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "split_time": split_time,
+           **_split_scores(record, params, split_time)}
     _emit_json(doc, args.out)
     return 0
 
@@ -332,11 +334,7 @@ def _cmd_diagnose(args) -> int:
     split_time = _split_time(args, record)
     window = (0.0, record.horizon)
     if split_time is not None:
-        train, test = split_eval(record, params, EvalSplit(split_time))
-        doc["train_ll_per_event"] = _opt_float(train)
-        doc["test_ll_per_event"] = _opt_float(test)
-        doc["n_train"] = int(np.sum(record.times < split_time))
-        doc["n_test"] = record.N - doc["n_train"]
+        doc.update(_split_scores(record, params, split_time))
         window = (split_time, record.horizon)
 
     accuracy, accuracy_naive = categorical_accuracy(record, params, window)
@@ -379,23 +377,21 @@ def _cmd_discretize(args) -> int:
 def _cmd_export(args) -> int:
     """plot-ready CSVs from saved artifacts"""
     _require(args, "what")
+    out = args.out or f"{args.what}.csv"
     if args.what == "embedding":
         _require(args, "model")
         params, labels = load_model(args.model, with_labels=True)
         if not isinstance(params, ModelParams):
             raise UsageError("this model has no embedding to export")
-        out = args.out or "embedding.csv"
         write_embedding_csv(params, labels, out)
     elif args.what == "curve":
         _require(args, "report")
-        out = args.out or "curve.csv"
         write_curve_csv(load_report(args.report), out)
     else:
         _require(args, "diagnostics")
         points = read_json(args.diagnostics).get("qq_points")
         if not isinstance(points, list):
             raise DataFormatError("diagnostics file lacks qq_points")
-        out = args.out or "qq.csv"
         write_qq_csv(np.asarray(points, dtype=np.float64).reshape(-1, 2), out)
     print(f"export[{args.what}] -> {out}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -73,6 +73,7 @@ class FitConfig:
     ``frb`` (full-rank influence baseline), ``geo`` (embedding frozen to
     supplied coordinates).  ``eps`` defaults to n/N when unset; ``eps1=None``
     means the first-order regularizer is switched off (treated as infinite).
+    ``prior_alpha`` and ``prior_beta`` are the ``GammaPrior`` on decay rates.
     """
 
     mode: str = "hhg-b"
@@ -84,7 +85,8 @@ class FitConfig:
     eps2: float = 0.0
     dm_alpha: float = 1.0
     inner_steps: int = 4
-    prior: GammaPrior = field(default_factory=GammaPrior)
+    prior_alpha: float = 1.0
+    prior_beta: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mode", str(self.mode).lower())
@@ -104,6 +106,12 @@ class FitConfig:
             raise ValueError("inner_steps must be >= 1")
         if self.mode == "hhg-b" and self.eps1 is None and self.eps2 == 0.0:
             raise ValueError("hhg-b needs eps1 or eps2 set, else the Newton system is singular")
+        self.prior  # GammaPrior rejects invalid parameters
+
+    @property
+    def prior(self) -> GammaPrior:
+        """The Gamma prior on each decay rate."""
+        return GammaPrior(self.prior_alpha, self.prior_beta)
 
 
 @dataclass(frozen=True, eq=False)

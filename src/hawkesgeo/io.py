@@ -1,8 +1,9 @@
 """On-disk artifacts: event CSVs, count series, model and report documents.
 
-All writers go through a temp-file-plus-rename so an interrupted run never
-leaves a truncated artifact.  Floats are serialized at full precision, so a
-saved model reloads with its exact parameter values.
+Files are read through ``_open_input`` and written through ``atomic_write``
+(temp file plus rename, so an interrupted run never leaves a truncated
+artifact); both raise ``DataFormatError`` naming a file they cannot use.
+Floats are serialized at full precision, so a saved model reloads exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, Numerics
     horizon_past
 
 SCHEMA_VERSION = 1
+
+# discretize_counts refuses more events than this (about 1.3 GB of lists)
+MAX_DISCRETIZED_EVENTS = 10**7
 
 _MODEL_FIELDS = {"schema_version", "n", "m", "R", "reception_X", "influence_Y",
                  "beta_sq", "kappa", "gamma", "xi", "mu", "type_labels"}
@@ -35,21 +40,48 @@ class DataFormatError(ValueError):
 
 @contextmanager
 def atomic_write(path, mode: str = "w"):
-    """Write to a sibling temp file and rename into place on success."""
+    """Write to a sibling temp file and rename into place on success; an
+    ``OSError`` on the way raises ``DataFormatError`` naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    f = os.fdopen(fd, mode, newline="" if "b" not in mode else None)
     try:
-        yield f
-        f.close()
-        os.replace(tmp, path)
-    except BaseException:
-        f.close()
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, mode, newline="" if "b" not in mode else None) as f:
+                yield f
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _open_input(path):
+    """Open UTF-8 text (an optional BOM skipped); a missing, unreadable or
+    undecodable file, or an over-long CSV field met while reading, raises
+    ``DataFormatError`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            yield f
+    except FileNotFoundError:
+        raise DataFormatError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from None
+
+
+@contextmanager
+def _csv_rows(path):
+    """Open a CSV file as its first row (``None`` if empty) and a stream of
+    ``(line, fields)`` over the non-blank rows after it."""
+    with _open_input(path) as f:
+        reader = csv.reader(f)
+        yield next(reader, None), filter(itemgetter(1), enumerate(reader, start=2))
 
 
 def write_json(doc: dict, path) -> None:
@@ -61,15 +93,11 @@ def write_json(doc: dict, path) -> None:
 
 def read_json(path) -> dict:
     """Read a JSON document whose top level must be an object."""
-    try:
-        with open(path) as f:
+    with _open_input(path) as f:
+        try:
             doc = json.load(f)
-    except FileNotFoundError:
-        raise DataFormatError(f"file not found: {path}") from None
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
     return doc
@@ -86,23 +114,14 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
     events then sort stably by time.  The horizon defaults to just past the
     last event unless overridden.  An empty file gives an empty record.
     """
-    if not os.path.exists(path):
-        raise DataFormatError(f"events file not found: {path}")
     labels: list[str] = []
     ids: dict[str, int] = {}
     types: list[int] = []
     times: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            header = None
+    with _csv_rows(path) as (header, rows):
         if header is not None and [h.strip() for h in header] != ["type", "time"]:
             raise DataFormatError(f"expected header 'type,time', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             if len(row) != 2:
                 raise DataFormatError(f"line {lineno}: expected two fields, got {len(row)}")
             label = row[0].strip()
@@ -126,8 +145,11 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
         horizon = horizon_past(times_arr)
     elif times_arr.size and horizon <= times_arr[-1]:
         raise DataFormatError("horizon must lie strictly after the last event")
-    return EventRecord(types_arr, times_arr, len(labels), horizon,
-                       tuple(labels) if labels else None)
+    try:  # the padded horizon of a time near the float maximum is infinite
+        return EventRecord(types_arr, times_arr, len(labels), horizon,
+                           tuple(labels) if labels else None)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
 
 
 def save_events_csv(record: EventRecord, path) -> None:
@@ -174,22 +196,15 @@ class CountSeries:
 
 def load_counts_csv(path) -> CountSeries:
     """Read a ``location,day,cumulative_count`` CSV."""
-    if not os.path.exists(path):
-        raise DataFormatError(f"counts file not found: {path}")
     per_loc: dict[str, list[tuple[float, float]]] = {}
     order: list[str] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty counts file") from None
+    with _csv_rows(path) as (header, rows):
+        if header is None:
+            raise DataFormatError("empty counts file")
         if [h.strip() for h in header] != ["location", "day", "cumulative_count"]:
             raise DataFormatError(
                 f"expected header 'location,day,cumulative_count', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             if len(row) != 3:
                 raise DataFormatError(f"line {lineno}: expected three fields")
             lab = row[0].strip()
@@ -217,10 +232,18 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     Counts are interpolated log-linearly between observation days (linearly
     while still at zero), and an event fires at each exact crossing of the
     levels ``threshold, 2*threshold, ...``.  Locations never reaching the
-    threshold contribute no events (with a warning).
+    threshold contribute no events (with a warning).  More than
+    ``MAX_DISCRETIZED_EVENTS`` crossings raise ``ValueError``.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
+    # Python floats, so a huge count over a tiny threshold gives inf (or nan)
+    # without a numpy overflow warning
+    crossings = sum(float(c[-1]) // threshold - float(c[0]) // threshold
+                    for c in series.cumulative)
+    if not crossings <= MAX_DISCRETIZED_EVENTS:
+        raise ValueError(f"threshold {threshold:g} gives {crossings:.4g} events, over the "
+                         f"limit of {MAX_DISCRETIZED_EVENTS:.0e}; use a larger threshold")
     ev_types: list[int] = []
     ev_times: list[float] = []
     for loc, (days, cum) in enumerate(zip(series.days, series.cumulative)):
@@ -267,10 +290,12 @@ def _default_labels(n: int) -> list[str]:
 
 def save_model(params, path, labels=None) -> None:
     """Serialize a fitted or sampled model as a structured JSON document."""
+    if not isinstance(params, (ModelParams, FullRankParams)):
+        raise TypeError("params must be ModelParams or FullRankParams")
+    labels = list(labels) if labels is not None else _default_labels(params.n)
+    if len(labels) != params.n:
+        raise ValueError("labels must have length n")
     if isinstance(params, ModelParams):
-        labels = list(labels) if labels is not None else _default_labels(params.n)
-        if len(labels) != params.n:
-            raise ValueError("labels must have length n")
         doc = {
             "schema_version": SCHEMA_VERSION,
             "n": params.n,
@@ -285,10 +310,7 @@ def save_model(params, path, labels=None) -> None:
             "mu": params.mu.tolist(),
             "type_labels": labels,
         }
-    elif isinstance(params, FullRankParams):
-        labels = list(labels) if labels is not None else _default_labels(params.n)
-        if len(labels) != params.n:
-            raise ValueError("labels must have length n")
+    else:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "full_rank",
@@ -300,8 +322,6 @@ def save_model(params, path, labels=None) -> None:
             "mu": params.mu.tolist(),
             "type_labels": labels,
         }
-    else:
-        raise TypeError("params must be ModelParams or FullRankParams")
     write_json(doc, path)
 
 
@@ -425,25 +445,19 @@ def load_embedding_csv(path):
     Returns ``(labels, X, Y)`` with ``Y`` equal to ``X`` in the single-role
     layout.
     """
-    if not os.path.exists(path):
-        raise DataFormatError(f"embedding file not found: {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError("empty embedding file") from None
+    points: dict[tuple[str, str], list[float]] = {}
+    order: list[str] = []
+    with _csv_rows(path) as (header, rows):
+        if header is None:
+            raise DataFormatError("empty embedding file")
+        header = [h.strip() for h in header]
         with_role = len(header) > 1 and header[1] == "role"
         coord_names = header[2:] if with_role else header[1:]
-        if (header[0] not in ("type_label", "type") or not coord_names
+        if (not coord_names or header[0] not in ("type_label", "type")
                 or coord_names != [f"coord_{d + 1}" for d in range(len(coord_names))]):
             raise DataFormatError(f"unexpected embedding header {header!r}")
         m = len(coord_names)
-        rows: dict[tuple[str, str], list[float]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             if len(row) != len(header):
                 raise DataFormatError(f"line {lineno}: wrong field count")
             label = row[0].strip()
@@ -454,21 +468,23 @@ def load_embedding_csv(path):
                 coords = [float(v) for v in (row[2:] if with_role else row[1:])]
             except ValueError:
                 raise DataFormatError(f"line {lineno}: unparseable coordinate") from None
-            if (label, role) in rows:
+            if not np.all(np.isfinite(coords)):
+                raise DataFormatError(f"line {lineno}: coordinates must be finite")
+            if (label, role) in points:
                 raise DataFormatError(f"line {lineno}: duplicate entry for {label!r}")
-            rows[(label, role)] = coords
+            points[(label, role)] = coords
             if label not in order:
                 order.append(label)
     X = np.empty((len(order), m))
     Y = np.empty((len(order), m)) if with_role else None
     for k, lab in enumerate(order):
-        if (lab, "reception") not in rows:
+        if (lab, "reception") not in points:
             raise DataFormatError(f"missing reception coordinates for {lab!r}")
-        X[k] = rows[(lab, "reception")]
+        X[k] = points[(lab, "reception")]
         if with_role:
-            if (lab, "influence") not in rows:
+            if (lab, "influence") not in points:
                 raise DataFormatError(f"missing influence coordinates for {lab!r}")
-            Y[k] = rows[(lab, "influence")]
+            Y[k] = points[(lab, "influence")]
     return tuple(order), X, Y
 
 

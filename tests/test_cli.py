@@ -1,11 +1,14 @@
 """Command-line behavior: flows, option resolution, exit statuses."""
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hawkesgeo.cli import _build_parser, cli_dispatch
+from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
+from hawkesgeo.em import FitConfig
 from hawkesgeo.io import (
     load_events_csv,
     load_model,
@@ -70,6 +73,15 @@ class TestDispatch:
                 cfg.write_text(json.dumps({key: None}))
                 assert cli_dispatch([command, "--config", str(cfg)]) == 1
                 assert f"unknown config keys for {command}: {key}" in capsys.readouterr().err
+
+    def test_float_options_reject_non_finite_values(self, capsys):
+        for command, options in _OPTIONS.items():
+            for flag, kind, _, _ in options:
+                if kind is _finite_float:
+                    for value in ("nan", "inf", "-inf"):
+                        assert cli_dispatch([command, f"{flag}={value}"]) == 1
+                        assert (f"argument {flag}: '{value}' is not a finite number"
+                                in capsys.readouterr().err)
 
 
 class TestSimulate:
@@ -181,14 +193,33 @@ class TestFit:
         ({"epochs": 2.7}, "argument --epochs: invalid int value: '2.7'"),
         ({"eps2": [0.1]}, "argument --eps2: invalid float value: '[0.1]'"),
         ({"mode": "psychic"}, "argument --mode: invalid choice: 'psychic'"),
+        ({"eps2": math.nan}, "argument --eps2: 'nan' is not a finite number"),
+        ({"eps": math.inf}, "argument --eps: 'inf' is not a finite number"),
+        ({"prior_alpha": -math.inf}, "argument --prior-alpha: '-inf' is not a finite"),
     ])
     def test_config_values_converted_like_flags(self, workdir, tmp_path, capsys,
                                                 doc, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
-                             "--config", str(cfg)]) == 1
-        assert message in capsys.readouterr().err
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in doc.items()]
+        for given in (["--config", str(cfg)], flags):
+            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv")]
+                                + given) == 1
+            assert message in capsys.readouterr().err
+
+    def test_options_are_the_config_fields(self, workdir):
+        table = {flag[2:].replace("-", "_"): default
+                 for flag, _, default, _ in _OPTIONS["fit"]}
+        files = {"events", "frozen_embedding", "horizon", "train_end", "out",
+                 "out_final", "report"}
+        defaults = {f.name: f.default for f in fields(FitConfig)}
+        assert table.keys() - files == defaults.keys()
+        for name, default in defaults.items():
+            # m stays unset so that a frozen embedding's dimension can fill it
+            assert table[name] == (None if name == "m" else default), name
+        config = load_report(workdir / "report.json")["config"]
+        assert config.keys() == {"mode", "epochs", "R", "m", "eps", "eps1", "eps2",
+                                 "dm_alpha", "inner_steps", "prior_alpha", "prior_beta"}
 
     def test_frozen_embedding_round_trip(self, workdir, tmp_path):
         emb = tmp_path / "emb.csv"
@@ -230,6 +261,22 @@ class TestFit:
         assert cli_dispatch(base + ["--m", "2"]) == 1
         assert "disagrees" in capsys.readouterr().err
 
+    def test_directory_inputs_are_data_errors(self, workdir, tmp_path, capsys):
+        events = str(workdir / "events.csv")
+        for argv in (["--events", str(tmp_path)],
+                     ["--events", events, "--mode", "geo", "--frozen-embedding", str(tmp_path)]):
+            assert cli_dispatch(["fit"] + argv) == 2
+            assert f"data error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+    def test_unwritable_out_is_a_data_error(self, workdir, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "absent" / "m.json", tmp_path / "taken"):
+            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                                 "--mode", "frb", "--epochs", "1",
+                                 "--out", str(target)]) == 2
+            assert f"data error: cannot write {target}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
     def test_frozen_embedding_missing_labels(self, workdir, tmp_path, capsys):
         emb = tmp_path / "emb.csv"
         emb.write_text("type_label,coord_1,coord_2\n0,0.0,0.0\n1,1.0,1.0\n")
@@ -261,8 +308,10 @@ class TestFit:
         assert load_report(tmp_path / "r.json")["aborted_epoch"] is not None
 
     def test_invalid_hyperparameter_is_a_usage_error(self, workdir, capsys):
-        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
-                             "--epochs", "0"]) == 1
+        for flags in (["--epochs", "0"], ["--eps2", "0.1", "--prior-alpha", "0"]):
+            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv")]
+                                + flags) == 1
+        assert "prior requires alpha > 0" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -412,8 +461,8 @@ class TestDiscretize:
 
     def test_missing_and_bad_inputs(self, tmp_path, capsys):
         assert cli_dispatch(["discretize"]) == 1
-        assert cli_dispatch(["discretize", "--counts",
-                             str(tmp_path / "no.csv")]) == 2
+        for path in (tmp_path / "no.csv", tmp_path):
+            assert cli_dispatch(["discretize", "--counts", str(path)]) == 2
         bad = tmp_path / "bad.csv"
         bad.write_text("location,day,cumulative_count\nLA,0,5\nLA,1,3\n")
         assert cli_dispatch(["discretize", "--counts", str(bad)]) == 2
@@ -423,6 +472,11 @@ class TestDiscretize:
         inf.write_text("location,day,cumulative_count\nLA,0,0\nLA,1,inf\n")
         assert cli_dispatch(["discretize", "--counts", str(inf)]) == 2
         assert "location LA" in capsys.readouterr().err
+        # a finite but huge count asks for 1e299 events
+        huge = tmp_path / "huge.csv"
+        huge.write_text("location,day,cumulative_count\nLA,0,0\nLA,1,1e300\n")
+        assert cli_dispatch(["discretize", "--counts", str(huge)]) == 2
+        assert "1e+299 events" in capsys.readouterr().err
 
 
 class TestExport:
@@ -459,9 +513,14 @@ class TestExport:
 
     def test_default_output_names(self, workdir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert cli_dispatch(["export", "--what", "embedding",
-                             "--model", str(workdir / "model.json")]) == 0
-        assert (tmp_path / "embedding.csv").exists()
+        assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
+                             "--model", str(workdir / "model.json"),
+                             "--out", "diag.json"]) == 0
+        for what, flag, path in (("embedding", "--model", workdir / "model.json"),
+                                 ("curve", "--report", workdir / "report.json"),
+                                 ("qq", "--diagnostics", tmp_path / "diag.json")):
+            assert cli_dispatch(["export", "--what", what, flag, str(path)]) == 0
+            assert (tmp_path / f"{what}.csv").exists()
 
     def test_usage_and_data_errors(self, workdir, tmp_path, capsys):
         assert cli_dispatch(["export"]) == 1

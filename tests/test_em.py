@@ -692,6 +692,13 @@ class TestFit:
         with pytest.raises(ValueError):
             FitConfig(mode="hhg-b", epochs=5)
 
+    def test_prior_fields_build_a_checked_prior(self):
+        config = FitConfig(mode="frb", prior_alpha=2.0, prior_beta=0.5)
+        assert config.prior == GammaPrior(2.0, 0.5)
+        for alpha, beta in ((0.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="prior requires"):
+                FitConfig(mode="frb", prior_alpha=alpha, prior_beta=beta)
+
     def test_empty_record_rejected(self):
         record = EventRecord([], [], 0, 1.0)
         with pytest.raises(ValueError):

@@ -3,14 +3,19 @@
 import csv
 import json
 import os
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkesgeo.em import FitReport, FullRankParams
 from hawkesgeo.io import (
     CountSeries,
+    MAX_DISCRETIZED_EVENTS,
     DataFormatError,
     atomic_write,
     discretize_counts,
@@ -19,6 +24,7 @@ from hawkesgeo.io import (
     load_events_csv,
     load_model,
     load_report,
+    read_json,
     reorder_to_labels,
     save_events_csv,
     save_model,
@@ -64,6 +70,95 @@ class TestAtomicWrite:
                 f.write("x")
                 raise ValueError("nope")
         assert os.listdir(tmp_path) == []
+
+    def test_unwritable_target_is_a_data_error(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "absent" / "out.txt", tmp_path / "taken"):
+            with pytest.raises(DataFormatError,
+                               match=f"cannot write {re.escape(str(target))}: "):
+                with atomic_write(target) as f:
+                    f.write("x")
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(tmp_path / "taken") == []
+
+
+# one valid file per reader; the first line of each CSV is its header
+READERS = {
+    "events": (load_events_csv, "type,time\na,1.5\nb,0.5\n"),
+    "counts": (load_counts_csv, "location,day,cumulative_count\nLA,0,0\nLA,1,25\n"),
+    "embedding": (load_embedding_csv,
+                  "type_label,role,coord_1\na,reception,1.0\na,influence,-2.0\n"),
+    "json": (read_json, '{"curve": [1.0, 2.5], "mode": "frb"}'),
+}
+CSV_READERS = ("events", "counts", "embedding")
+
+FUZZ_PIECES = ("a", "LA", "reception", "influence", ",", '"', "'", " ", "\n", "\r",
+               "\r\n", "\ufeff", "\x00", "é", "0", "1.5", "-2", "1e308", "1e999",
+               "nan", "inf", "-inf", "{", "}", "[", "]", ":", "null", '"curve"')
+
+
+@st.composite
+def fuzzed_files(draw, valid):
+    """Raw bytes, or text pieced from fragments of ``valid`` and of other
+    formats, often after ``valid``'s first line and a BOM."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    header = valid.splitlines()[0]
+    pieces = FUZZ_PIECES + (header, valid) + tuple(re.split("([,\n])", valid))
+    text = draw(st.sampled_from(["", header + "\n", header + "\r\n"]))
+    text += "".join(draw(st.lists(st.sampled_from(pieces), max_size=40)))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
+class TestInputFiles:
+    """Rules every reader shares: how a file is opened, decoded and split."""
+
+    @pytest.mark.parametrize("name", list(READERS))
+    @given(data=st.data())
+    def test_fuzzed_file_loads_or_is_a_data_error(self, tmp_path_factory, name, data):
+        load, valid = READERS[name]
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_bytes(data.draw(fuzzed_files(valid)))
+        try:
+            load(path)
+        except DataFormatError:
+            pass
+
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_directory_is_a_data_error(self, tmp_path, name):
+        load, _ = READERS[name]
+        with pytest.raises(DataFormatError, match=f"cannot read {re.escape(str(tmp_path))}"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("name", CSV_READERS)
+    def test_over_long_field_is_a_data_error(self, tmp_path, name):
+        load, valid = READERS[name]
+        path = tmp_path / "input.csv"
+        path.write_text(valid + "x" * 131_073 + valid.splitlines()[1][1:] + "\n")
+        with pytest.raises(DataFormatError, match="cannot read .*field limit"):
+            load(path)
+
+    @pytest.mark.parametrize("name", CSV_READERS)
+    def test_blank_first_line_is_a_data_error(self, tmp_path, name):
+        load, valid = READERS[name]
+        path = tmp_path / "input.csv"
+        path.write_text("\n" + valid)
+        with pytest.raises(DataFormatError, match="header"):
+            load(path)
+
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_bom_and_blank_lines_are_skipped(self, tmp_path, name):
+        load, valid = READERS[name]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(valid)
+        marked.write_bytes(b"\xef\xbb\xbf" + valid.replace("\n", "\r\n\r\n").encode())
+        assert pickle.dumps(load(marked)) == pickle.dumps(load(plain))
+
+    def test_deeply_nested_json_is_a_data_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataFormatError, match="not valid JSON"):
+            read_json(path)
 
 
 class TestEventsCsv:
@@ -144,6 +239,11 @@ class TestEventsCsv:
         with pytest.raises(DataFormatError, match="horizon"):
             load_events_csv(path, horizon=2.0)
         assert load_events_csv(path, horizon=2.5).horizon == 2.5
+        # the default pad past the largest float overflows
+        path.write_text("type,time\na,1.7976931348623157e308\n")
+        with pytest.raises(DataFormatError, match="horizon"), \
+                np.errstate(over="ignore"):
+            load_events_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):
@@ -262,8 +362,21 @@ class TestDiscretize:
     def test_nonpositive_threshold_rejected(self):
         series = CountSeries(("a",), (np.array([0.0, 1.0]),),
                              (np.array([0.0, 5.0]),))
-        with pytest.raises(ValueError):
-            discretize_counts(series, threshold=0.0)
+        for threshold in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                discretize_counts(series, threshold=threshold)
+
+    def test_too_many_crossings_rejected_before_any_is_emitted(self):
+        series = CountSeries(("a", "b"), (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                             (np.array([0.0, 1e300]), np.array([5.0, 20.0])))
+        with pytest.raises(ValueError, match=r"gives 1e\+299 events"):
+            discretize_counts(series, threshold=10.0)
+        # a count over a tiny threshold floor-divides to inf
+        with pytest.raises(ValueError, match="gives inf events"):
+            discretize_counts(series, threshold=1e-300)
+        limit = CountSeries(("a",), (np.array([0.0, 1.0]),),
+                            (np.array([0.0, 10.0 * MAX_DISCRETIZED_EVENTS]),))
+        assert discretize_counts(limit, threshold=10.0 * MAX_DISCRETIZED_EVENTS).N == 1
 
 
 class TestModelDocuments:
@@ -475,6 +588,10 @@ class TestEmbeddingCsv:
         path.write_text("type_label,coord_1\na,wide\n")
         with pytest.raises(DataFormatError, match="coordinate"):
             load_embedding_csv(path)
+        for value in ("nan", "inf", "-1e999"):
+            path.write_text(f"type_label,coord_1\nb,0.0\na,{value}\n")
+            with pytest.raises(DataFormatError, match="line 3: coordinates must be finite"):
+                load_embedding_csv(path)
 
 
 class TestPlotExports:
