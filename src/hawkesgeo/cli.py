@@ -20,7 +20,7 @@ import numpy as np
 from .diagnostics import EvalSplit, background_qq, categorical_accuracy, \
     hellinger_divergence, kendall_distance_correlation, phi_rmse, split_eval
 from .em import MODES, FitConfig, NumericalError, e_step, fit
-from .io import SCHEMA_VERSION, DataFormatError, discretize_counts, \
+from .io import SCHEMA_VERSION, DataFormatError, check_writable, discretize_counts, \
     load_counts_csv, load_embedding_csv, load_events_csv, load_model, \
     load_report, read_json, reorder_to_labels, save_events_csv, save_model, \
     save_report, write_curve_csv, write_embedding_csv, write_json, \
@@ -277,6 +277,8 @@ def _cmd_fit(args) -> int:
     if args.frozen_embedding is not None:
         init = init_params(record, R=config.R, m=config.m,
                            alpha=config.dm_alpha, embedding=emb)
+    for target in filter(None, (args.out, args.out_final, args.report)):
+        check_writable(target)  # before the fit, not after its last epoch
 
     report = fit(record, config, init=init)
 

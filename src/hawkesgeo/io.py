@@ -59,6 +59,16 @@ def atomic_write(path, mode: str = "w"):
         raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def check_writable(path) -> None:
+    """Raise now the ``DataFormatError`` that ``atomic_write(path)`` would."""
+    if os.path.isdir(path):
+        raise DataFormatError(f"cannot write {path}: Is a directory")
+    try:
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 @contextmanager
 def _open_input(path):
     """Open UTF-8 text (an optional BOM skipped); a missing, unreadable or

@@ -23,6 +23,10 @@ from scipy.spatial.distance import cdist
 # denominator, whatever the embedding scale.
 SQDIST_CLAMP = 700.0
 
+# decayed-count scan: events per chunk, queries per block, chunk span in decay lengths
+SCAN_BLOCK = 4096
+SCAN_SPAN = 500.0
+
 
 class NumericsWarning(UserWarning):
     """Raised when a computation hits a guarded degenerate branch."""
@@ -104,9 +108,8 @@ def horizon_past(times) -> float:
     """A horizon just past the last of the sorted ``times``; 1.0 when empty."""
     if len(times) == 0:
         return 1.0
-    horizon = times[-1] * (1.0 + 1e-9)
-    # the relative pad vanishes at time zero
-    return horizon if horizon > times[-1] else times[-1] + 1e-9
+    horizon = float(times[-1]) * (1.0 + 1e-9)  # a Python float overflows silently
+    return horizon if horizon > times[-1] else times[-1] + 1e-9  # no pad at time zero
 
 
 def _earlier_pairs(times, start: int, stop: int):
@@ -301,11 +304,40 @@ def _pair_response(record: EventRecord, params, pairs=None):
 
 def _rates(mu, kappa, A, S) -> np.ndarray:
     """Intensity of every type, ``mu + sum_r kappa_r A_r S_r``, from the counts
-    ``S[r, l]`` of past type-``l`` events decayed by the basis-``r`` clock."""
-    lam = mu.astype(np.float64, copy=True)
+    ``S[..., r, l]`` of past type-``l`` events decayed by the basis-``r`` clock;
+    ``q`` leading query states cost one ``O(q n^2 R)`` product per basis."""
+    lam = np.tile(mu, S.shape[:-2] + (1,))
     for r in range(A.shape[0]):
-        lam += kappa[r] * (A[r] @ S[r])
+        lam += kappa[r] * (S[..., r, :] @ A[r].T)
     return lam
+
+
+def _decayed_counts(record: EventRecord, kappa, ts):
+    """Yield ``(rows, S)`` over the sorted queries ``ts`` that follow an event:
+    ``S[q, r, l]`` sums ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events
+    before ``t_q``.  This is the Ozaki (1979) recursion as cumsums of
+    ``exp(kappa (t_i - t_s))`` over chunks that start at ``t_s`` and span at
+    most ``SCAN_SPAN / max(kappa)``, so none overflows.  With the carried state
+    added and scaled by ``exp(-kappa (t_j - t_s))``, row ``j`` holds the counts
+    just after event ``j``; a query scales the row of its last earlier event."""
+    times, types, R, n = record.times, record.types, kappa.size, record.n
+    g = np.searchsorted(times, ts, side="left")  # events strictly before each query
+    stop = int(g[-1]) if g.size else 0  # later events precede no query
+    carry, a = np.zeros((R, n)), 0
+    while a < stop:
+        t_s = times[a]
+        b = min(a + SCAN_BLOCK, stop, times.searchsorted(t_s + SCAN_SPAN / kappa.max(), "right"))
+        C = np.zeros((b - a, R, n))
+        C[np.arange(b - a), :, types[a:b]] = np.exp(np.outer(times[a:b] - t_s, kappa))
+        C = (np.cumsum(C, axis=0) + carry) * np.exp(np.outer(t_s - times[a:b], kappa))[..., None]
+        q0, q1 = np.searchsorted(g, [a + 1, b + 1], side="left")
+        for lo in range(q0, q1, SCAN_BLOCK):
+            rows = slice(lo, min(lo + SCAN_BLOCK, q1))
+            last = g[rows] - 1
+            yield rows, C[last - a] * np.exp(np.outer(times[last] - ts[rows], kappa))[..., None]
+        if b < stop:
+            carry = C[-1] * np.exp(kappa * (times[b - 1] - times[b]))[:, None]
+        a = b
 
 
 def intensity(k: int, t: float, record: EventRecord, params) -> float:
@@ -322,29 +354,15 @@ def intensity(k: int, t: float, record: EventRecord, params) -> float:
 def intensities_at(record: EventRecord, params, times) -> np.ndarray:
     """Conditional intensities of every type at each query time, ``(q, n)``.
 
-    Each query sees the events strictly before it.  Runs the decayed-count
-    recursion (Ozaki 1979), not event pairs: ``q`` queries cost ``O((N + q) n^2 R)``.
+    Each query sees the events strictly before it.  Costs ``O((N + q) n R)`` for
+    the counts, ``O(q n^2 R)`` for the rates and ``O(SCAN_BLOCK n R)`` extra memory.
     """
     ts = np.asarray(times, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
     A = params.amplitudes()
-    R, n = A.shape[0], record.n
-    kappa = params.kappa
-    out = np.empty((ts.size, n))
-    S = np.zeros((R, n))
-    cur = 0.0
-    ev = 0
-    for qi in order:
-        t = ts[qi]
-        while ev < record.N and record.times[ev] < t:
-            te = record.times[ev]
-            S *= np.exp(-kappa * (te - cur))[:, None]
-            S[:, record.types[ev]] += 1.0
-            cur = te
-            ev += 1
-        S *= np.exp(-kappa * (t - cur))[:, None]
-        cur = t
-        out[qi] = _rates(params.mu, kappa, A, S)
+    out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
+    for rows, S in _decayed_counts(record, params.kappa, ts[order]):
+        out[order[rows]] = _rates(params.mu, params.kappa, A, S)
     return out
 
 
@@ -376,8 +394,8 @@ def log_likelihood(record: EventRecord, params, window=None) -> float:
     """Exact log-likelihood of the events falling in ``[t_a, t_b)``.
 
     Each scored event's intensity conditions on the full record history before
-    it, including events outside the window; by ``intensities_at``, ``q``
-    scored events cost ``O((N + q) n^2 R)`` and build no event pairs.  A scored
+    it, including events outside the window; by ``intensities_at``, ``q`` scored
+    events cost ``O((N + q) n R + q n^2 R)`` and build no event pairs.  A scored
     event with zero intensity yields ``-inf`` (with a warning naming the event).
     """
     t_a, t_b = (0.0, record.horizon) if window is None else window

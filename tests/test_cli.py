@@ -268,13 +268,20 @@ class TestFit:
             assert cli_dispatch(["fit"] + argv) == 2
             assert f"data error: cannot read {tmp_path}: " in capsys.readouterr().err
 
-    def test_unwritable_out_is_a_data_error(self, workdir, tmp_path, capsys):
+    def test_unwritable_out_is_a_data_error(self, workdir, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before its outputs were checked")
+
+        monkeypatch.setattr("hawkesgeo.cli.fit", no_fit)
         (tmp_path / "taken").mkdir()
-        for target in (tmp_path / "absent" / "m.json", tmp_path / "taken"):
-            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
-                                 "--mode", "frb", "--epochs", "1",
-                                 "--out", str(target)]) == 2
-            assert f"data error: cannot write {target}: " in capsys.readouterr().err
+        fine = str(tmp_path / "fine.json")
+        for flag in ("--out", "--out-final", "--report"):
+            for target in (tmp_path / "absent" / "m.json", tmp_path / "taken"):
+                outputs = {"--out": fine, flag: str(target)}
+                argv = [word for pair in outputs.items() for word in pair]
+                assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                                     "--mode", "frb", "--epochs", "1"] + argv) == 2
+                assert f"data error: cannot write {target}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
     def test_frozen_embedding_missing_labels(self, workdir, tmp_path, capsys):

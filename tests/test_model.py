@@ -5,10 +5,15 @@ Gaussian values) and the likelihood is cross-checked against a loop-and-
 quadrature reimplementation in conftest.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hawkesgeo import model
 from hawkesgeo.em import FullRankParams
 from hawkesgeo.geometry import _gaussian_terms
 from hawkesgeo.io import reorder_to_labels
@@ -19,7 +24,9 @@ from hawkesgeo.model import (
     ModelParams,
     NumericsWarning,
     _pair_response,
+    _rates,
     compensator,
+    horizon_past,
     influence_matrix,
     intensities_at,
     intensity,
@@ -58,6 +65,50 @@ def scoring_cases(rng):
         (make_record(rng, 4, N=10, T=5.0), make_full_rank(rng, 4)),
         (tied_record(rng, 4, N=10), make_full_rank(rng, 4, R=1)),
     ]
+
+
+def with_mu(params, mu):
+    if isinstance(params, FullRankParams):
+        return FullRankParams(params.phi, params.kappa, params.w, mu)
+    return ModelParams(params.embedding, params.kernels, params.xi, mu)
+
+
+def gap_record(rng, n, gaps, start=0.0, kinds=None):
+    """Events at ``start`` plus the cumulative ``gaps``, of types drawn from ``kinds``."""
+    times = start + np.cumsum(gaps)
+    types = rng.integers(0, n if kinds is None else kinds, size=times.size)
+    return EventRecord(types, times, n, horizon_past(times))
+
+
+def scan_cases(rng):
+    """(record, params) pairs that stress the decayed-count scan's chunking."""
+    silent = gap_record(rng, 5, rng.exponential(0.5, 30), kinds=3)  # types 3, 4 never occur
+    mu = make_model(rng, 5).mu
+    # kappa = 2 and mu = 0: after one chunk spanning 240, a gap of 300 leaves
+    # rates near e^-600, which exp(-kappa (t_q - t_s)) in one factor flushes to 0
+    far = gap_record(rng, 2, np.r_[np.ones(241), 300.0, np.ones(3)])
+    decay_only = ModelParams(EmbeddingPair(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))),
+                             KernelBank([1.0], [2.0], [1.0]), np.ones(2), np.zeros(2))
+    return [
+        (far, decay_only),
+        (tied_record(rng, 3, N=40), make_model(rng, 3)),  # tie runs of about 8
+        (tied_record(rng, 4, N=30), make_full_rank(rng, 4)),
+        # kappa T ~ 4000
+        (gap_record(rng, 3, rng.exponential(10.0, 200)), make_model(rng, 3, R=2)),
+        (gap_record(rng, 3, rng.exponential(1.0, 60), start=1.7e9), make_model(rng, 3)),
+        (silent, with_mu(make_model(rng, 5, R=2), np.where(np.arange(5) % 2, 0.0, mu))),
+        (silent, with_mu(make_full_rank(rng, 5), np.where(np.arange(5) < 2, 0.0, mu))),
+        (EventRecord([], [], 3, 4.0), make_model(rng, 3, R=2)),
+    ]
+
+
+def scan_queries(rng, record):
+    """Shuffled queries: random, before the first event, at events (some twice), at the horizon."""
+    t0 = record.times[0] if record.N else 0.0
+    at_events = record.times[rng.integers(0, record.N, size=6)] if record.N else []
+    qs = np.concatenate([t0 + rng.uniform(0.0, record.horizon - t0, size=8),
+                         [t0, 0.5 * t0, record.horizon], at_events, at_events[:2]])
+    return rng.permutation(qs)
 
 
 class TestEventRecord:
@@ -191,6 +242,59 @@ class TestIntensity:
             for k in range(4):
                 assert_allclose(table[q, k], brute_intensity(record, params, k, t),
                                 rtol=1e-10)
+
+    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK])
+    def test_scan_matches_brute_force_and_pairs(self, rng, monkeypatch, block):
+        # chunks of 7 events end inside tie runs; the long record needs many
+        # chunks for its span alone
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        for record, params in scan_cases(rng):
+            qs = scan_queries(rng, record)
+            brute = [[brute_intensity(record, params, k, t) for k in range(record.n)]
+                     for t in qs]
+            assert_allclose(intensities_at(record, params, qs), brute, rtol=1e-10)
+            table = intensities_at(record, params, record.times)
+            assert_allclose(table[np.arange(record.N), record.types],
+                            _pair_response(record, params)[1], rtol=1e-10)
+
+    @given(st.data())
+    def test_scan_property(self, data):
+        n = data.draw(st.integers(1, 4))
+        gaps = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.7, 3.0, 300.0]),
+                                  max_size=30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        record = gap_record(rng, n, gaps)
+        params = make_model(rng, n, R=data.draw(st.integers(1, 2)))
+        qs = data.draw(st.lists(st.sampled_from(list(record.times) + [record.horizon])
+                                | st.floats(0.0, record.horizon), max_size=8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "SCAN_BLOCK", data.draw(st.sampled_from([1, 2, 3, 4096])))
+            table = intensities_at(record, params, qs)
+        brute = [[brute_intensity(record, params, k, t) for k in range(n)] for t in qs]
+        assert_allclose(table, np.reshape(brute, (len(qs), n)), rtol=1e-10)
+
+    def test_single_state_rates_are_the_simulators(self, rng):
+        # simulate_thinning's records depend on these rates to the last bit
+        for n, R in [(3, 1), (15, 2), (50, 1), (100, 2)]:
+            params = make_model(rng, n, R=R)
+            A, S = params.amplitudes(), rng.uniform(0.0, 3.0, size=(R, n))
+            want = params.mu.copy()
+            for r in range(R):
+                want += params.kappa[r] * (A[r] @ S[r])
+            assert np.array_equal(_rates(params.mu, params.kappa, A, S), want)
+
+    def test_scoring_memory_is_bounded_by_its_output(self, rng):
+        # an O(N^2) or unblocked O(q n R) temporary would exceed the bound
+        record = make_record(rng, 3, N=200_000, T=1e4)
+        params = make_model(rng, 3, R=2)
+        params.amplitudes()
+        tracemalloc.start()
+        try:
+            table = intensities_at(record, params, record.times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table.nbytes
 
     def test_events_excluded_at_their_own_time(self, rng):
         # evaluation at an event time sees only strictly earlier events
