@@ -9,8 +9,17 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import kendalltau
 
+from . import model
 from .em import BranchingStructure
-from .model import EmbeddingPair, EventRecord, NumericsWarning, intensities_at, log_likelihood
+from .model import (
+    EmbeddingPair,
+    EventRecord,
+    NumericsWarning,
+    _event_blocks,
+    _realized_rates,
+    _scored_events,
+    log_likelihood,
+)
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,37 @@ def split_eval(record: EventRecord, params, split: EvalSplit):
     return train, test
 
 
+def _event_runs(b: BranchingStructure):
+    """``b``'s entries ordered by basis, then receiving event, then trigger, as
+    ``(r_idx, j_idx, i_idx, p)`` with ``first[r][j]``, the offset of event
+    ``j``'s first entry of basis ``r``.  ``e_step`` stores them in this order,
+    which a scan in blocks confirms; other entries are sorted once."""
+    N = b.record.N
+    order = (b.r_idx, b.j_idx, b.i_idx, b.p)
+
+    def key(sl):
+        return (b.r_idx[sl] * N + b.j_idx[sl]) * N + b.i_idx[sl]
+
+    for a in range(0, b.p.size, model.PAIR_BLOCK):
+        k = key(slice(a, a + model.PAIR_BLOCK + 1))
+        if np.any(k[1:] < k[:-1]):
+            perm = np.argsort(key(slice(None)), kind="stable")
+            order = tuple(arr[perm] for arr in order)
+            break
+    r_idx, j_idx = order[:2]
+    bounds = np.searchsorted(r_idx, np.arange(b.R + 1))
+    first = [lo + np.searchsorted(j_idx[lo:hi], np.arange(N + 1))
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return order, first
+
+
 def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructure) -> float:
     """Mean per-event Hellinger distance between two attributions.
 
     Each event's attribution is a distribution over (trigger, basis) pairs
-    plus background; entries absent from one side count as zero.
+    plus background; entries absent from one side count as zero.  Events are
+    compared in blocks of about ``model.PAIR_BLOCK`` entries, each event's
+    common terms summed in ``(trigger, basis)`` order.
     """
     if estimated.record is not truth.record and estimated.record != truth.record:
         raise ValueError("attributions describe different records")
@@ -59,17 +94,21 @@ def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructur
     if N == 0:
         raise ValueError("empty record")
     R = max(estimated.R, truth.R)
+    sides = [_event_runs(b) for b in (estimated, truth)]
 
-    def keys(b):
-        return (b.j_idx * N + b.i_idx) * R + b.r_idx
+    def block(side, s, e):
+        (r_idx, j_idx, i_idx, p), first = side
+        sl = [slice(f[s], f[e]) for f in first]
+        keys = np.concatenate([(j_idx[x] * N + i_idx[x]) * R + r_idx[x] for x in sl])
+        return keys, np.concatenate([p[x] for x in sl])
 
-    ka, kb = keys(estimated), keys(truth)
-    common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
     bc = np.sqrt(estimated.p_background * truth.p_background)
-    if common.size:
-        j_common = common // (N * R)
-        bc += np.bincount(j_common, weights=np.sqrt(estimated.p[ia] * truth.p[ib]),
-                          minlength=N)
+    for s, e in _event_blocks(sum(f for side in sides for f in side[1])):
+        (ka, pa), (kb, pb) = block(sides[0], s, e), block(sides[1], s, e)
+        common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+        if common.size:
+            bc[s:e] += np.bincount(common // (N * R) - s, weights=np.sqrt(pa[ia] * pb[ib]),
+                                   minlength=e - s)
     h = np.sqrt(np.maximum(0.0, 1.0 - bc))
     return float(h.mean())
 
@@ -109,14 +148,13 @@ def categorical_accuracy(record: EventRecord, params, window):
     share drives the geometric mean to zero.
     """
     t_a, t_b = window
-    scored = (record.times >= t_a) & (record.times < t_b)
-    idx = np.flatnonzero(scored)
-    if idx.size == 0:
+    events = _scored_events(record, (t_a, t_b))
+    realized = record.types[events]
+    if realized.size == 0:
         warnings.warn("no events in the scored window", NumericsWarning)
         return float("nan"), float("nan")
-    lam = intensities_at(record, params, record.times[idx])
-    realized = record.types[idx]
-    shares = lam[np.arange(idx.size), realized] / lam.sum(axis=1)
+    lam, total = _realized_rates(record, params, events, totals=True)
+    shares = lam / total
 
     ref = record.types[record.times < t_a]
     if ref.size == 0:

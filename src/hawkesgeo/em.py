@@ -24,10 +24,10 @@ from .model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
+    _pair_blocks,
     _pair_response,
     compensator,
     influence_matrix,
-    pair_indices,
 )
 
 MODES = ("hhg-a", "hhg-b", "hhg-dm", "frb", "geo")
@@ -175,6 +175,18 @@ class BranchingStructure:
         return np.bincount(self.record.types, weights=self.p_background, minlength=self.record.n)
 
 
+@dataclass(frozen=True, eq=False)
+class AttributionStats:
+    """The four statistics the M-step reads off an attribution, named as on
+    ``BranchingStructure``; ``fit`` streams them without keeping the entries."""
+
+    mass_by_r: np.ndarray
+    lag_mass_by_r: np.ndarray
+    dyad_mass: np.ndarray
+    background_mass_by_type: np.ndarray
+    R: int
+
+
 @dataclass(frozen=True)
 class FullRankParams:
     """Baseline parameters: a free influence matrix with shared clocks.
@@ -251,27 +263,81 @@ class FitReport:
 # E-step
 
 
-def _branching_from_response(H, lam, pairs, floor):
-    """The entries of ``p = H / lam[j]`` at or above ``floor``, as C-contiguous
-    ``(i, j, r, p)`` arrays in basis-major order; one boolean mask selects them."""
-    i_idx, j_idx, _ = pairs
-    if np.any(lam <= 0.0):
-        raise DegenerateEventError(int(np.argmax(lam <= 0.0)))
-    p = H * (1.0 / lam)[j_idx]
-    keep = p >= floor
-    rows = np.arange(H.shape[0], dtype=np.int64)[:, None]
-    return (np.broadcast_to(i_idx, p.shape)[keep], np.broadcast_to(j_idx, p.shape)[keep],
-            np.broadcast_to(rows, p.shape)[keep], p[keep])
+def _responses(record, params, blocks):
+    """``_pair_response`` over each of ``_pair_blocks``' blocks in turn: yields
+    ``(events, H, lam, pairs, dyad)``.  An event with zero intensity raises
+    ``DegenerateEventError`` with its index in the record."""
+    for events, pairs, dyad in blocks:
+        H, lam, _ = _pair_response(record, params, pairs, dyad, events)
+        if np.any(lam <= 0.0):
+            raise DegenerateEventError(events.start + int(np.argmax(lam <= 0.0)))
+        yield events, H, lam, pairs, dyad
 
 
-def _attribute(record, params, H, lam, pairs, floor) -> BranchingStructure:
-    """The posterior attribution from ``_pair_response``'s output."""
-    i_all, j_all, r_all, p_all = _branching_from_response(H, lam, pairs, floor)
-    p_bg = params.mu[record.types] / lam
-    # renormalize so each row sums to one after the floor truncation
-    scale = 1.0 / (p_bg + np.bincount(j_all, weights=p_all, minlength=record.N))
-    return BranchingStructure(record, i_all, j_all, r_all, p_all * scale[j_all],
-                              p_bg * scale, H.shape[0])
+def _branching_from_response(H, lam, pairs, floor, start=0):
+    """The entries of ``p = H / lam[j - start]`` at or above ``floor``, as
+    ``(r, e, p)``: basis, offset into ``pairs`` and probability, basis-major."""
+    p = H * (1.0 / lam)[pairs[1] - start]
+    kept = np.flatnonzero(p >= floor)
+    cuts = np.searchsorted(kept, H.shape[1] * np.arange(1, H.shape[0]))
+    r = np.repeat(np.arange(H.shape[0]), np.diff(cuts, prepend=0, append=kept.size))
+    return r, kept - r * H.shape[1], p.ravel()[kept]
+
+
+def _attribute(record, params, H, lam, pairs, floor, start=0):
+    """The attribution of the events ``start + arange(lam.size)`` from
+    ``_pair_response``'s output: the kept ``(r, e, p)`` of
+    ``_branching_from_response``, each event's row renormalized to sum to one
+    after the floor truncation, and the background probabilities."""
+    r, e, p = _branching_from_response(H, lam, pairs, floor, start)
+    rows = pairs[1][e] - start
+    p_bg = params.mu[record.types[start:start + lam.size]] / lam
+    scale = 1.0 / (p_bg + np.bincount(rows, weights=p, minlength=lam.size))
+    return r, e, p * scale[rows], p_bg * scale
+
+
+class _Entries:
+    """Kept attribution entries gathered block by block, basis-major at the end.
+
+    Per basis it keeps each block's triggers ``i`` and probabilities ``p``,
+    and how many entries each event receives, from which ``j`` is rebuilt.
+    """
+
+    def __init__(self, R):
+        self.parts = [([], [], []) for _ in range(R)]  # per basis: i, p, entries per event
+
+    def add(self, r, e, p, pairs, events):
+        R, size = len(self.parts), events.stop - events.start
+        per_event = np.bincount(r * size + (pairs[1][e] - events.start), minlength=R * size)
+        cuts = np.searchsorted(r, np.arange(1, R))
+        for part, e_r, p_r, n_r in zip(self.parts, np.split(e, cuts), np.split(p, cuts),
+                                       per_event.reshape(R, size)):
+            for column, values in zip(part, (pairs[0][e_r], p_r, n_r)):
+                column.append(values)
+
+    def branching(self, record, p_background) -> BranchingStructure:
+        R = len(self.parts)
+        columns = []
+        for f in range(3):  # one column at a time, freeing its parts as it goes
+            pieces = [piece for part in self.parts for piece in part[f]]
+            for part in self.parts:
+                part[f].clear()
+            columns.append(np.concatenate(pieces) if pieces else np.zeros(0, np.int64))
+            del pieces
+        i_idx, p, per_event = columns
+        j_idx = np.repeat(np.tile(np.arange(record.N), R), per_event)
+        r_idx = np.repeat(np.arange(R), per_event.reshape(R, record.N).sum(axis=1))
+        return BranchingStructure(record, i_idx, j_idx, r_idx, p, p_background, R)
+
+
+def _e_step(record, params, blocks, floor) -> BranchingStructure:
+    """``e_step`` over ``_pair_blocks(record)``'s blocks of pairs."""
+    entries = _Entries(params.R)
+    p_bg = np.empty(record.N)
+    for events, H, lam, pairs, _ in _responses(record, params, blocks):
+        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs, floor, events.start)
+        entries.add(r, e, p, pairs, events)
+    return entries.branching(record, p_bg)
 
 
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
@@ -279,10 +345,45 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
 
     Pair entries below ``floor`` are dropped and each event's remaining
     probabilities renormalized to sum to one exactly; ``floor=0`` keeps every
-    pair.
+    pair.  Events are attributed in blocks of about ``model.PAIR_BLOCK``
+    pairs, each built when reached, so the time is ``O(N^2 R)`` but the memory
+    beyond the returned entries is one block's.
     """
-    H, lam, pairs = _pair_response(record, params)
-    return _attribute(record, params, H, lam, pairs, floor)
+    return _e_step(record, params, _pair_blocks(record), floor)
+
+
+def _fit_e_step(record, params, blocks, keep_entries):
+    """One E-step of ``fit``: the intensities at the events, the M-step
+    statistics streamed block by block as ``AttributionStats``, and with
+    ``keep_entries`` the ``BranchingStructure`` too.
+
+    Each statistic continues its sum through ``np.add.at`` in the order of
+    the kept entries, so it is bitwise ``BranchingStructure``'s.  Once an
+    intensity is not finite neither is the log-likelihood, and ``fit`` stops:
+    the remaining blocks are then only checked for zero intensities.
+    """
+    n, R = record.n, params.R
+    lam_all, p_bg = np.empty(record.N), np.empty(record.N)
+    mass, lag, dyad_mass = np.zeros(R), np.zeros(R), np.zeros(R * n * n)
+    entries = _Entries(R) if keep_entries else None
+    finite = True
+    for events, H, lam, pairs, dyad in _responses(record, params, blocks):
+        lam_all[events] = lam
+        finite = finite and bool(np.all(np.isfinite(lam)))
+        if not finite:
+            continue
+        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs,
+                                           BRANCHING_FLOOR, events.start)
+        np.add.at(mass, r, p)
+        np.add.at(lag, r, p * pairs[2][e])
+        np.add.at(dyad_mass, r * (n * n) + dyad[e], p)
+        if entries is not None:
+            entries.add(r, e, p, pairs, events)
+    if not finite:
+        return lam_all, None, None
+    stats = AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
+                             np.bincount(record.types, weights=p_bg, minlength=n), R)
+    return lam_all, stats, None if entries is None else entries.branching(record, p_bg)
 
 
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
@@ -538,19 +639,17 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
 
-    pairs = pair_indices(record)
+    blocks = list(_pair_blocks(record, cache=True))
     curve = np.empty(config.epochs)
     best_ll = -np.inf
     best_params = params
     best_epoch = -1
-    branching = None
     aborted = None
     prev_params = params
 
     for epoch in range(config.epochs):
-        H, lam, _ = _pair_response(record, params, pairs=pairs)
-        if np.any(lam <= 0.0):
-            raise DegenerateEventError(int(np.argmax(lam <= 0.0)))
+        # the last epoch's attribution is the one the report carries
+        lam, stats, branching = _fit_e_step(record, params, blocks, epoch == config.epochs - 1)
         ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):
             warnings.warn(f"objective left the finite regime at epoch {epoch}; aborting",
@@ -562,13 +661,12 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         curve[epoch] = ll
         if ll > best_ll:
             best_ll, best_params, best_epoch = ll, params, epoch
-        branching = _attribute(record, params, H, lam, pairs, BRANCHING_FLOOR)
         prev_params = params
         try:
             if config.mode == "frb":
-                params = _m_step_frb(record, params, branching, config)
+                params = _m_step_frb(record, params, stats, config)
             else:
-                params = _m_step_geometric(record, params, branching, config)
+                params = _m_step_geometric(record, params, stats, config)
         except (ValueError, FloatingPointError) as exc:
             # an exploding step trips parameter validation; keep the last
             # finite snapshot instead of crashing the run
@@ -578,6 +676,9 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             params = prev_params
             curve = curve[:epoch + 1]
             break
+    if aborted is not None and curve.size:
+        # the reported attribution is that of the last finite snapshot
+        branching = _e_step(record, params, blocks, BRANCHING_FLOOR)
 
     return FitReport(
         mode=config.mode,

@@ -26,6 +26,8 @@ SQDIST_CLAMP = 700.0
 # decayed-count scan: events per chunk, queries per block, chunk span in decay lengths
 SCAN_BLOCK = 4096
 SCAN_SPAN = 500.0
+# attribution: stored event pairs per block of receiving events
+PAIR_BLOCK = 1 << 16
 
 
 class NumericsWarning(UserWarning):
@@ -131,10 +133,46 @@ def pair_indices(record: EventRecord) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Returns flat arrays ``(i_idx, j_idx, dt)``; events with tied times never
     pair with each other.  There are O(N^2) pairs, so they are built only for
-    attribution (``e_step`` and ``fit``); scoring runs on decayed counts.
+    attribution (``fit``, and ``e_step`` block by block, see ``_pair_blocks``);
+    scoring runs on decayed counts.
     """
     i_idx, j_idx = _earlier_pairs(record.times, 0, record.N)
     return i_idx, j_idx, record.times[j_idx] - record.times[i_idx]
+
+
+def _event_blocks(first):
+    """Runs ``[s, e)`` of events whose items number about ``PAIR_BLOCK``, where
+    event ``j``'s items start at ``first[j]`` (nondecreasing, one entry per
+    event plus the end); an event with more items forms a run of its own."""
+    blocks, s = [], 0
+    while s < first.size - 1:
+        e = max(s + 1, int(np.searchsorted(first, first[s] + PAIR_BLOCK, "right")) - 1)
+        blocks.append((s, e))
+        s = e
+    return blocks
+
+
+def _pair_blocks(record: EventRecord, cache: bool = False):
+    """``pair_indices`` in blocks of receiving events, for attribution.
+
+    Yields ``(events, pairs, dyad)``: ``events`` a slice of the record and
+    ``pairs`` the ``(i_idx, j_idx, dt)`` its events receive, about
+    ``PAIR_BLOCK`` of them.  Each block is built when reached (``dyad`` None),
+    so memory stays one block's.  With ``cache`` the blocks are views of one
+    ``pair_indices`` call and of the flat type pairs ``types[j] * n +
+    types[i]`` (``dyad``), which a fit walks every epoch.
+    """
+    first = np.concatenate(([0], np.cumsum(np.searchsorted(record.times, record.times, "left"))))
+    if cache:
+        i_idx, j_idx, dt = pair_indices(record)
+        dyad = record.types[j_idx] * record.n + record.types[i_idx]
+    for s, e in _event_blocks(first):
+        if cache:
+            a, b = first[s], first[e]
+            yield slice(s, e), (i_idx[a:b], j_idx[a:b], dt[a:b]), dyad[a:b]
+        else:
+            i, j = _earlier_pairs(record.times, s, e)
+            yield slice(s, e), (i, j, record.times[j] - record.times[i]), None
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +318,29 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
 # intensity and likelihood
 
 
-def _pair_response(record: EventRecord, params, pairs=None):
-    """Per-pair response values and per-event intensities, for attribution.
+def _pair_response(record: EventRecord, params, pairs=None, dyad=None, events=slice(None)):
+    """Per-pair response values and the intensities at their receiving events.
 
-    Returns ``(H, lam, pairs)`` where ``H[r, e]`` is the basis-``r`` response
-    along stored pair ``e`` and ``lam[j]`` the intensity at event ``j``.
+    ``pairs`` (default ``pair_indices(record)``) holds every pair received by
+    the events of the slice ``events`` (default all), and ``dyad`` their flat
+    type pairs (see ``_pair_blocks``).  Returns ``(H, lam, pairs)`` where
+    ``H[r, e]`` is the basis-``r`` response along pair ``e`` and ``lam`` the
+    intensity at each event of ``events``.
     """
     if pairs is None:
         pairs = pair_indices(record)
     i_idx, j_idx, dt = pairs
+    if dyad is None:
+        dyad = record.types[j_idx] * record.n + record.types[i_idx]
     A = params.amplitudes()
-    R = A.shape[0]
-    n = record.n
-    dyad = record.types[j_idx] * n + record.types[i_idx]
-    lam = params.mu[record.types].astype(np.float64, copy=True)
-    H = np.empty((R, dt.size))
-    for r in range(R):
+    start, stop, _ = events.indices(record.N)
+    lam = params.mu[record.types[start:stop]].astype(np.float64, copy=True)
+    rows = j_idx - start
+    H = np.empty((A.shape[0], dt.size))
+    for r in range(A.shape[0]):
         kap = params.kappa[r]
         H[r] = A[r].ravel()[dyad] * (kap * np.exp(-kap * dt))
-        lam += np.bincount(j_idx, weights=H[r], minlength=record.N)
+        lam += np.bincount(rows, weights=H[r], minlength=lam.size)
     return H, lam, pairs
 
 
@@ -359,11 +401,37 @@ def intensities_at(record: EventRecord, params, times) -> np.ndarray:
     """
     ts = np.asarray(times, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
-    A = params.amplitudes()
     out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
-    for rows, S in _decayed_counts(record, params.kappa, ts[order]):
-        out[order[rows]] = _rates(params.mu, params.kappa, A, S)
+    for rows, rates in _rate_blocks(record, params, ts[order]):
+        out[order[rows]] = rates
     return out
+
+
+def _rate_blocks(record: EventRecord, params, ts):
+    """Yield ``(rows, rates)``: the ``(b, n)`` intensities at the sorted queries
+    ``ts[rows]`` that follow an event, one ``_decayed_counts`` block at a time."""
+    A = params.amplitudes()
+    for rows, S in _decayed_counts(record, params.kappa, ts):
+        yield rows, _rates(params.mu, params.kappa, A, S)
+
+
+def _scored_events(record: EventRecord, window) -> slice:
+    """The events in ``[t_a, t_b)``, a slice of the sorted record."""
+    return slice(*(int(v) for v in np.searchsorted(record.times, window, side="left")))
+
+
+def _realized_rates(record: EventRecord, params, events: slice, totals: bool = False):
+    """Each event's intensity at its own type, over the slice ``events``, read
+    off ``intensities_at``'s rates block by block without building its table;
+    with ``totals`` also the intensity summed over types."""
+    types = record.types[events]
+    lam = params.mu[types]
+    total = np.full(types.size, params.mu.sum()) if totals else None
+    for rows, rates in _rate_blocks(record, params, record.times[events]):
+        lam[rows] = rates[np.arange(rates.shape[0]), types[rows]]
+        if totals:
+            total[rows] = rates.sum(axis=1)
+    return lam, total
 
 
 def compensator(record: EventRecord, params, window=None) -> float:
@@ -377,16 +445,18 @@ def compensator(record: EventRecord, params, window=None) -> float:
         raise ValueError("window must satisfy 0 <= t_a <= t_b <= horizon")
     A = params.amplitudes()
     total = (t_b - t_a) * float(np.sum(params.mu))
-    live = record.times < t_b
-    if live.any():
-        t_i = record.times[live]
-        src = record.types[live]
+    live = int(np.searchsorted(record.times, t_b, side="left"))  # the events before t_b
+    if live:
         acol = A.sum(axis=1)  # (R, n): total mass an occurrence of each type emits
+        terms = np.empty(live)  # one event's share, filled SCAN_BLOCK events at a time
         for r in range(A.shape[0]):
             kap = params.kappa[r]
-            left = np.exp(-kap * np.maximum(0.0, t_a - t_i))
-            right = np.exp(-kap * (t_b - t_i))
-            total += float(np.sum(acol[r, src] * (left - right)))
+            for a in range(0, live, SCAN_BLOCK):
+                t_i = record.times[a:min(a + SCAN_BLOCK, live)]
+                left = np.exp(-kap * np.maximum(0.0, t_a - t_i))
+                right = np.exp(-kap * (t_b - t_i))
+                terms[a:a + t_i.size] = acol[r, record.types[a:a + t_i.size]] * (left - right)
+            total += float(np.sum(terms))
     return total
 
 
@@ -394,16 +464,16 @@ def log_likelihood(record: EventRecord, params, window=None) -> float:
     """Exact log-likelihood of the events falling in ``[t_a, t_b)``.
 
     Each scored event's intensity conditions on the full record history before
-    it, including events outside the window; by ``intensities_at``, ``q`` scored
-    events cost ``O((N + q) n R + q n^2 R)`` and build no event pairs.  A scored
-    event with zero intensity yields ``-inf`` (with a warning naming the event).
+    it, including events outside the window; by ``intensities_at``'s scan, ``q``
+    scored events cost ``O((N + q) n R + q n^2 R)``, build no event pairs and
+    need ``O(q)`` memory.  A scored event with zero intensity yields ``-inf``
+    (with a warning naming the event).
     """
     t_a, t_b = (0.0, record.horizon) if window is None else window
-    idx = np.flatnonzero((record.times >= t_a) & (record.times < t_b))
-    table = intensities_at(record, params, record.times[idx])
-    lam = table[np.arange(idx.size), record.types[idx]]  # the realized types
+    events = _scored_events(record, (t_a, t_b))
+    lam, _ = _realized_rates(record, params, events)
     if np.any(lam <= 0.0):
-        bad = int(idx[np.argmax(lam <= 0.0)])
+        bad = events.start + int(np.argmax(lam <= 0.0))
         warnings.warn(
             f"zero intensity at scored event {bad}; log-likelihood is -inf",
             NumericsWarning,

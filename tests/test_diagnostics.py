@@ -1,9 +1,12 @@
 """Held-out scoring, attribution divergence, and residual diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawkesgeo import model
 from hawkesgeo.diagnostics import (
     EvalSplit,
     background_qq,
@@ -98,6 +101,32 @@ def brute_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
     return float(out.mean())
 
 
+def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
+    """The divergence as one ``np.intersect1d`` over every ``(j, i, r)`` key."""
+    N, R = a.record.N, max(a.R, b.R)
+
+    def keys(x):
+        return (x.j_idx * N + x.i_idx) * R + x.r_idx
+
+    common, ia, ib = np.intersect1d(keys(a), keys(b), assume_unique=True, return_indices=True)
+    bc = np.sqrt(a.p_background * b.p_background)
+    if common.size:
+        bc += np.bincount(common // (N * R), weights=np.sqrt(a.p[ia] * b.p[ib]), minlength=N)
+    return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
+
+
+def shuffled(rng, b: BranchingStructure) -> BranchingStructure:
+    perm = rng.permutation(b.p.size)
+    return BranchingStructure(b.record, b.i_idx[perm], b.j_idx[perm], b.r_idx[perm],
+                              b.p[perm], b.p_background, b.R)
+
+
+def only_basis(b: BranchingStructure, r: int, R: int) -> BranchingStructure:
+    """``b``'s entries moved onto basis ``r`` of ``R``."""
+    return BranchingStructure(b.record, b.i_idx, b.j_idx, np.full_like(b.r_idx, r), b.p,
+                              b.p_background, R)
+
+
 def all_background(record: EventRecord) -> BranchingStructure:
     empty = np.array([], dtype=np.int64)
     return BranchingStructure(record, empty, empty, empty,
@@ -154,6 +183,42 @@ class TestHellinger:
         b = e_step(record, pb, floor=1e-12)
         assert_allclose(hellinger_divergence(a, b), brute_hellinger(a, b),
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
+    def test_equals_the_key_intersection_to_the_bit(self, rng, monkeypatch, block):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        ticks = np.sort(rng.integers(0, 12, size=30))  # tie runs
+        record = EventRecord(rng.integers(0, 3, size=30), ticks * 0.5, 3, 7.0)
+        e1 = e_step(record, make_model(rng, n=3, R=1), floor=1e-3)
+        e2 = e_step(record, make_model(rng, n=3, R=2), floor=1e-3)
+        h1, h2 = make_branching(rng, record, R=1), make_branching(rng, record, R=2)
+        pairs = [
+            (e1, e2), (e2, e1), (h1, e2), (h2, e1),      # estimated.R != truth.R
+            (shuffled(rng, h2), h2), (shuffled(rng, e2), shuffled(rng, h2)),
+            (e2, e2), (h1, make_branching(rng, record, R=1)),  # identical supports
+            (all_background(record), h2),                # disjoint supports
+            (only_basis(h1, 0, 2), only_basis(h1, 1, 2)),
+        ]
+        for a, b in pairs:
+            assert hellinger_divergence(a, b) == intersect_hellinger(a, b)
+        assert hellinger_divergence(shuffled(rng, h2), e2) == hellinger_divergence(h2, e2)
+
+    def test_memory_is_one_block(self, rng, monkeypatch):
+        # two 180k-entry attributions against blocks of 4,096 entries
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        record = make_record(rng, n=3, N=600, T=5.0)
+        a = e_step(record, make_model(rng, n=3, R=1), floor=0.0)
+        b = e_step(record, make_model(rng, n=3, R=2), floor=0.0)
+        tracemalloc.start()
+        try:
+            value = hellinger_divergence(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == intersect_hellinger(a, b)
+        # one intersection over all keys peaks near 540 blocks of float64 here
+        assert a.p.size + b.p.size > 100 * model.PAIR_BLOCK
+        assert peak < 32 * 8 * model.PAIR_BLOCK
 
     def test_mismatched_records_rejected(self, rng):
         ra = make_record(rng, n=2, N=5)

@@ -5,18 +5,26 @@ surrogate objective (conftest.Surrogate), which re-derives the objective
 independently of the package.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hawkesgeo import em, model
 from hawkesgeo.em import (
+    BRANCHING_FLOOR,
     BranchingStructure,
     DegenerateEventError,
     FitConfig,
     FullRankParams,
     GammaPrior,
+    _attribute,
+    _fit_e_step,
+    _initial_frb,
     complete_data_loglik,
     e_step,
     fit,
@@ -35,6 +43,8 @@ from hawkesgeo.model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
+    _pair_blocks,
+    _pair_response,
     compensator,
     log_likelihood,
     response,
@@ -181,6 +191,213 @@ class TestAttributionOracle:
     @given(small_problems())
     def test_property_matches_oracle(self, problem):
         assert_matches_oracle(*problem)
+
+
+def unblocked_attribution(record, params, floor):
+    """The attribution from one ``_pair_response`` over all of ``pair_indices``,
+    as a single block: the reference the blocked ``e_step`` must equal."""
+    H, lam, pairs = _pair_response(record, params)
+    r, e, p, p_bg = _attribute(record, params, H, lam, pairs, floor)
+    return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p, p_bg, H.shape[0])
+
+
+BRANCHING_FIELDS = ("i_idx", "j_idx", "r_idx", "p", "p_background")
+
+
+def assert_same_branching(got, want):
+    """All five arrays equal to the bit, dtypes included."""
+    assert got.R == want.R
+    for name in BRANCHING_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def param_arrays(q):
+    if isinstance(q, FullRankParams):
+        return q.phi, q.kappa, q.w, q.mu
+    return (q.embedding.reception, q.embedding.influence, q.kernels.beta_sq, q.kernels.kappa,
+            q.kernels.gamma, q.xi, q.mu)
+
+
+def assert_same_params(got, want):
+    assert type(got) is type(want)
+    for a, b in zip(param_arrays(got), param_arrays(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def silent_type_record(rng, n, N):
+    """Tie runs over types ``0..n-3`` only, so two types never occur; the first
+    tie run is all type 0."""
+    times = np.sort(rng.integers(0, N // 2, size=N)) * 0.25
+    types = np.where(times == times[0], 0, rng.integers(0, n - 2, size=N))
+    return EventRecord(types, times, n, times[-1] + 1.0)
+
+
+def blocked_cases(rng):
+    """Records and parameters for the blocked attribution: tie runs that
+    cross block edges, silent and ``mu = 0`` types, R = 2, full-rank
+    parameters and an empty record."""
+    cases = []
+    for R in (1, 2):
+        n = 4
+        cases.append((tied_record(rng, n, N=40), make_model(rng, n, R=R)))
+        cases.append((make_record(rng, n, N=30), random_full_rank(rng, n, R)))
+    # every type but 0 has mu = 0, so only excitation explains the later events
+    params = make_model(rng, 6, R=2)
+    mu = np.where(np.arange(6) == 0, params.mu, 0.0)
+    cases.append((silent_type_record(rng, 6, 36),
+                  ModelParams(params.embedding, params.kernels, params.xi, mu)))
+    cases.append((clustered_record(rng, 3), with_kernels(make_model(rng, 3), kappa=[1.5])))
+    cases.append((EventRecord([], [], 3, 1.0), make_model(rng, 3, R=2)))
+    return cases
+
+
+class TestBlockedAttribution:
+    @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
+    @pytest.mark.parametrize("floor", [0.0, 1e-12, 1e-3])
+    def test_matches_unblocked_pass_and_oracle(self, rng, monkeypatch, block, floor):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        for record, params in blocked_cases(rng):
+            br = e_step(record, params, floor=floor)
+            assert_same_branching(br, unblocked_attribution(record, params, floor))
+            if record.N:
+                assert_matches_oracle(record, params, floor)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_cover_every_pair_once(self, rng, monkeypatch, block):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        record = tied_record(rng, 3, N=40)
+        want = model.pair_indices(record)
+        for cache in (False, True):
+            blocks = list(_pair_blocks(record, cache=cache))
+            assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
+            assert blocks[-1][0].stop == record.N
+            for got, full in zip(zip(*(b[1] for b in blocks)), want):
+                assert np.array_equal(np.concatenate(got), full)
+            for events, (_, j_idx, _), _ in blocks:
+                assert j_idx.size <= block or events.stop - events.start == 1
+                assert np.all((j_idx >= events.start) & (j_idx < events.stop))
+
+    @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
+    def test_degenerate_event_keeps_its_record_index(self, rng, monkeypatch, block):
+        # with no excitation, the first type-1 event (index 9) has zero intensity
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        record = EventRecord([0] * 9 + [1, 0], np.arange(11.0), 2, 12.0)
+        params = make_model(rng, 2)
+        dead = ModelParams(params.embedding,
+                           KernelBank(params.kernels.beta_sq, params.kernels.kappa, [0.0]),
+                           params.xi, np.array([0.3, 0.0]))
+        for run in (lambda: e_step(record, dead),
+                    lambda: fit(record, FitConfig(mode="geo", epochs=2), init=dead)):
+            with pytest.raises(DegenerateEventError) as exc:
+                run()
+            assert exc.value.index == 9
+
+    @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
+    def test_streamed_statistics_are_the_cached_ones(self, rng, monkeypatch, block):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        for record, params in blocked_cases(rng)[:-1]:
+            blocks = list(_pair_blocks(record, cache=True))
+            lam, stats, br = _fit_e_step(record, params, blocks, keep_entries=True)
+            assert np.array_equal(lam, _pair_response(record, params)[1])
+            assert_same_branching(br, e_step(record, params))
+            assert stats.R == br.R
+            for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
+                got, want = getattr(stats, name), getattr(br, name)
+                assert got.shape == want.shape and np.array_equal(got, want), name
+            assert _fit_e_step(record, params, blocks, keep_entries=False)[2] is None
+
+    @given(small_problems(), st.sampled_from([1, 2, 7, model.PAIR_BLOCK]))
+    def test_property_matches_unblocked_pass(self, problem, block):
+        record, params, floor = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "PAIR_BLOCK", block)
+            br = e_step(record, params, floor=floor)
+        assert_same_branching(br, unblocked_attribution(record, params, floor))
+
+    def test_memory_beyond_the_output_is_one_block(self, rng, monkeypatch):
+        # 180k pairs, every one kept at floor 0, against blocks of 4,096
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        record = make_record(rng, 3, N=600, T=5.0)
+        params = make_model(rng, 3)
+        params.amplitudes()
+        tracemalloc.start()
+        try:
+            br = e_step(record, params, floor=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(getattr(br, name).nbytes for name in BRANCHING_FIELDS)
+        # the output fills 175 blocks of float64, which an unblocked pass adds
+        # 225 more to; the blocked pass adds under 3
+        assert out > 150 * 8 * model.PAIR_BLOCK
+        assert peak - out < 32 * 8 * model.PAIR_BLOCK
+
+
+def unblocked_fit(record, config, init=None):
+    """``fit``'s loop on one ``_pair_response`` over all pairs per epoch, with
+    the M-step on the full ``BranchingStructure``: the reference ``fit`` must
+    equal.  Returns ``(curve, params_final, best_epoch, params_best,
+    branching, aborted)``."""
+    if init is not None:
+        params = init
+    elif config.mode == "frb":
+        params = _initial_frb(record, config)
+    else:
+        params = init_params(record, R=config.R, m=config.m, alpha=config.dm_alpha)
+    curve, best, branching, aborted, prev = [], (-np.inf, -1, params), None, None, params
+    for epoch in range(config.epochs):
+        H, lam, pairs = _pair_response(record, params)
+        ll = float(np.sum(np.log(lam)) - compensator(record, params))
+        if not np.isfinite(ll):
+            aborted, params = epoch, prev
+            break
+        curve.append(ll)
+        if ll > best[0]:
+            best = (ll, epoch, params)
+        r, e, p, p_bg = _attribute(record, params, H, lam, pairs, BRANCHING_FLOOR)
+        branching = BranchingStructure(record, pairs[0][e], pairs[1][e], r, p, p_bg, params.R)
+        prev = params
+        try:
+            step = em._m_step_frb if config.mode == "frb" else em._m_step_geometric
+            params = step(record, params, branching, config)
+        except (ValueError, FloatingPointError):
+            aborted, params = epoch, prev
+            break
+    return np.array(curve), params, best[1], best[2], branching, aborted
+
+
+def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None):
+    """``fit`` and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        arm()
+        report = fit(record, config, init=init)
+        arm()
+        curve, final, best_epoch, best, branching, aborted = unblocked_fit(record, config, init)
+    assert np.array_equal(report.curve, curve)
+    assert_same_params(report.params_final, final)
+    assert_same_params(report.params_best, best)
+    assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
+    if branching is None:
+        assert report.branching is None
+    else:
+        assert_same_branching(report.branching, branching)
+    return report
+
+
+def exploding_frb_step(at_call, step=em._m_step_frb):
+    """``_m_step_frb`` whose ``at_call``-th step returns an influence of 1e308:
+    valid parameters whose log-likelihood is infinite."""
+    calls = [0]
+
+    def wrapped(record, params, br, config):
+        calls[0] += 1
+        out = step(record, params, br, config)
+        if calls[0] == at_call:
+            return FullRankParams(np.full_like(out.phi, 1e308), out.kappa, out.w, out.mu)
+        return out
+    return wrapped
 
 
 def per_entry_bound(record, params, br):
@@ -698,6 +915,45 @@ class TestFit:
         for alpha, beta in ((0.0, 0.0), (1.0, -1.0)):
             with pytest.raises(ValueError, match="prior requires"):
                 FitConfig(mode="frb", prior_alpha=alpha, prior_beta=beta)
+
+    @pytest.mark.parametrize("block", [7, model.PAIR_BLOCK])
+    @pytest.mark.parametrize("mode,kwargs", [
+        ("hhg-a", {}),
+        ("hhg-b", {"eps2": 0.1}),
+        ("hhg-dm", {}),
+        ("frb", {"R": 2}),
+        ("geo", {}),
+    ])
+    def test_reproduces_the_unblocked_fit(self, sim_record, monkeypatch, block, mode, kwargs):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        config = FitConfig(mode=mode, epochs=6, **kwargs)
+        init = init_params(sim_record, R=1, m=2) if mode == "geo" else None
+        assert_fit_reproduces_unblocked(sim_record, config, init)
+
+    @pytest.mark.parametrize("block", [7, model.PAIR_BLOCK])
+    def test_reproduces_the_unblocked_fit_on_every_abort_path(self, sim_record, rng,
+                                                              monkeypatch, block):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        tied = tied_record(rng, 4, N=60)
+        # an M-step that leaves the valid regime: the branching is that of the
+        # last finite snapshot
+        report = assert_fit_reproduces_unblocked(
+            sim_record, FitConfig(mode="hhg-a", epochs=6, eps=1e290))
+        assert report.aborted_epoch is not None
+        assert_same_branching(report.branching, e_step(sim_record, report.params_final))
+        # an objective that turns infinite after three M-steps
+        for record in (sim_record, tied):
+            report = assert_fit_reproduces_unblocked(
+                record, FitConfig(mode="frb", epochs=8),
+                arm=lambda: monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3)))
+            assert report.aborted_epoch == 3
+            assert_same_branching(report.branching, e_step(record, report.params_final))
+        # and one infinite from the start: no branching at all
+        init = _initial_frb(sim_record, FitConfig(mode="frb"))
+        init = FullRankParams(np.full_like(init.phi, 1e308), init.kappa, init.w, init.mu)
+        report = assert_fit_reproduces_unblocked(sim_record, FitConfig(mode="frb", epochs=4),
+                                                 init)
+        assert report.aborted_epoch == 0 and report.branching is None
 
     def test_empty_record_rejected(self):
         record = EventRecord([], [], 0, 1.0)

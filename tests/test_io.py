@@ -380,7 +380,46 @@ class TestDiscretize:
         assert discretize_counts(limit, threshold=10.0 * MAX_DISCRETIZED_EVENTS).N == 1
 
 
+def float_lists(size, min_value, max_value=1e300):
+    """Lists of finite floats in a range, subnormals and signed zeros included."""
+    return st.lists(st.floats(min_value, max_value, allow_nan=False, allow_infinity=False),
+                    min_size=size, max_size=size)
+
+
+@st.composite
+def saved_models(draw):
+    """``(params, labels)``: geometric or full-rank, R = 1 or 2, labels or none."""
+    n, R = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    mu = draw(float_lists(n, 0.0))
+    kappa = draw(float_lists(R, 5e-324))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        X, Y = (np.reshape(draw(float_lists(n * m, -1e300)), (n, m)) for _ in range(2))
+        params = ModelParams(EmbeddingPair(X, Y),
+                             KernelBank(draw(float_lists(R, 5e-324)), kappa,
+                                        draw(float_lists(R, 0.0))),
+                             draw(float_lists(n, 0.0)), mu)
+    else:
+        w0 = draw(st.floats(0.0, 1.0)) if R == 2 else 1.0
+        params = FullRankParams(np.reshape(draw(float_lists(n * n, 0.0)), (n, n)), kappa,
+                                [w0, 1.0 - w0][:R], mu)
+    labels = draw(st.none() | st.lists(st.text(max_size=5), min_size=n, max_size=n,
+                                       unique=True))
+    return params, labels
+
+
 class TestModelDocuments:
+    @given(saved_models())
+    def test_save_load_save_is_byte_stable(self, tmp_path_factory, model_and_labels):
+        params, labels = model_and_labels
+        first = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(params, first, labels=labels)
+        back, back_labels = load_model(first, with_labels=True)
+        second = first.with_name("again.json")
+        save_model(back, second, labels=back_labels)
+        assert second.read_bytes() == first.read_bytes()
+        assert pickle.dumps(back) == pickle.dumps(params)
+
     def test_round_trip_is_exact(self, tmp_path, rng):
         params = make_model(rng, n=4, m=3, R=2)
         path = tmp_path / "model.json"

@@ -6,14 +6,16 @@ quadrature reimplementation in conftest.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hawkesgeo import model
+from hawkesgeo.diagnostics import categorical_accuracy
 from hawkesgeo.em import FullRankParams
 from hawkesgeo.geometry import _gaussian_terms
 from hawkesgeo.io import reorder_to_labels
@@ -25,6 +27,8 @@ from hawkesgeo.model import (
     NumericsWarning,
     _pair_response,
     _rates,
+    _realized_rates,
+    _scored_events,
     compensator,
     horizon_past,
     influence_matrix,
@@ -288,13 +292,47 @@ class TestIntensity:
         record = make_record(rng, 3, N=200_000, T=1e4)
         params = make_model(rng, 3, R=2)
         params.amplitudes()
-        tracemalloc.start()
-        try:
-            table = intensities_at(record, params, record.times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                out = run()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        table, peak = peak_of(lambda: intensities_at(record, params, record.times))
         assert peak < 3 * table.nbytes
+        # the log-likelihood reads each block's realized entries, so it stays
+        # under the table it no longer builds
+        _, peak = peak_of(lambda: log_likelihood(record, params))
+        assert peak < table.nbytes
+
+    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK])
+    def test_realized_rates_are_the_tables_to_the_bit(self, rng, monkeypatch, block):
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        cases = scan_cases(rng) + [(make_record(rng, 100, N=3000, T=50.0),
+                                    make_model(rng, 100, R=2))]
+        for record, params in cases:
+            for window in [(0.0, record.horizon), (record.horizon / 3, record.horizon),
+                           (record.times[record.N // 2] if record.N else 0.0, record.horizon)]:
+                events = _scored_events(record, window)
+                scored = (record.times >= window[0]) & (record.times < window[1])
+                assert np.array_equal(record.times[events], record.times[scored])
+                table = intensities_at(record, params, record.times[events])
+                lam, total = _realized_rates(record, params, events, totals=True)
+                assert np.array_equal(lam, table[np.arange(lam.size), record.types[events]])
+                assert np.array_equal(total, table.sum(axis=1))
+                assert np.array_equal(_realized_rates(record, params, events)[0], lam)
+                if lam.size:
+                    # mu = 0 rows share 0 / 0, and a window at 0 has no naive history
+                    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                        warnings.simplefilter("ignore", NumericsWarning)
+                        shares = table[np.arange(lam.size), record.types[events]] / \
+                            table.sum(axis=1)
+                        want = 0.0 if np.any(shares <= 0.0) else np.exp(np.mean(np.log(shares)))
+                        got = categorical_accuracy(record, params, window)[0]
+                    assert_array_equal(got, want)
 
     def test_events_excluded_at_their_own_time(self, rng):
         # evaluation at an event time sees only strictly earlier events
