@@ -19,9 +19,9 @@ import numpy as np
 
 from hawkesgeo import (
     FitConfig,
+    background_probabilities,
     background_qq,
     categorical_accuracy,
-    e_step,
     fit,
     sample_ground_truth,
     simulate_thinning,
@@ -39,13 +39,12 @@ def main():
 
     report = fit(record, FitConfig(mode="hhg-b", epochs=300, eps2=0.1))
     params = report.params_best
-    branching = e_step(record, params)
-    share = float(np.mean(branching.p_background))
+    share = float(np.mean(background_probabilities(record, params)))
     print(f"fitted background rate {params.mu.sum():.3f} "
           f"(truth {truth.params.mu.sum():.3f}), "
           f"mean background attribution {share:.2f}")
 
-    qq = background_qq(record, params, branching, seed=33)
+    qq = background_qq(record, params, seed=33)
     gaps = np.abs(qq[:, 0] - qq[:, 1]) * params.mu.sum()
     count = qq.shape[0]
     critical = 1.3581 / np.sqrt(count)

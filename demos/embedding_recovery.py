@@ -19,10 +19,8 @@ import numpy as np
 from hawkesgeo import (
     EvalSplit,
     FitConfig,
-    e_step,
+    attribution_hellinger,
     fit,
-    ground_truth_branching,
-    hellinger_divergence,
     influence_matrix,
     kendall_distance_correlation,
     phi_rmse,
@@ -52,8 +50,7 @@ def main():
           f"best epoch {report.best_epoch}")
 
     tau = kendall_distance_correlation(params.embedding, truth.params.embedding)
-    div = hellinger_divergence(e_step(train, params),
-                               ground_truth_branching(train, truth))
+    div = attribution_hellinger(train, params, truth.params)
     rmse = phi_rmse(influence_matrix(params), influence_matrix(truth.params))
     tr, te = split_eval(record, params, EvalSplit(t_split))
     print(f"dyad-distance rank correlation (Kendall tau): {tau:+.3f}")

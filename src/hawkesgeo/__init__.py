@@ -10,6 +10,8 @@ diagnostics.
 
 from .diagnostics import (
     EvalSplit,
+    attribution_hellinger,
+    background_probabilities,
     background_qq,
     categorical_accuracy,
     hellinger_divergence,
@@ -84,6 +86,8 @@ __all__ = [
     "ModelParams",
     "NumericalError",
     "NumericsWarning",
+    "attribution_hellinger",
+    "background_probabilities",
     "background_qq",
     "categorical_accuracy",
     "compensator",

@@ -17,16 +17,16 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .diagnostics import EvalSplit, background_qq, categorical_accuracy, \
-    hellinger_divergence, kendall_distance_correlation, phi_rmse, split_eval
-from .em import MODES, FitConfig, NumericalError, e_step, fit
+from .diagnostics import EvalSplit, attribution_hellinger, background_qq, \
+    categorical_accuracy, kendall_distance_correlation, phi_rmse, split_eval
+from .em import MODES, FitConfig, NumericalError, fit
 from .io import SCHEMA_VERSION, DataFormatError, check_writable, discretize_counts, \
     load_counts_csv, load_embedding_csv, load_events_csv, load_model, \
     load_report, read_json, reorder_to_labels, save_events_csv, save_model, \
     save_report, write_curve_csv, write_embedding_csv, write_json, \
     write_qq_csv
 from .model import EmbeddingPair, ModelParams, influence_matrix
-from .simulate import ground_truth_branching, sample_ground_truth, simulate_thinning
+from .simulate import sample_ground_truth, simulate_thinning
 from .spectral import init_params
 
 
@@ -342,14 +342,12 @@ def _cmd_diagnose(args) -> int:
     accuracy, accuracy_naive = categorical_accuracy(record, params, window)
     doc["accuracy"] = _opt_float(accuracy)
     doc["accuracy_naive"] = _opt_float(accuracy_naive)
-    branching = e_step(record, params)
-    qq_points = background_qq(record, params, branching, seed=args.seed)
+    qq_points = background_qq(record, params, seed=args.seed)
     doc["qq_points"] = [] if qq_points is None else qq_points.tolist()
 
     if args.truth_model is not None:
         truth = _load_aligned_model(args.truth_model, record)
-        doc["hellinger"] = _opt_float(hellinger_divergence(
-            branching, ground_truth_branching(record, truth)))
+        doc["hellinger"] = _opt_float(attribution_hellinger(record, params, truth))
         doc["phi_rmse"] = _opt_float(phi_rmse(influence_matrix(params),
                                               influence_matrix(truth)))
         if isinstance(params, ModelParams) and isinstance(truth, ModelParams):

@@ -10,12 +10,14 @@ from scipy.spatial.distance import cdist
 from scipy.stats import kendalltau
 
 from . import model
-from .em import BranchingStructure
+from .em import BranchingStructure, _require_positive
 from .model import (
     EmbeddingPair,
     EventRecord,
     NumericsWarning,
+    _decayed_counts,
     _event_blocks,
+    _rates,
     _realized_rates,
     _scored_events,
     log_likelihood,
@@ -113,18 +115,71 @@ def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructur
     return float(h.mean())
 
 
-def background_qq(record: EventRecord, params, branching: BranchingStructure,
+def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
+    """Mean per-event Hellinger distance between the attributions of a record
+    under two parameter sets, built from decayed counts instead of event pairs.
+
+    Under one set, event ``j`` of type ``k`` is background with probability
+    ``mu[k] / lam_j`` and triggered by ``i`` through basis ``r`` with
+    ``kappa_r A_r[k, k_i] exp(-kappa_r (t_j - t_i)) / lam_j``.  Over the common
+    bases ``r < min(R, R')`` each event's Bhattacharyya sum is therefore
+    ``(sqrt(mu mu')[k] + sum_r sum_l sqrt(kappa_r kappa'_r A_r A'_r)[k, l]
+    S_rl(t_j)) / sqrt(lam_j lam'_j)``, with ``S`` the counts decayed at the mean
+    clock ``(kappa_r + kappa'_r) / 2``.  One ``_decayed_counts`` scan over both
+    sets' clocks and their means yields ``lam``, ``lam'`` and that sum, in
+    ``O(N n R + N n^2 R)`` time.  Equals, up to rounding,
+    ``hellinger_divergence`` of the two unfloored ``e_step`` attributions; an
+    event with zero intensity under either set raises ``DegenerateEventError``.
+    """
+    if record.N == 0:
+        raise ValueError("empty record")
+    if not estimated.n == truth.n == record.n:
+        raise ValueError("parameter sets must cover the record's types")
+    Ra, Rb, c = estimated.R, truth.R, min(estimated.R, truth.R)
+    ka, kb = estimated.kappa, truth.kappa
+    Aa, Ab = estimated.amplitudes(), truth.amplitudes()
+    A_bar = np.sqrt((ka[:c] * kb[:c])[:, None, None] * Aa[:c] * Ab[:c])
+    clocks = np.concatenate([ka, kb, 0.5 * (ka[:c] + kb[:c])])
+    types = record.types
+    lam_a, lam_b, common = estimated.mu[types], truth.mu[types], np.zeros(record.N)
+    for rows, S in _decayed_counts(record, clocks, record.times):
+        realized = (np.arange(S.shape[0]), types[rows])
+        lam_a[rows] = _rates(estimated.mu, ka, Aa, S[:, :Ra])[realized]
+        lam_b[rows] = _rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb])[realized]
+        common[rows] = _rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:])[realized]
+    _require_positive(lam_a)
+    _require_positive(lam_b)
+    # the background term as the pairwise divergence forms it, exactly 1 for
+    # an event that nothing precedes under both sets
+    bc = np.sqrt(estimated.mu[types] / lam_a * (truth.mu[types] / lam_b))
+    bc += common / (np.sqrt(lam_a) * np.sqrt(lam_b))
+    return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
+
+
+def background_probabilities(record: EventRecord, params) -> np.ndarray:
+    """Each event's probability of being background, ``mu[k_j] / lam_j``, from
+    the decayed-count scan; an event with zero intensity raises
+    ``DegenerateEventError``, as in ``e_step``."""
+    lam, _ = _realized_rates(record, params, slice(None))
+    _require_positive(lam)
+    return params.mu[record.types] / lam
+
+
+def background_qq(record: EventRecord, params, branching: BranchingStructure | None = None,
                   seed: int = 0):
     """QQ pairs for the interarrivals of a sampled background subset.
 
-    Each event joins the subset with its background probability; the subset's
-    interarrivals are matched against exponential quantiles at the total
-    background rate, with plotting positions (i - 1/2) / count.  Returns an
-    array of (empirical, theoretical) rows, or None when the subset has fewer
-    than two events.
+    Each event joins the subset with its background probability, read off
+    ``branching`` when given and from ``background_probabilities`` otherwise;
+    the subset's interarrivals are matched against exponential quantiles at
+    the total background rate, with plotting positions (i - 1/2) / count.
+    Returns an array of (empirical, theoretical) rows, or None when the subset
+    has fewer than two events.
     """
+    p_background = (background_probabilities(record, params) if branching is None
+                    else branching.p_background)
     rng = np.random.default_rng(seed)
-    pick = rng.random(record.N) < branching.p_background
+    pick = rng.random(record.N) < p_background
     sub = record.times[pick]
     if sub.size < 2:
         warnings.warn("background subset smaller than two events; no QQ points",

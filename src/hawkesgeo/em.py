@@ -263,14 +263,20 @@ class FitReport:
 # E-step
 
 
+def _require_positive(lam, start=0) -> None:
+    """Raise ``DegenerateEventError`` for the first event with zero intensity
+    among the intensities ``lam`` of events ``start``, ``start + 1``, ..."""
+    if np.any(lam <= 0.0):
+        raise DegenerateEventError(start + int(np.argmax(lam <= 0.0)))
+
+
 def _responses(record, params, blocks):
     """``_pair_response`` over each of ``_pair_blocks``' blocks in turn: yields
     ``(events, H, lam, pairs, dyad)``.  An event with zero intensity raises
     ``DegenerateEventError`` with its index in the record."""
     for events, pairs, dyad in blocks:
         H, lam, _ = _pair_response(record, params, pairs, dyad, events)
-        if np.any(lam <= 0.0):
-            raise DegenerateEventError(events.start + int(np.argmax(lam <= 0.0)))
+        _require_positive(lam, events.start)
         yield events, H, lam, pairs, dyad
 
 

@@ -5,11 +5,14 @@ quadrature, finite differences) instead of calling back into the package, so
 a bug in the library cannot hide behind itself.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.optimize import brentq
 
+from hawkesgeo import model
 from hawkesgeo.em import BranchingStructure, FullRankParams
 from hawkesgeo.model import EmbeddingPair, EventRecord, KernelBank, ModelParams
 
@@ -234,3 +237,18 @@ def argmax_scalar(fn, lo, hi):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_pairs(monkeypatch):
+    """Make the event-pair builders raise wherever the package holds them, so
+    a test passes only if the code it runs builds no pairs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("event pairs were built")
+
+    for builder in (model._earlier_pairs, model.pair_indices):
+        for name, module in list(sys.modules.items()):
+            if name == "hawkesgeo" or name.startswith("hawkesgeo."):
+                for key, value in list(vars(module).items()):
+                    if value is builder:
+                        monkeypatch.setattr(module, key, refuse)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
-from hawkesgeo.em import FitConfig
+from hawkesgeo.diagnostics import background_qq
+from hawkesgeo.em import FitConfig, e_step
 from hawkesgeo.io import (
     load_events_csv,
     load_model,
@@ -438,6 +439,53 @@ class TestDiagnose:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kendall_tau"] is None
         assert any(note.startswith("kendall_tau is null") for note in doc["notes"])
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_builds_no_event_pairs(self, workdir, capsys, no_pairs, with_truth):
+        truth = ["--truth-model", str(workdir / "truth.json")] if with_truth else []
+        assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
+                             "--model", str(workdir / "model.json"), *truth]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["hellinger"] is not None) == with_truth
+        # the fixture does catch the pairwise attribution
+        with pytest.raises(AssertionError, match="pairs were built"):
+            e_step(load_events_csv(workdir / "events.csv"), load_model(workdir / "model.json"))
+
+    def test_qq_points_are_the_attributions(self, workdir, capsys):
+        record = load_events_csv(workdir / "events.csv")
+        params = load_model(workdir / "model.json")
+        for seed in (0, 5):
+            assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
+                                 "--model", str(workdir / "model.json"),
+                                 "--seed", str(seed)]) == 0
+            points = json.loads(capsys.readouterr().out)["qq_points"]
+            expected = background_qq(record, params, e_step(record, params), seed=seed)
+            assert len(points) > 2
+            assert np.array_equal(np.asarray(points), expected)
+
+    @pytest.mark.parametrize("dead_model, dead_truth", [(True, None), (True, False),
+                                                        (False, True)])
+    def test_zero_intensity_exits_3(self, workdir, tmp_path, capsys, dead_model,
+                                    dead_truth):
+        # no background on the first event's type leaves it with zero intensity
+        record = load_events_csv(workdir / "events.csv")
+
+        def model_path(source, dead):
+            if not dead:
+                return str(workdir / source)
+            params, labels = load_model(workdir / source, with_labels=True)
+            mu = params.mu.copy()
+            mu[labels.index(record.labels[record.types[0]])] = 0.0
+            save_model(ModelParams(params.embedding, params.kernels, params.xi, mu),
+                       tmp_path / f"dead_{source}", labels=labels)
+            return str(tmp_path / f"dead_{source}")
+
+        args = ["diagnose", "--events", str(workdir / "events.csv"),
+                "--model", model_path("model.json", dead_model)]
+        if dead_truth is not None:
+            args += ["--truth-model", model_path("truth.json", dead_truth)]
+        assert cli_dispatch(args) == 3
+        assert "zero intensity" in capsys.readouterr().err
 
 
 class TestDiscretize:

@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkesgeo import model
 from hawkesgeo.diagnostics import (
     EvalSplit,
+    attribution_hellinger,
+    background_probabilities,
     background_qq,
     categorical_accuracy,
     hellinger_divergence,
@@ -16,7 +20,7 @@ from hawkesgeo.diagnostics import (
     phi_rmse,
     split_eval,
 )
-from hawkesgeo.em import BranchingStructure, e_step
+from hawkesgeo.em import BranchingStructure, DegenerateEventError, FullRankParams, e_step
 from hawkesgeo.model import (
     EmbeddingPair,
     EventRecord,
@@ -101,8 +105,9 @@ def brute_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
     return float(out.mean())
 
 
-def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
-    """The divergence as one ``np.intersect1d`` over every ``(j, i, r)`` key."""
+def event_distances(a: BranchingStructure, b: BranchingStructure) -> np.ndarray:
+    """Each event's Hellinger distance, from one ``np.intersect1d`` over every
+    ``(j, i, r)`` key."""
     N, R = a.record.N, max(a.R, b.R)
 
     def keys(x):
@@ -112,7 +117,12 @@ def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
     bc = np.sqrt(a.p_background * b.p_background)
     if common.size:
         bc += np.bincount(common // (N * R), weights=np.sqrt(a.p[ia] * b.p[ib]), minlength=N)
-    return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
+    return np.sqrt(np.maximum(0.0, 1.0 - bc))
+
+
+def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
+    """The divergence as one ``np.intersect1d`` over every ``(j, i, r)`` key."""
+    return float(event_distances(a, b).mean())
 
 
 def shuffled(rng, b: BranchingStructure) -> BranchingStructure:
@@ -227,6 +237,122 @@ class TestHellinger:
             hellinger_divergence(all_background(ra), all_background(rb))
 
 
+def with_mu(params, mu):
+    return ModelParams(params.embedding, params.kernels, params.xi, np.asarray(mu, float))
+
+
+def assert_matches_pairwise(record, a, b):
+    """The pair-free divergence against ``hellinger_divergence`` of the two
+    ``e_step`` attributions: unfloored to 1e-12, at the default floor to 1e-6."""
+    value = attribution_hellinger(record, a, b)
+    unfloored = hellinger_divergence(e_step(record, a, floor=0.0), e_step(record, b, floor=0.0))
+    assert_allclose(value, unfloored, rtol=1e-12)
+    assert_allclose(value, hellinger_divergence(e_step(record, a), e_step(record, b)),
+                    rtol=1e-6)
+
+
+@st.composite
+def hellinger_problems(draw):
+    """A record with tie runs and silent types, and two models of 1 or 2 bases."""
+    n = draw(st.integers(1, 4))
+    ticks = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=16)))
+    types = draw(st.lists(st.integers(0, max(n - 2, 0)), min_size=len(ticks),
+                          max_size=len(ticks)))
+    record = EventRecord(types, np.array(ticks, dtype=np.float64) * 0.5, n,
+                         ticks[-1] * 0.5 + 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return record, make_model(rng, n, R=draw(st.integers(1, 2))), \
+        make_model(rng, n, R=draw(st.integers(1, 2)))
+
+
+class TestAttributionHellinger:
+    @pytest.mark.parametrize("block", [2, 7, model.SCAN_BLOCK])
+    def test_tie_runs_across_scan_chunks(self, rng, monkeypatch, block):
+        # chunks of 2 and 7 events end inside the runs of tied times
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        ticks = np.sort(rng.integers(0, 15, size=40))
+        record = EventRecord(rng.integers(0, 3, size=40), ticks * 0.5, 3, 8.0)
+        assert np.any(np.diff(record.times) == 0.0)
+        assert_matches_pairwise(record, make_model(rng, 3, R=2), make_model(rng, 3, R=2))
+
+    def test_silent_types_and_zero_background_rates(self, rng):
+        # types 3 and 4 never occur; type 1 occurs with no background rate,
+        # so its events are triggered with certainty under both models
+        record = make_record(rng, n=5, N=40, T=10.0)
+        types = np.where(record.types > 2, 0, record.types)
+        types[0] = 0
+        record = EventRecord(types, record.times, 5, record.horizon)
+        a = with_mu(make_model(rng, 5, R=2), [0.3, 0.0, 0.2, 0.1, 0.0])
+        b = with_mu(make_model(rng, 5, R=1), [0.2, 0.0, 0.4, 0.0, 0.3])
+        assert np.any(record.types == 1)
+        assert_matches_pairwise(record, a, b)
+
+    def test_record_far_beyond_the_exp_range(self, rng):
+        # kappa * T reaches 6,000: exp(kappa t) overflows without the scan's chunks
+        times = np.sort(np.concatenate([c + rng.uniform(0.0, 3.0, size=8)
+                                        for c in (0.0, 9.0, 600.0, 1500.0, 1995.0)]))
+        record = EventRecord(rng.integers(0, 3, size=times.size), times, 3, 2000.0)
+        a, b = make_model(rng, 3, R=2), make_model(rng, 3, R=1)
+        assert (a.kappa.max() * record.horizon) > 700.0
+        assert_matches_pairwise(record, a, b)
+
+    @pytest.mark.parametrize("Ra, Rb", [(1, 2), (2, 1)])
+    def test_unequal_basis_counts(self, rng, Ra, Rb):
+        record = make_record(rng, n=3, N=40, T=10.0)
+        assert_matches_pairwise(record, make_model(rng, 3, R=Ra), make_model(rng, 3, R=Rb))
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_full_rank_against_geometric(self, rng, R):
+        record = make_record(rng, n=4, N=40, T=10.0)
+        frb = FullRankParams(rng.uniform(0.0, 0.3, size=(4, 4)), rng.uniform(0.3, 3.0, size=R),
+                             np.full(R, 1.0 / R), rng.uniform(0.05, 0.5, size=4))
+        geo = make_model(rng, 4, R=2)
+        assert_matches_pairwise(record, frb, geo)
+        assert_matches_pairwise(record, geo, frb)
+
+    def test_symmetric_and_zero_on_identical_parameters(self, rng):
+        record = make_record(rng, n=3, N=50, T=10.0)
+        a, b = make_model(rng, 3, R=2), make_model(rng, 3, R=1)
+        assert_allclose(attribution_hellinger(record, a, b),
+                        attribution_hellinger(record, b, a), rtol=1e-14)
+        # as for the pairwise divergence, rounding puts BC at 1 +- eps
+        assert attribution_hellinger(record, a, a) < 1e-7
+
+    @given(hellinger_problems())
+    def test_property_matches_pairwise(self, problem):
+        # Where event j's two attributions nearly agree, 1 - BC_j sits a few
+        # ulps from zero, and rounding BC_j by those ulps moves the distance
+        # H_j = sqrt(1 - BC_j) by eps / (2 H_j), at most sqrt(eps): the
+        # pairwise sum carries that error too, so the mean is held to it.
+        record, a, b = problem
+        h = event_distances(e_step(record, a, floor=0.0), e_step(record, b, floor=0.0))
+        eps = 8 * np.finfo(np.float64).eps
+        assert_allclose(attribution_hellinger(record, a, b), h.mean(), rtol=1e-12,
+                        atol=np.mean(eps / np.maximum(2.0 * h, np.sqrt(eps))))
+
+    def test_empty_record_rejected(self, rng):
+        params = make_model(rng, 2)
+        with pytest.raises(ValueError, match="empty record"):
+            attribution_hellinger(EventRecord([], [], 2, 1.0), params, params)
+
+    def test_type_count_mismatch_rejected(self, rng):
+        record = make_record(rng, n=2, N=5)
+        with pytest.raises(ValueError, match="record's types"):
+            attribution_hellinger(record, make_model(rng, 2), make_model(rng, 3))
+
+    @pytest.mark.parametrize("dead_side", [0, 1])
+    def test_zero_intensity_raises_like_e_step(self, rng, dead_side):
+        record = make_record(rng, n=2, N=10)
+        live = make_model(rng, 2)
+        dead = with_mu(live, np.where(np.arange(2) == record.types[0], 0.0, 0.4))
+        sides = (dead, live) if dead_side == 0 else (live, dead)
+        with pytest.raises(DegenerateEventError) as exc:
+            attribution_hellinger(record, *sides)
+        assert exc.value.index == 0
+        with pytest.raises(DegenerateEventError):
+            e_step(record, dead)
+
+
 class TestBackgroundQQ:
     def test_full_background_subset_is_exact(self, rng):
         record = make_record(rng, n=2, N=30, T=10.0)
@@ -278,6 +404,34 @@ class TestBackgroundQQ:
                              np.zeros(2))
         with pytest.raises(ValueError, match="background rate"):
             background_qq(record, zeroed, all_background(record), seed=0)
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_probabilities_are_the_attributions(self, rng, monkeypatch, R):
+        monkeypatch.setattr(model, "SCAN_BLOCK", 7)
+        ticks = np.sort(rng.integers(0, 30, size=60))  # tie runs across chunks
+        record = EventRecord(rng.integers(0, 3, size=60), ticks * 0.5, 3, 16.0)
+        params = make_model(rng, 3, R=R)
+        assert_allclose(background_probabilities(record, params),
+                        e_step(record, params, floor=0.0).p_background, rtol=1e-12)
+
+    def test_without_branching_matches_the_attribution(self):
+        truth = sample_ground_truth(n=5, m=2, R=1, seed=31)
+        record = simulate_thinning(truth, seed=32, target_events=300)
+        params = sample_ground_truth(n=5, m=2, R=2, seed=33).params
+        for p in (truth.params, params):
+            for seed in range(3):
+                assert np.array_equal(background_qq(record, p, seed=seed),
+                                      background_qq(record, p, e_step(record, p), seed=seed))
+
+    def test_zero_intensity_raises_like_e_step(self, rng):
+        record = make_record(rng, n=2, N=10, T=5.0)
+        params = make_model(rng, n=2)
+        dead = with_mu(params, np.where(np.arange(2) == record.types[0], 0.0, 0.3))
+        for call in (lambda: background_qq(record, dead, seed=0),
+                     lambda: e_step(record, dead)):
+            with pytest.raises(DegenerateEventError) as exc:
+                call()
+            assert exc.value.index == 0
 
 
 class TestCategoricalAccuracy:
