@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -139,7 +140,7 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
                 t = float(row[1])
             except ValueError:
                 raise DataFormatError(f"line {lineno}: unparseable time {row[1]!r}") from None
-            if not np.isfinite(t) or t < 0.0:
+            if not math.isfinite(t) or t < 0.0:
                 raise DataFormatError(f"line {lineno}: time must be finite and nonnegative")
             if label not in ids:
                 ids[label] = len(labels)
@@ -166,9 +167,9 @@ def save_events_csv(record: EventRecord, path) -> None:
     with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(["type", "time"])
-        for k, t in zip(record.types, record.times):
-            label = record.labels[k] if record.labels else str(int(k))
-            writer.writerow([label, repr(float(t))])
+        names = record.labels or [str(k) for k in range(record.n)]
+        writer.writerows(zip(map(names.__getitem__, record.types.tolist()),
+                             map(repr, record.times.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,9 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     while still at zero), and an event fires at each exact crossing of the
     levels ``threshold, 2*threshold, ...``.  Locations never reaching the
     threshold contribute no events (with a warning).  More than
-    ``MAX_DISCRETIZED_EVENTS`` crossings raise ``ValueError``.
+    ``MAX_DISCRETIZED_EVENTS`` crossings, or a count of ``2**53`` thresholds
+    or more (where adjacent levels round to the same float), raise
+    ``ValueError``.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -254,34 +257,34 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     if not crossings <= MAX_DISCRETIZED_EVENTS:
         raise ValueError(f"threshold {threshold:g} gives {crossings:.4g} events, over the "
                          f"limit of {MAX_DISCRETIZED_EVENTS:.0e}; use a larger threshold")
-    ev_types: list[int] = []
-    ev_times: list[float] = []
+    for lab, c in zip(series.labels, series.cumulative):
+        if float(c[-1]) // threshold >= 2.0**53:
+            raise ValueError(f"location {lab}: count {c[-1]:g} is 2^53 or more thresholds of "
+                             f"{threshold:g}, where levels cannot be told apart; use a "
+                             "larger threshold")
+    ev_times: list[np.ndarray] = []
     for loc, (days, cum) in enumerate(zip(series.days, series.cumulative)):
-        q = int(cum[0] // threshold) + 1
-        emitted = 0
-        for s in range(days.size - 1):
-            d0, d1 = days[s], days[s + 1]
-            c0, c1 = cum[s], cum[s + 1]
-            while q * threshold <= c1:
-                level = q * threshold
-                if level <= c0:
-                    q += 1
-                    continue
-                if c0 > 0.0:
-                    frac = (np.log(level) - np.log(c0)) / (np.log(c1) - np.log(c0))
-                else:
-                    frac = (level - c0) / (c1 - c0)
-                ev_types.append(loc)
-                ev_times.append(float(d0 + (d1 - d0) * frac))
-                emitted += 1
-                q += 1
-        if emitted == 0:
+        # level q * threshold fires in the first segment s with cum[s] < level <= cum[s + 1];
+        # q runs two past the last floor quotient, so no rounding drops a level
+        q0 = int(cum[0] // threshold) + 1
+        levels = (q0 + np.arange(max(int(cum[-1] // threshold) + 3 - q0, 0))) * threshold
+        levels = levels[(levels > cum[0]) & (levels <= cum[-1])]
+        s = np.searchsorted(cum, levels, side="left") - 1
+        c0, c1 = cum[s], cum[s + 1]
+        frac = np.empty(levels.size)
+        grown = c0 > 0.0
+        frac[grown] = ((np.log(levels[grown]) - np.log(c0[grown]))
+                       / (np.log(c1[grown]) - np.log(c0[grown])))
+        zero = ~grown
+        frac[zero] = (levels[zero] - c0[zero]) / (c1[zero] - c0[zero])
+        ev_times.append(days[s] + (days[s + 1] - days[s]) * frac)
+        if levels.size == 0:
             warnings.warn(
                 f"location {series.labels[loc]} never crosses the threshold; no events",
                 NumericsWarning)
 
-    types_arr = np.asarray(ev_types, dtype=np.int64)
-    times_arr = np.asarray(ev_times, dtype=np.float64)
+    types_arr = np.repeat(np.arange(len(ev_times), dtype=np.int64), [t.size for t in ev_times])
+    times_arr = np.concatenate(ev_times)
     order = np.argsort(times_arr, kind="stable")
     types_arr, times_arr = types_arr[order], times_arr[order]
     horizon = float(max(d[-1] for d in series.days))

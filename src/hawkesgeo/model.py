@@ -348,8 +348,8 @@ def _rates(mu, kappa, A, S) -> np.ndarray:
     """Intensity of every type, ``mu + sum_r kappa_r A_r S_r``, from the counts
     ``S[..., r, l]`` of past type-``l`` events decayed by the basis-``r`` clock;
     ``q`` leading query states cost one ``O(q n^2 R)`` product per basis."""
-    lam = np.tile(mu, S.shape[:-2] + (1,))
-    for r in range(A.shape[0]):
+    lam = mu + kappa[0] * (S[..., 0, :] @ A[0].T)
+    for r in range(1, A.shape[0]):
         lam += kappa[r] * (S[..., r, :] @ A[r].T)
     return lam
 

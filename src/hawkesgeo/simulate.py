@@ -62,11 +62,17 @@ def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
     (whichever first; at least one must be given).  In target mode the record
     horizon is placed just past the last event.  Per proposal the draws are:
     waiting time, acceptance, then (if accepted) the type.  An intensity above
-    the bound at any proposal raises ``NumericalError``.
+    the bound at any proposal raises ``NumericalError``.  A horizon that is not
+    positive and finite, or a negative ``target_events``, raises ``ValueError``
+    before any draw.
     """
     params = truth.params if isinstance(truth, GroundTruth) else truth
     if T is None and target_events is None:
         raise ValueError("give a horizon T or a target event count")
+    if T is not None and not (0.0 < T < np.inf):
+        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+    if target_events is not None and not target_events >= 0:
+        raise ValueError(f"target_events must be at least 0, got {target_events!r}")
     if target_events is not None and target_events > event_cap:
         raise ValueError("target_events exceeds event_cap")
     A = params.amplitudes()
@@ -77,40 +83,45 @@ def simulate_thinning(truth, T: float | None = None, seed: int = 0, *,
     acol = A.sum(axis=1)  # (R, n) mass emitted per occurrence of each type
     if target_events is not None and mu_total <= 0.0:
         raise NumericalError("cannot reach a target event count with zero background rate")
+    # the rise of the bound at a type-k event, each summed over its own column:
+    # an axis-0 sum may round differently
+    jump = [float(np.sum(kappa * acol[:, k])) for k in range(n)]
+    decay_rate = -kappa[:, None]
+    stop_after = np.inf if target_events is None else target_events
+    stop_at = np.inf if T is None else float(T)
 
     rng = np.random.default_rng(seed)
+    exponential, uniform = rng.exponential, rng.random
     S = np.zeros((R, n))
+    S_flat = S.reshape(-1)  # a view: S_flat[r * n + k] is S[r, k]
     t = 0.0
     lam_bar = mu_total
     ev_types: list[int] = []
     ev_times: list[float] = []
+    N = 0
 
-    while True:
-        if target_events is not None and len(ev_times) >= target_events:
-            break
+    while N < stop_after:
         if lam_bar <= 0.0:
             break  # dead process: no background and no remaining excitation
-        w = rng.exponential(1.0 / lam_bar)
+        w = exponential(1.0 / lam_bar)
         t_new = t + w
-        if T is not None and t_new >= T:
+        if t_new >= stop_at:
             break
-        decay = np.exp(-kappa * w)
-        S *= decay[:, None]
+        S *= np.exp(decay_rate * w)
         tot = mu_total + float(np.einsum("r,rl,rl->", kappa, acol, S))
         if tot > lam_bar * (1.0 + 1e-9):
             raise NumericalError(f"intensity {tot:.6g} over the thinning bound {lam_bar:.6g}")
         t = t_new
-        u = rng.random()
-        if u * lam_bar <= tot:
-            cum = np.cumsum(_rates(mu, kappa, A, S))
-            k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            k = min(k, n - 1)
+        if uniform() * lam_bar <= tot:
+            cum = _rates(mu, kappa, A, S).cumsum()
+            k = min(int(cum.searchsorted(uniform() * cum[-1], "right")), n - 1)
             ev_types.append(k)
             ev_times.append(t)
-            S[:, k] += 1.0
-            lam_bar = tot + float(np.sum(kappa * acol[:, k]))
-            if len(ev_times) >= event_cap and (target_events is None or
-                                               len(ev_times) < target_events):
+            N += 1
+            for i in range(k, R * n, n):
+                S_flat[i] += 1.0
+            lam_bar = tot + jump[k]
+            if N >= event_cap and target_events is None:  # target_events <= event_cap
                 raise NumericalError(
                     f"event cap {event_cap} hit at t={t:.6g} with bound {lam_bar:.6g}; "
                     "the process may be supercritical")

@@ -5,7 +5,9 @@ quadrature, finite differences) instead of calling back into the package, so
 a bug in the library cannot hide behind itself.
 """
 
+import csv
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import settings
 from scipy.optimize import brentq
 
 from hawkesgeo import model
-from hawkesgeo.em import BranchingStructure, FullRankParams
-from hawkesgeo.model import EmbeddingPair, EventRecord, KernelBank, ModelParams
+from hawkesgeo.em import BranchingStructure, FullRankParams, NumericalError
+from hawkesgeo.model import EmbeddingPair, EventRecord, KernelBank, ModelParams, \
+    NumericsWarning, horizon_past
 
 # Property tests replay the same examples on every run and never time out, so
 # the suite stays reproducible and its runtime bounded.
@@ -172,6 +175,116 @@ def brute_branching(record, params, floor):
         row[j] += p
     return ([(i, j, r, p / row[j]) for (i, j, r, p) in entries],
             np.array([pb / row[j] for j, pb in enumerate(p_background)]))
+
+
+# ---------------------------------------------------------------------------
+# per-event loops of the simulator, the count discretizer and the events CSV
+# writer; the package's vectorized forms must reproduce them byte for byte
+
+
+def reference_thinning(params, T=None, seed=0, *, target_events=None, event_cap=2_000_000):
+    """``simulate_thinning`` as one loop over proposals, rates from ``np.tile``."""
+    if T is None and target_events is None:
+        raise ValueError("give a horizon T or a target event count")
+    if target_events is not None and target_events > event_cap:
+        raise ValueError("target_events exceeds event_cap")
+    A = params.amplitudes()
+    R, n = A.shape[0], A.shape[1]
+    kappa = np.asarray(params.kappa, dtype=np.float64)
+    mu = np.asarray(params.mu, dtype=np.float64)
+    mu_total = float(mu.sum())
+    acol = A.sum(axis=1)
+    if target_events is not None and mu_total <= 0.0:
+        raise NumericalError("cannot reach a target event count with zero background rate")
+
+    rng = np.random.default_rng(seed)
+    S = np.zeros((R, n))
+    t = 0.0
+    lam_bar = mu_total
+    ev_types, ev_times = [], []
+    while True:
+        if target_events is not None and len(ev_times) >= target_events:
+            break
+        if lam_bar <= 0.0:
+            break
+        w = rng.exponential(1.0 / lam_bar)
+        t_new = t + w
+        if T is not None and t_new >= T:
+            break
+        decay = np.exp(-kappa * w)
+        S *= decay[:, None]
+        tot = mu_total + float(np.einsum("r,rl,rl->", kappa, acol, S))
+        if tot > lam_bar * (1.0 + 1e-9):
+            raise NumericalError(f"intensity {tot:.6g} over the thinning bound {lam_bar:.6g}")
+        t = t_new
+        u = rng.random()
+        if u * lam_bar <= tot:
+            lam = np.tile(mu, S.shape[:-2] + (1,))
+            for r in range(R):
+                lam += kappa[r] * (S[..., r, :] @ A[r].T)
+            cum = np.cumsum(lam)
+            k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            k = min(k, n - 1)
+            ev_types.append(k)
+            ev_times.append(t)
+            S[:, k] += 1.0
+            lam_bar = tot + float(np.sum(kappa * acol[:, k]))
+            if len(ev_times) >= event_cap and (target_events is None or
+                                               len(ev_times) < target_events):
+                raise NumericalError(
+                    f"event cap {event_cap} hit at t={t:.6g} with bound {lam_bar:.6g}; "
+                    "the process may be supercritical")
+        else:
+            lam_bar = tot
+    horizon = T if T is not None else horizon_past(ev_times)
+    return EventRecord(np.array(ev_types, dtype=np.int64),
+                       np.array(ev_times, dtype=np.float64), n, horizon)
+
+
+def reference_discretize(series, threshold):
+    """``discretize_counts`` stepping one level at a time through each segment."""
+    ev_types, ev_times = [], []
+    for loc, (days, cum) in enumerate(zip(series.days, series.cumulative)):
+        q = int(cum[0] // threshold) + 1
+        emitted = 0
+        for s in range(days.size - 1):
+            d0, d1 = days[s], days[s + 1]
+            c0, c1 = cum[s], cum[s + 1]
+            while q * threshold <= c1:
+                level = q * threshold
+                if level <= c0:
+                    q += 1
+                    continue
+                if c0 > 0.0:
+                    frac = (np.log(level) - np.log(c0)) / (np.log(c1) - np.log(c0))
+                else:
+                    frac = (level - c0) / (c1 - c0)
+                ev_types.append(loc)
+                ev_times.append(float(d0 + (d1 - d0) * frac))
+                emitted += 1
+                q += 1
+        if emitted == 0:
+            warnings.warn(
+                f"location {series.labels[loc]} never crosses the threshold; no events",
+                NumericsWarning)
+    types_arr = np.asarray(ev_types, dtype=np.int64)
+    times_arr = np.asarray(ev_times, dtype=np.float64)
+    order = np.argsort(times_arr, kind="stable")
+    types_arr, times_arr = types_arr[order], times_arr[order]
+    horizon = float(max(d[-1] for d in series.days))
+    if times_arr.size and horizon <= times_arr[-1]:
+        horizon = horizon_past(times_arr)
+    return EventRecord(types_arr, times_arr, len(series.labels), horizon, series.labels)
+
+
+def reference_events_csv(record, path):
+    """``save_events_csv`` one ``writerow`` per event."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["type", "time"])
+        for k, t in zip(record.types, record.times):
+            label = record.labels[k] if record.labels else str(int(k))
+            writer.writerow([label, repr(float(t))])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestSimulate:
         assert "--n is required" in capsys.readouterr().err
         assert cli_dispatch(["simulate", "--n", "3"]) == 1
         assert "--N or --T" in capsys.readouterr().err
+
+    def test_stopping_rule_out_of_range_exits_2(self, tmp_path, capsys):
+        for flag, value, message in (("--T", "0", "positive and finite"),
+                                     ("--T", "-3", "positive and finite"),
+                                     ("--N", "-1", "at least 0")):
+            assert cli_dispatch(["simulate", "--n", "2", flag, value,
+                                 "--out-events", str(tmp_path / "ev.csv"),
+                                 "--out-truth", str(tmp_path / "truth.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "ev.csv").exists()
 
     def test_writes_both_artifacts(self, tmp_path, capsys):
         rc = cli_dispatch(["simulate", "--n", "2", "--T", "20", "--seed", "3",
@@ -532,6 +544,18 @@ class TestDiscretize:
         huge.write_text("location,day,cumulative_count\nLA,0,0\nLA,1,1e300\n")
         assert cli_dispatch(["discretize", "--counts", str(huge)]) == 2
         assert "1e+299 events" in capsys.readouterr().err
+
+    def test_counts_past_two_to_the_53_thresholds_exit_2(self, tmp_path, capsys):
+        # no level is crossed, but adjacent levels round to the same float
+        counts = tmp_path / "counts.csv"
+        counts.write_text("location,day,cumulative_count\na,0,1e30\na,1,1e30\n")
+        start = time.perf_counter()
+        assert cli_dispatch(["discretize", "--counts", str(counts), "--threshold", "1",
+                             "--out", str(tmp_path / "ev.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "location a" in err and "2^53" in err
+        assert not (tmp_path / "ev.csv").exists()
 
 
 class TestExport:

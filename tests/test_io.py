@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import time
 import warnings
 
 import numpy as np
@@ -42,7 +43,7 @@ from hawkesgeo.model import (
     NumericsWarning,
 )
 
-from conftest import make_model
+from conftest import make_model, reference_discretize, reference_events_csv
 
 
 class TestAtomicWrite:
@@ -250,6 +251,32 @@ class TestEventsCsv:
         with pytest.raises(DataFormatError, match="not found"):
             load_events_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("labels", [None, ("north", "a,b", 'q"x', " pad ")])
+    def test_bytes_are_the_row_by_row_writers(self, tmp_path, labels):
+        times = [0.0, 5e-324, 5e-324, 1.0 / 3.0, 2.5, 2.5, 2.5, 1.7e9, 1.7e9 + 0.125]
+        types = [0, 1, 3, 2, 0, 3, 1, 2, 0]
+        record = EventRecord(types, times, 4, 2e9, labels)
+        save_events_csv(record, tmp_path / "fast.csv")
+        reference_events_csv(record, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        back = load_events_csv(tmp_path / "fast.csv", horizon=2e9)
+        assert back.times.tobytes() == record.times.tobytes()
+
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)),
+                    max_size=30),
+           st.booleans())
+    def test_bytes_are_the_row_by_row_writers_for_any_times(self, tmp_path_factory, rows,
+                                                            labelled):
+        rows.sort(key=lambda row: row[1])
+        types, times = [k for k, _ in rows], [t for _, t in rows]
+        record = EventRecord(types, times, 3, 2.0 * times[-1] + 1.0 if times else 1.0,
+                             ("x", "y,z", "") if labelled else None)
+        path = tmp_path_factory.mktemp("csv")
+        save_events_csv(record, path / "fast.csv")
+        reference_events_csv(record, path / "loop.csv")
+        assert (path / "fast.csv").read_bytes() == (path / "loop.csv").read_bytes()
+
 
 COUNTS_HEADER = "location,day,cumulative_count\n"
 
@@ -379,6 +406,68 @@ class TestDiscretize:
                             (np.array([0.0, 10.0 * MAX_DISCRETIZED_EVENTS]),))
         assert discretize_counts(limit, threshold=10.0 * MAX_DISCRETIZED_EVENTS).N == 1
 
+
+    def test_huge_counts_return_at_once(self, tmp_path):
+        # levels past 2^53 round together, so stepping through them one at a
+        # time would take about 7e13 steps, although no level is crossed
+        series = CountSeries(("a",), (np.array([0.0, 1.0]),), (np.array([1e30, 1e30]),))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="location a: .*2\\^53"):
+            discretize_counts(series, threshold=1.0)
+        path = tmp_path / "counts.csv"
+        path.write_text(COUNTS_HEADER + "a,0,1e30\na,1,1e30\n")
+        with pytest.raises(ValueError, match="2\\^53"):
+            discretize_counts(load_counts_csv(path), threshold=1.0)
+        assert time.perf_counter() - start < 1.0
+        top = 2.0**53
+        for counts in ([top - 2.0, top], [top - 1.0, top - 1.0, top]):
+            series = CountSeries(("a",), (np.arange(len(counts), dtype=float),),
+                                 (np.array(counts),))
+            with pytest.raises(ValueError, match="2\\^53"):
+                discretize_counts(series, threshold=1.0)
+
+    @given(st.data())
+    def test_crossings_are_the_loops_to_the_bit(self, data):
+        threshold = data.draw(st.sampled_from([0.1, 1.0, 7.3, 10.0]))
+        count = st.one_of(st.just(0.0), st.floats(0.0, 300.0),
+                          st.integers(0, 30).map(lambda q: q * threshold))
+        n_loc = data.draw(st.integers(1, 4))
+        days, cumulative = [], []
+        for _ in range(n_loc):
+            size = data.draw(st.integers(1, 7))
+            gaps = data.draw(st.lists(st.floats(1e-3, 40.0), min_size=size, max_size=size))
+            days.append(data.draw(st.floats(-5.0, 5.0)) + np.cumsum(gaps))
+            cumulative.append(np.sort(data.draw(st.lists(count, min_size=size,
+                                                         max_size=size))))
+        series = CountSeries(tuple(f"L{i}" for i in range(n_loc)), days, cumulative)
+        assert_discretized_like_the_loop(series, threshold)
+
+    def test_crossings_are_the_loops_on_named_shapes(self):
+        flat_zero_start = (np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+                           np.array([0.0, 0.0, 14.6, 14.6, 36.5]))
+        above_at_start = (np.array([0.0, 2.0, 3.5]), np.array([21.9, 21.9, 80.0]))
+        on_the_levels = (np.array([0.0, 1.0, 2.0]), np.array([7.3, 14.6, 73.0]))
+        never = (np.array([0.0, 1.0]), np.array([0.05, 0.09]))
+        shapes = (flat_zero_start, above_at_start, on_the_levels, never)
+        series = CountSeries(("flat", "above", "levels", "never"),
+                             [d for d, _ in shapes], [c for _, c in shapes])
+        for threshold in (0.1, 7.3, 10.0):
+            assert_discretized_like_the_loop(series, threshold)
+
+
+def assert_discretized_like_the_loop(series, threshold):
+    """``discretize_counts`` gives the reference loop's record byte for byte,
+    with the same warnings in the same order."""
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always", NumericsWarning)
+        want = reference_discretize(series, threshold)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always", NumericsWarning)
+        got = discretize_counts(series, threshold)
+    assert got.types.tobytes() == want.types.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert (got.n, got.horizon, got.labels) == (want.n, want.horizon, want.labels)
+    assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
 
 def float_lists(size, min_value, max_value=1e300):
     """Lists of finite floats in a range, subnormals and signed zeros included."""

@@ -5,6 +5,7 @@ Gaussian values) and the likelihood is cross-checked against a loop-and-
 quadrature reimplementation in conftest.
 """
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -278,14 +279,23 @@ class TestIntensity:
         assert_allclose(table, np.reshape(brute, (len(qs), n)), rtol=1e-10)
 
     def test_single_state_rates_are_the_simulators(self, rng):
-        # simulate_thinning's records depend on these rates to the last bit
-        for n, R in [(3, 1), (15, 2), (50, 1), (100, 2)]:
+        # simulate_thinning's records depend on these rates to the last bit;
+        # they equal the sum that starts from a tiled mu, for one state and
+        # for q states
+        for n, R in itertools.product((1, 3, 15, 50, 100), (1, 2, 3)):
             params = make_model(rng, n, R=R)
             A, S = params.amplitudes(), rng.uniform(0.0, 3.0, size=(R, n))
             want = params.mu.copy()
             for r in range(R):
                 want += params.kappa[r] * (A[r] @ S[r])
             assert np.array_equal(_rates(params.mu, params.kappa, A, S), want)
+            for lead in [(), (1,), (5,), (300,)]:
+                S = rng.uniform(0.0, 3.0, size=lead + (R, n))
+                want = np.tile(params.mu, S.shape[:-2] + (1,))
+                for r in range(R):
+                    want += params.kappa[r] * (S[..., r, :] @ A[r].T)
+                got = _rates(params.mu, params.kappa, A, S)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_scoring_memory_is_bounded_by_its_output(self, rng):
         # an O(N^2) or unblocked O(q n R) temporary would exceed the bound

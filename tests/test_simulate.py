@@ -5,12 +5,15 @@ degenerate no-excitation regime, and the branching-process identity for the
 long-run mean rate.
 """
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from hawkesgeo.em import NumericalError, e_step
+from conftest import make_model, reference_thinning
+from hawkesgeo.em import FullRankParams, NumericalError, e_step
 from hawkesgeo.model import (
     EmbeddingPair,
     EventRecord,
@@ -141,6 +144,99 @@ class TestThinning:
         expected = np.linalg.solve(np.eye(3) - phi, truth.params.mu).sum()
         record = simulate_thinning(truth, T=6000.0, seed=13)
         assert abs(record.N / 6000.0 - expected) < 0.05 * expected
+
+
+def assert_same_run(params, **kwargs):
+    """``simulate_thinning`` gives the reference loop's record byte for byte,
+    or raises the same error with the same message."""
+    try:
+        want = reference_thinning(params, **kwargs)
+    except (ValueError, NumericalError) as exc:
+        with pytest.raises(type(exc)) as got:
+            simulate_thinning(params, **kwargs)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = simulate_thinning(params, **kwargs)
+    assert got.types.tobytes() == want.types.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert (got.n, got.horizon) == (want.n, want.horizon)
+    return got
+
+
+class ExpandingClock:
+    """Bare params whose clock grows (kappa < 0), so the intensity rises
+    between events and the thinning bound fails after the first one."""
+
+    kappa = np.array([-0.5])
+    mu = np.array([1.0])
+
+    def amplitudes(self):
+        return np.array([[[-1.0]]])
+
+
+class TestThinningIsTheLoop:
+    @pytest.mark.parametrize("n", [1, 3, 15, 100])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_both_stopping_rules(self, n, R):
+        truth = sample_ground_truth(n, R=R, seed=10 * n + R)
+        for seed in (0, 1):
+            record = assert_same_run(truth.params, seed=seed, target_events=600)
+            assert record.N == 600
+            assert_same_run(truth.params, seed=seed, T=float(record.times[300]))
+
+    def test_models_with_silent_backgrounds(self, rng):
+        for R in (1, 2, 3):
+            params = make_model(rng, 6, R=R)
+            mu = params.mu.copy()
+            mu[[0, 3, 4]] = 0.0
+            silent = type(params)(params.embedding, params.kernels, params.xi, mu)
+            assert_same_run(silent, seed=R, target_events=400)
+            assert_same_run(silent, seed=R, T=40.0)
+        full = FullRankParams(rng.uniform(0.0, 0.2, (4, 4)), [0.7, 2.0], [0.4, 0.6],
+                              [0.0, 0.5, 0.0, 0.2])
+        assert_same_run(full, seed=3, target_events=300)
+
+    def test_dead_process_and_empty_targets(self, rng):
+        params = make_model(rng, 4, R=2)
+        dead = type(params)(params.embedding, params.kernels, params.xi, np.zeros(4))
+        record = assert_same_run(dead, seed=0, T=10.0)
+        assert record.N == 0 and record.horizon == 10.0
+        assert_same_run(dead, seed=0, target_events=5)  # zero background: NumericalError
+        assert assert_same_run(params, seed=0, target_events=0).N == 0
+
+    def test_errors_match_the_loop(self):
+        # the bound check, the event cap, and a target over the cap
+        assert_same_run(ExpandingClock(), seed=0, T=50.0)
+        runaway = ModelParams(
+            EmbeddingPair(np.zeros((1, 2)), np.zeros((1, 2))),
+            KernelBank([1.0], [2.0], [2.0]),
+            np.ones(1), np.array([0.5]))
+        assert_same_run(runaway, seed=0, T=500.0, event_cap=2000)
+        assert_same_run(runaway, seed=0, target_events=2000, event_cap=2000)
+        assert_same_run(runaway, seed=0, target_events=2001, event_cap=2000)
+        with pytest.raises(NumericalError, match="over the thinning bound"):
+            simulate_thinning(ExpandingClock(), seed=0, T=50.0)
+        with pytest.raises(NumericalError, match="event cap 2000"):
+            simulate_thinning(runaway, seed=0, T=500.0, event_cap=2000)
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        # an unchecked NaN horizon never stops the loop, which then runs to the
+        # event cap (about a minute at the default) and blames supercriticality
+        truth = sample_ground_truth(n=3, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_thinning(truth, T=T, seed=0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_thinning(truth, T=T, seed=0, target_events=10)
+        assert time.perf_counter() - start < 1.0
+
+    def test_negative_target_rejected(self):
+        truth = sample_ground_truth(n=3, seed=1)
+        with pytest.raises(ValueError, match="at least 0"):
+            simulate_thinning(truth, seed=0, target_events=-1)
+        with pytest.raises(ValueError, match="at least 0"):
+            simulate_thinning(truth, T=5.0, seed=0, target_events=-3)
 
 
 class TestGroundTruthBranching:
