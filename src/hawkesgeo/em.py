@@ -96,6 +96,10 @@ class FitConfig:
             raise ValueError("epochs must be >= 1")
         if self.R < 1 or self.m < 1:
             raise ValueError("R and m must be >= 1")
+        for name in ("eps", "eps1", "eps2", "dm_alpha", "prior_alpha", "prior_beta"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.eps is not None and self.eps <= 0.0:
             raise ValueError("eps must be positive when given")
         if self.eps1 is not None and self.eps1 <= 0.0:
@@ -246,7 +250,10 @@ class FitReport:
     epoch ``e`` (so ``curve[0]`` scores the initialization); ``params_best``
     is the snapshot achieving the best entry, ``params_final`` the state after
     the last M-step.  ``aborted_epoch`` is set if the objective left the
-    finite regime and the loop stopped early.
+    finite regime and the loop stopped early.  ``p_background`` holds each
+    event's background probability from the last E-step whose log-likelihood
+    was finite (None if epoch 0's was not): that of ``params_final`` after an
+    abort, and of the parameters entering the last epoch otherwise.
     """
 
     mode: str
@@ -254,7 +261,7 @@ class FitReport:
     params_final: object
     params_best: object
     best_epoch: int
-    branching: BranchingStructure | None
+    p_background: np.ndarray | None
     wall_time: float
     aborted_epoch: int | None = None
 
@@ -336,16 +343,6 @@ class _Entries:
         return BranchingStructure(record, i_idx, j_idx, r_idx, p, p_background, R)
 
 
-def _e_step(record, params, blocks, floor) -> BranchingStructure:
-    """``e_step`` over ``_pair_blocks(record)``'s blocks of pairs."""
-    entries = _Entries(params.R)
-    p_bg = np.empty(record.N)
-    for events, H, lam, pairs, _ in _responses(record, params, blocks):
-        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs, floor, events.start)
-        entries.add(r, e, p, pairs, events)
-    return entries.branching(record, p_bg)
-
-
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
     """Closed-form posterior attribution under the current parameters.
 
@@ -355,23 +352,28 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     pairs, each built when reached, so the time is ``O(N^2 R)`` but the memory
     beyond the returned entries is one block's.
     """
-    return _e_step(record, params, _pair_blocks(record), floor)
+    entries = _Entries(params.R)
+    p_bg = np.empty(record.N)
+    for events, H, lam, pairs, _ in _responses(record, params, _pair_blocks(record)):
+        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs, floor, events.start)
+        entries.add(r, e, p, pairs, events)
+    return entries.branching(record, p_bg)
 
 
-def _fit_e_step(record, params, blocks, keep_entries):
+def _fit_e_step(record, params, blocks):
     """One E-step of ``fit``: the intensities at the events, the M-step
-    statistics streamed block by block as ``AttributionStats``, and with
-    ``keep_entries`` the ``BranchingStructure`` too.
+    statistics streamed block by block as ``AttributionStats``, and the
+    background probabilities; no entry is kept.
 
     Each statistic continues its sum through ``np.add.at`` in the order of
     the kept entries, so it is bitwise ``BranchingStructure``'s.  Once an
     intensity is not finite neither is the log-likelihood, and ``fit`` stops:
-    the remaining blocks are then only checked for zero intensities.
+    the remaining blocks are then only checked for zero intensities, and the
+    statistics and background probabilities are None.
     """
     n, R = record.n, params.R
     lam_all, p_bg = np.empty(record.N), np.empty(record.N)
     mass, lag, dyad_mass = np.zeros(R), np.zeros(R), np.zeros(R * n * n)
-    entries = _Entries(R) if keep_entries else None
     finite = True
     for events, H, lam, pairs, dyad in _responses(record, params, blocks):
         lam_all[events] = lam
@@ -383,13 +385,11 @@ def _fit_e_step(record, params, blocks, keep_entries):
         np.add.at(mass, r, p)
         np.add.at(lag, r, p * pairs[2][e])
         np.add.at(dyad_mass, r * (n * n) + dyad[e], p)
-        if entries is not None:
-            entries.add(r, e, p, pairs, events)
     if not finite:
         return lam_all, None, None
     stats = AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
                              np.bincount(record.types, weights=p_bg, minlength=n), R)
-    return lam_all, stats, None if entries is None else entries.branching(record, p_bg)
+    return lam_all, stats, p_bg
 
 
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
@@ -652,10 +652,10 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     best_epoch = -1
     aborted = None
     prev_params = params
+    p_background = None
 
     for epoch in range(config.epochs):
-        # the last epoch's attribution is the one the report carries
-        lam, stats, branching = _fit_e_step(record, params, blocks, epoch == config.epochs - 1)
+        lam, stats, p_bg = _fit_e_step(record, params, blocks)
         ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):
             warnings.warn(f"objective left the finite regime at epoch {epoch}; aborting",
@@ -664,6 +664,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             params = prev_params
             curve = curve[:epoch]
             break
+        p_background = p_bg
         curve[epoch] = ll
         if ll > best_ll:
             best_ll, best_params, best_epoch = ll, params, epoch
@@ -682,9 +683,6 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             params = prev_params
             curve = curve[:epoch + 1]
             break
-    if aborted is not None and curve.size:
-        # the reported attribution is that of the last finite snapshot
-        branching = _e_step(record, params, blocks, BRANCHING_FLOOR)
 
     return FitReport(
         mode=config.mode,
@@ -692,7 +690,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         params_final=params,
         params_best=best_params,
         best_epoch=best_epoch,
-        branching=branching,
+        p_background=p_background,
         wall_time=time.perf_counter() - t0,
         aborted_epoch=aborted,
     )

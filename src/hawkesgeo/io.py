@@ -241,12 +241,12 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     """Turn cumulative count curves into threshold-crossing events.
 
     Counts are interpolated log-linearly between observation days (linearly
-    while still at zero), and an event fires at each exact crossing of the
-    levels ``threshold, 2*threshold, ...``.  Locations never reaching the
-    threshold contribute no events (with a warning).  More than
-    ``MAX_DISCRETIZED_EVENTS`` crossings, or a count of ``2**53`` thresholds
-    or more (where adjacent levels round to the same float), raise
-    ``ValueError``.
+    while still at zero, or where the two counts' logs round to one float),
+    and an event fires at each exact crossing of the levels ``threshold,
+    2*threshold, ...``.  Locations never reaching the threshold contribute
+    no events (with a warning).  More than ``MAX_DISCRETIZED_EVENTS``
+    crossings, or a count of ``2**53`` thresholds or more (where adjacent
+    levels round to the same float), raise ``ValueError``.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -270,13 +270,15 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
         levels = (q0 + np.arange(max(int(cum[-1] // threshold) + 3 - q0, 0))) * threshold
         levels = levels[(levels > cum[0]) & (levels <= cum[-1])]
         s = np.searchsorted(cum, levels, side="left") - 1
-        c0, c1 = cum[s], cum[s + 1]
-        frac = np.empty(levels.size)
-        grown = c0 > 0.0
-        frac[grown] = ((np.log(levels[grown]) - np.log(c0[grown]))
-                       / (np.log(c1[grown]) - np.log(c0[grown])))
-        zero = ~grown
-        frac[zero] = (levels[zero] - c0[zero]) / (c1[zero] - c0[zero])
+        c0, c1 = cum[s], cum[s + 1]  # c0 < level <= c1
+        frac = (levels - c0) / (c1 - c0)
+        # log-linear where the count has left zero and the logs separate;
+        # where they round together, linear is the log-linear form's limit
+        grown = np.flatnonzero(c0 > 0.0)
+        log0, log1 = np.log(c0[grown]), np.log(c1[grown])
+        apart = log1 > log0
+        curved = grown[apart]
+        frac[curved] = (np.log(levels[curved]) - log0[apart]) / (log1[apart] - log0[apart])
         ev_times.append(days[s] + (days[s + 1] - days[s]) * frac)
         if levels.size == 0:
             warnings.warn(
@@ -417,8 +419,8 @@ def save_report(report: FitReport, path, config: dict | None = None) -> None:
         "curve": [float(v) for v in report.curve],
         "best_epoch": int(report.best_epoch),
         "aborted_epoch": None if report.aborted_epoch is None else int(report.aborted_epoch),
-        "p_background": ([] if report.branching is None
-                         else [float(v) for v in report.branching.p_background]),
+        "p_background": ([] if report.p_background is None
+                         else [float(v) for v in report.p_background]),
         "config": config or {},
     }
     write_json(doc, path)

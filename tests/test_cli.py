@@ -174,6 +174,16 @@ class TestFit:
         assert np.all(np.isfinite(doc["curve"]))
         assert load_model(workdir / "final.json").n == 3
 
+    def test_report_background_is_the_last_e_steps(self, workdir, tmp_path):
+        # the 15th epoch attributes under the model that 14 epochs end on
+        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                             "--epochs", "14", "--eps2", "0.1",
+                             "--out", str(tmp_path / "m.json"),
+                             "--out-final", str(tmp_path / "entering.json")]) == 0
+        record = load_events_csv(workdir / "events.csv")
+        want = e_step(record, load_model(tmp_path / "entering.json")).p_background
+        assert load_report(workdir / "report.json")["p_background"] == want.tolist()
+
     def test_config_file_fills_unset_flags_only(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 3, "mode": "frb", "eps2": 0.1}))
@@ -320,12 +330,17 @@ class TestFit:
                            "--mode", "hhg-a", "--eps", "1e290",
                            "--epochs", "8",
                            "--out", str(tmp_path / "m.json"),
+                           "--out-final", str(tmp_path / "final.json"),
                            "--report", str(tmp_path / "r.json")])
         assert rc == 3
         assert "aborted" in capsys.readouterr().err
-        # the last finite snapshot is still written
+        # the last finite snapshot is still written, with its attribution
         assert load_model(tmp_path / "m.json").n == 3
-        assert load_report(tmp_path / "r.json")["aborted_epoch"] is not None
+        doc = load_report(tmp_path / "r.json")
+        assert doc["aborted_epoch"] is not None
+        record = load_events_csv(workdir / "events.csv")
+        want = e_step(record, load_model(tmp_path / "final.json")).p_background
+        assert doc["p_background"] == want.tolist()
 
     def test_invalid_hyperparameter_is_a_usage_error(self, workdir, capsys):
         for flags in (["--epochs", "0"], ["--eps2", "0.1", "--prior-alpha", "0"]):
@@ -556,6 +571,15 @@ class TestDiscretize:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "location a" in err and "2^53" in err
         assert not (tmp_path / "ev.csv").exists()
+
+    def test_counts_whose_logs_round_together(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("location,day,cumulative_count\n"
+                          "a,0,9007199254740988\na,1,9007199254740991\n")
+        assert cli_dispatch(["discretize", "--counts", str(counts), "--threshold", "1",
+                             "--out", str(tmp_path / "ev.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_events_csv(tmp_path / "ev.csv").times.tolist() == [1 / 3, 2 / 3, 1.0]
 
 
 class TestExport:

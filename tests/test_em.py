@@ -204,12 +204,16 @@ def unblocked_attribution(record, params, floor):
 BRANCHING_FIELDS = ("i_idx", "j_idx", "r_idx", "p", "p_background")
 
 
+def assert_same_array(got, want, name=None):
+    """Equal to the bit, dtype and shape included."""
+    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def assert_same_branching(got, want):
     """All five arrays equal to the bit, dtypes included."""
     assert got.R == want.R
     for name in BRANCHING_FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert_same_array(getattr(got, name), getattr(want, name), name)
 
 
 def param_arrays(q):
@@ -298,14 +302,14 @@ class TestBlockedAttribution:
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         for record, params in blocked_cases(rng)[:-1]:
             blocks = list(_pair_blocks(record, cache=True))
-            lam, stats, br = _fit_e_step(record, params, blocks, keep_entries=True)
+            lam, stats, p_bg = _fit_e_step(record, params, blocks)
             assert np.array_equal(lam, _pair_response(record, params)[1])
-            assert_same_branching(br, e_step(record, params))
+            br = e_step(record, params)
+            assert_same_array(p_bg, br.p_background)
             assert stats.R == br.R
             for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
                 got, want = getattr(stats, name), getattr(br, name)
                 assert got.shape == want.shape and np.array_equal(got, want), name
-            assert _fit_e_step(record, params, blocks, keep_entries=False)[2] is None
 
     @given(small_problems(), st.sampled_from([1, 2, 7, model.PAIR_BLOCK]))
     def test_property_matches_unblocked_pass(self, problem, block):
@@ -338,7 +342,9 @@ def unblocked_fit(record, config, init=None):
     """``fit``'s loop on one ``_pair_response`` over all pairs per epoch, with
     the M-step on the full ``BranchingStructure``: the reference ``fit`` must
     equal.  Returns ``(curve, params_final, best_epoch, params_best,
-    branching, aborted)``."""
+    branching, scored, aborted)``, where ``branching`` is the attribution of
+    the last epoch with a finite log-likelihood and ``scored`` its
+    parameters."""
     if init is not None:
         params = init
     elif config.mode == "frb":
@@ -364,25 +370,30 @@ def unblocked_fit(record, config, init=None):
         except (ValueError, FloatingPointError):
             aborted, params = epoch, prev
             break
-    return np.array(curve), params, best[1], best[2], branching, aborted
+    # ``prev`` is the parameters ``branching`` attributes under
+    return np.array(curve), params, best[1], best[2], branching, prev, aborted
 
 
 def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None):
-    """``fit`` and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each."""
+    """``fit`` and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each.
+    The reported background probabilities are those of ``e_step`` at the
+    parameters of the last finite epoch."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         arm()
         report = fit(record, config, init=init)
         arm()
-        curve, final, best_epoch, best, branching, aborted = unblocked_fit(record, config, init)
+        curve, final, best_epoch, best, branching, scored, aborted = unblocked_fit(
+            record, config, init)
     assert np.array_equal(report.curve, curve)
     assert_same_params(report.params_final, final)
     assert_same_params(report.params_best, best)
     assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
     if branching is None:
-        assert report.branching is None
+        assert report.p_background is None
     else:
-        assert_same_branching(report.branching, branching)
+        assert_same_array(report.p_background, branching.p_background)
+        assert_same_array(report.p_background, e_step(record, scored).p_background)
     return report
 
 
@@ -867,8 +878,9 @@ class TestFit:
         assert report.curve[-1] > report.curve[0]
         assert_allclose(log_likelihood(sim_record, report.params_best),
                         report.curve[report.best_epoch], rtol=1e-10)
-        assert_allclose(report.branching.row_sums(),
-                        np.ones(sim_record.N), atol=1e-12)
+        # the last epoch attributes under the parameters that seven epochs end on
+        entering = fit(sim_record, FitConfig(mode=mode, epochs=7, **kwargs)).params_final
+        assert_same_array(report.p_background, e_step(sim_record, entering).p_background)
 
     def test_curve_starts_at_init_score(self, sim_record):
         init = init_params(sim_record, R=1, m=2)
@@ -935,25 +947,58 @@ class TestFit:
                                                               monkeypatch, block):
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         tied = tied_record(rng, 4, N=60)
-        # an M-step that leaves the valid regime: the branching is that of the
-        # last finite snapshot
+        # an M-step that leaves the valid regime: the background probabilities
+        # are those of the last finite snapshot
         report = assert_fit_reproduces_unblocked(
             sim_record, FitConfig(mode="hhg-a", epochs=6, eps=1e290))
         assert report.aborted_epoch is not None
-        assert_same_branching(report.branching, e_step(sim_record, report.params_final))
+        assert_same_array(report.p_background,
+                          e_step(sim_record, report.params_final).p_background)
         # an objective that turns infinite after three M-steps
         for record in (sim_record, tied):
             report = assert_fit_reproduces_unblocked(
                 record, FitConfig(mode="frb", epochs=8),
                 arm=lambda: monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3)))
             assert report.aborted_epoch == 3
-            assert_same_branching(report.branching, e_step(record, report.params_final))
-        # and one infinite from the start: no branching at all
+            assert_same_array(report.p_background,
+                              e_step(record, report.params_final).p_background)
+        # and one infinite from the start: no background probabilities at all
         init = _initial_frb(sim_record, FitConfig(mode="frb"))
         init = FullRankParams(np.full_like(init.phi, 1e308), init.kappa, init.w, init.mu)
         report = assert_fit_reproduces_unblocked(sim_record, FitConfig(mode="frb", epochs=4),
                                                  init)
-        assert report.aborted_epoch == 0 and report.branching is None
+        assert report.aborted_epoch == 0 and report.p_background is None
+
+    def test_fit_keeps_no_attribution_entries(self, sim_record, rng, monkeypatch):
+        def no_entries(*args, **kwargs):
+            raise AssertionError("fit gathered attribution entries")
+
+        monkeypatch.setattr(em, "_Entries", no_entries)
+        init = init_params(sim_record, R=1, m=2)
+        for mode, kwargs in (("hhg-a", {}), ("hhg-b", {"eps2": 0.1}), ("hhg-dm", {}),
+                             ("frb", {"R": 2}), ("geo", {})):
+            report = fit(sim_record, FitConfig(mode=mode, epochs=3, **kwargs),
+                         init=init if mode == "geo" else None)
+            assert report.curve.size == 3 and report.p_background.shape == (sim_record.N,)
+        with pytest.warns(NumericsWarning, match="M-step left the valid regime"):
+            report = fit(sim_record, FitConfig(mode="hhg-a", epochs=6, eps=1e290))
+        assert report.aborted_epoch is not None and report.p_background is not None
+        monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3))
+        with pytest.warns(NumericsWarning, match="objective left the finite regime"):
+            report = fit(tied_record(rng, 4, N=60), FitConfig(mode="frb", epochs=8))
+        assert report.aborted_epoch == 3 and report.p_background.shape == (60,)
+        with pytest.raises(AssertionError, match="gathered"):
+            e_step(sim_record, report.params_final)
+
+    @pytest.mark.parametrize("name", ["eps", "eps1", "eps2", "dm_alpha",
+                                      "prior_alpha", "prior_beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        for mode in ("hhg-a", "hhg-b", "hhg-dm", "frb"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                FitConfig(**{"mode": mode, "eps2": 0.1, name: value})
+        # an unset eps or eps1 is not a value: n/N, and off
+        assert FitConfig(mode="hhg-b", eps=None, eps1=None, eps2=0.1).eps1 is None
 
     def test_empty_record_rejected(self):
         record = EventRecord([], [], 0, 1.0)

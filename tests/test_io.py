@@ -426,6 +426,18 @@ class TestDiscretize:
             with pytest.raises(ValueError, match="2\\^53"):
                 discretize_counts(series, threshold=1.0)
 
+    def test_counts_whose_logs_round_together_interpolate_linearly(self):
+        # log(2^53 - 4) and log(2^53 - 1) are one float, so the log-linear
+        # fraction would divide by zero; linear is its limit
+        top = 2.0**53
+        series = CountSeries(("a",), (np.array([0.0, 1.0]),), (np.array([top - 4.0, top - 1.0]),))
+        assert np.log(top - 4.0) == np.log(top - 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = discretize_counts(series, threshold=1.0)
+        assert record.times.tolist() == [1.0 / 3.0, 2.0 / 3.0, 1.0]
+        assert record.types.tolist() == [0, 0, 0]
+
     @given(st.data())
     def test_crossings_are_the_loops_to_the_bit(self, data):
         threshold = data.draw(st.sampled_from([0.1, 1.0, 7.3, 10.0]))
@@ -647,7 +659,7 @@ class TestReorder:
 class TestReport:
     def test_round_trip(self, tmp_path):
         report = FitReport("hhg-b", np.array([-10.0, -8.0, -8.5]), None, None,
-                           best_epoch=1, branching=None, wall_time=12.5,
+                           best_epoch=1, p_background=None, wall_time=12.5,
                            aborted_epoch=2)
         path = tmp_path / "report.json"
         save_report(report, path, config={"epochs": 3, "eps": 0.1})
@@ -660,6 +672,13 @@ class TestReport:
         assert doc["p_background"] == []
         assert doc["config"] == {"epochs": 3, "eps": 0.1}
         assert "wall_time" not in doc
+        # background probabilities come back to the bit
+        p_background = np.array([1.0 / 3.0, 5e-324, 0.0, 1.0, 0.1 + 0.2, 1.0 - 2.0**-53])
+        report.p_background = p_background
+        save_report(report, path)
+        back = np.array(load_report(path)["p_background"])
+        assert back.dtype == p_background.dtype
+        assert back.tobytes() == p_background.tobytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "report.json"
