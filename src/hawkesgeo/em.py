@@ -219,12 +219,12 @@ class FullRankParams:
             raise ValueError("phi entries must be nonnegative and finite")
         if kappa.shape != w.shape or kappa.ndim != 1:
             raise ValueError("kappa and w must share shape (R,)")
-        if np.any(kappa <= 0.0):
-            raise ValueError("kappa entries must be positive")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("clock weights must be nonnegative and sum to 1")
-        if mu.shape != (n,) or np.any(mu < 0.0):
-            raise ValueError("mu must be (n,) nonnegative")
+        if not np.all(np.isfinite(kappa)) or np.any(kappa <= 0.0):
+            raise ValueError("kappa entries must be positive and finite")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("clock weights must be nonnegative, finite and sum to 1")
+        if mu.shape != (n,) or not np.all(np.isfinite(mu)) or np.any(mu < 0.0):
+            raise ValueError("mu must be (n,) nonnegative and finite")
 
     @property
     def n(self) -> int:
@@ -250,10 +250,9 @@ class FitReport:
     epoch ``e`` (so ``curve[0]`` scores the initialization); ``params_best``
     is the snapshot achieving the best entry, ``params_final`` the state after
     the last M-step.  ``aborted_epoch`` is set if the objective left the
-    finite regime and the loop stopped early.  ``p_background`` holds each
-    event's background probability from the last E-step whose log-likelihood
-    was finite (None if epoch 0's was not): that of ``params_final`` after an
-    abort, and of the parameters entering the last epoch otherwise.
+    finite regime and the loop stopped early.  ``p_background`` is
+    ``background_probabilities(record, params_best)``, None when no epoch
+    scored finite.
     """
 
     mode: str
@@ -282,7 +281,7 @@ def _responses(record, params, blocks):
     ``(events, H, lam, pairs, dyad)``.  An event with zero intensity raises
     ``DegenerateEventError`` with its index in the record."""
     for events, pairs, dyad in blocks:
-        H, lam, _ = _pair_response(record, params, pairs, dyad, events)
+        H, lam = _pair_response(record, params, events, pairs, dyad)
         _require_positive(lam, events.start)
         yield events, H, lam, pairs, dyad
 
@@ -361,15 +360,15 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
 
 
 def _fit_e_step(record, params, blocks):
-    """One E-step of ``fit``: the intensities at the events, the M-step
-    statistics streamed block by block as ``AttributionStats``, and the
-    background probabilities; no entry is kept.
+    """One E-step of ``fit``: the intensities at the events and the M-step
+    statistics streamed block by block as ``AttributionStats``; no entry is
+    kept.
 
     Each statistic continues its sum through ``np.add.at`` in the order of
     the kept entries, so it is bitwise ``BranchingStructure``'s.  Once an
     intensity is not finite neither is the log-likelihood, and ``fit`` stops:
     the remaining blocks are then only checked for zero intensities, and the
-    statistics and background probabilities are None.
+    statistics are None.
     """
     n, R = record.n, params.R
     lam_all, p_bg = np.empty(record.N), np.empty(record.N)
@@ -386,10 +385,9 @@ def _fit_e_step(record, params, blocks):
         np.add.at(lag, r, p * pairs[2][e])
         np.add.at(dyad_mass, r * (n * n) + dyad[e], p)
     if not finite:
-        return lam_all, None, None
-    stats = AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
-                             np.bincount(record.types, weights=p_bg, minlength=n), R)
-    return lam_all, stats, p_bg
+        return lam_all, None
+    return lam_all, AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
+                                     np.bincount(record.types, weights=p_bg, minlength=n), R)
 
 
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
@@ -626,6 +624,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     objective turns non-finite the loop stops and reports the last finite
     state (``aborted_epoch`` set).
     """
+    from .diagnostics import background_probabilities
     from .spectral import init_params
 
     t0 = time.perf_counter()
@@ -645,18 +644,18 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
 
-    blocks = list(_pair_blocks(record, cache=True))
+    blocks = list(_pair_blocks(record))
     curve = np.empty(config.epochs)
     best_ll = -np.inf
     best_params = params
     best_epoch = -1
     aborted = None
     prev_params = params
-    p_background = None
 
     for epoch in range(config.epochs):
-        lam, stats, p_bg = _fit_e_step(record, params, blocks)
-        ll = float(np.sum(np.log(lam)) - compensator(record, params))
+        lam, stats = _fit_e_step(record, params, blocks)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf aborts below
+            ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):
             warnings.warn(f"objective left the finite regime at epoch {epoch}; aborting",
                           NumericsWarning)
@@ -664,7 +663,6 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             params = prev_params
             curve = curve[:epoch]
             break
-        p_background = p_bg
         curve[epoch] = ll
         if ll > best_ll:
             best_ll, best_params, best_epoch = ll, params, epoch
@@ -690,7 +688,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         params_final=params,
         params_best=best_params,
         best_epoch=best_epoch,
-        p_background=p_background,
+        p_background=(None if best_epoch < 0
+                      else background_probabilities(record, best_params)),
         wall_time=time.perf_counter() - t0,
         aborted_epoch=aborted,
     )

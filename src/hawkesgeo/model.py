@@ -132,9 +132,8 @@ def pair_indices(record: EventRecord) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """All ordered pairs ``(i, j)`` with ``t_i < t_j`` in a sorted record.
 
     Returns flat arrays ``(i_idx, j_idx, dt)``; events with tied times never
-    pair with each other.  There are O(N^2) pairs, so they are built only for
-    attribution (``fit``, and ``e_step`` block by block, see ``_pair_blocks``);
-    scoring runs on decayed counts.
+    pair with each other.  The package builds its pairs block by block in
+    ``_pair_blocks``; this whole-record form is the reference they are held to.
     """
     i_idx, j_idx = _earlier_pairs(record.times, 0, record.N)
     return i_idx, j_idx, record.times[j_idx] - record.times[i_idx]
@@ -152,27 +151,21 @@ def _event_blocks(first):
     return blocks
 
 
-def _pair_blocks(record: EventRecord, cache: bool = False):
+def _pair_blocks(record: EventRecord):
     """``pair_indices`` in blocks of receiving events, for attribution.
 
-    Yields ``(events, pairs, dyad)``: ``events`` a slice of the record and
+    Yields ``(events, pairs, dyad)``: ``events`` a slice of the record,
     ``pairs`` the ``(i_idx, j_idx, dt)`` its events receive, about
-    ``PAIR_BLOCK`` of them.  Each block is built when reached (``dyad`` None),
-    so memory stays one block's.  With ``cache`` the blocks are views of one
-    ``pair_indices`` call and of the flat type pairs ``types[j] * n +
-    types[i]`` (``dyad``), which a fit walks every epoch.
+    ``PAIR_BLOCK`` of them, and ``dyad`` their flat type pairs ``types[j] * n
+    + types[i]``.  Each block is built when reached, so a caller that walks
+    the generator holds one block, and one that keeps the list (``fit``)
+    32 bytes per pair.
     """
     first = np.concatenate(([0], np.cumsum(np.searchsorted(record.times, record.times, "left"))))
-    if cache:
-        i_idx, j_idx, dt = pair_indices(record)
-        dyad = record.types[j_idx] * record.n + record.types[i_idx]
     for s, e in _event_blocks(first):
-        if cache:
-            a, b = first[s], first[e]
-            yield slice(s, e), (i_idx[a:b], j_idx[a:b], dt[a:b]), dyad[a:b]
-        else:
-            i, j = _earlier_pairs(record.times, s, e)
-            yield slice(s, e), (i, j, record.times[j] - record.times[i]), None
+        i, j = _earlier_pairs(record.times, s, e)
+        dyad = record.types[j] * record.n + record.types[i]
+        yield slice(s, e), (i, j, record.times[j] - record.times[i]), dyad
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +311,15 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
 # intensity and likelihood
 
 
-def _pair_response(record: EventRecord, params, pairs=None, dyad=None, events=slice(None)):
+def _pair_response(record: EventRecord, params, events: slice, pairs, dyad):
     """Per-pair response values and the intensities at their receiving events.
 
-    ``pairs`` (default ``pair_indices(record)``) holds every pair received by
-    the events of the slice ``events`` (default all), and ``dyad`` their flat
-    type pairs (see ``_pair_blocks``).  Returns ``(H, lam, pairs)`` where
-    ``H[r, e]`` is the basis-``r`` response along pair ``e`` and ``lam`` the
-    intensity at each event of ``events``.
+    ``events``, ``pairs`` and ``dyad`` are one block of ``_pair_blocks``: the
+    pairs hold every pair the events of the slice receive.  Returns ``(H,
+    lam)`` where ``H[r, e]`` is the basis-``r`` response along pair ``e`` and
+    ``lam`` the intensity at each event of ``events``.
     """
-    if pairs is None:
-        pairs = pair_indices(record)
-    i_idx, j_idx, dt = pairs
-    if dyad is None:
-        dyad = record.types[j_idx] * record.n + record.types[i_idx]
+    _, j_idx, dt = pairs
     A = params.amplitudes()
     start, stop, _ = events.indices(record.N)
     lam = params.mu[record.types[start:stop]].astype(np.float64, copy=True)
@@ -341,7 +329,7 @@ def _pair_response(record: EventRecord, params, pairs=None, dyad=None, events=sl
         kap = params.kappa[r]
         H[r] = A[r].ravel()[dyad] * (kap * np.exp(-kap * dt))
         lam += np.bincount(rows, weights=H[r], minlength=lam.size)
-    return H, lam, pairs
+    return H, lam
 
 
 def _rates(mu, kappa, A, S) -> np.ndarray:

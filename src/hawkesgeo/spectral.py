@@ -86,13 +86,17 @@ def diffusion_embed(A: np.ndarray, m: int) -> EmbeddingPair:
 
 
 def event_time_scale(record: EventRecord) -> float:
-    """Mean interarrival time scaled by the number of types."""
+    """Mean interarrival time scaled by the number of types; its reciprocal,
+    the initial decay rate, must be finite."""
     if record.N < 2:
         raise ValueError("need at least two events to set a time scale")
     span = float(record.times[-1] - record.times[0])
     if span <= 0.0:
         raise ValueError("all events are simultaneous; no usable time scale")
-    return record.n * span / (record.N - 1)
+    t_hat = record.n * span / (record.N - 1)
+    if np.isinf(1.0 / t_hat):
+        raise ValueError(f"events span {span:g}, too short a time for a finite decay rate")
+    return t_hat
 
 
 def init_influence_guess(record: EventRecord) -> np.ndarray:

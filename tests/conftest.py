@@ -63,6 +63,14 @@ def strict_pairs(record):
     return out
 
 
+def unblocked_response(record, params):
+    """``model._pair_response`` over all of ``model.pair_indices`` as one block,
+    the whole-record pass the blocked attribution is held to: ``(H, lam, pairs)``."""
+    pairs = model.pair_indices(record)
+    dyad = record.types[pairs[1]] * record.n + record.types[pairs[0]]
+    return (*model._pair_response(record, params, slice(None), pairs, dyad), pairs)
+
+
 def make_branching(rng, record, R):
     """Random row-normalized attributions over the full strict-order support."""
     pairs = strict_pairs(record)

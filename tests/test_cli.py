@@ -3,14 +3,15 @@
 import json
 import math
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
-from hawkesgeo.diagnostics import background_qq
-from hawkesgeo.em import FitConfig, e_step
+from hawkesgeo.diagnostics import background_probabilities, background_qq
+from hawkesgeo.em import FitConfig, FullRankParams, e_step
 from hawkesgeo.io import (
     load_events_csv,
     load_model,
@@ -174,15 +175,28 @@ class TestFit:
         assert np.all(np.isfinite(doc["curve"]))
         assert load_model(workdir / "final.json").n == 3
 
-    def test_report_background_is_the_last_e_steps(self, workdir, tmp_path):
-        # the 15th epoch attributes under the model that 14 epochs end on
-        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
-                             "--epochs", "14", "--eps2", "0.1",
-                             "--out", str(tmp_path / "m.json"),
-                             "--out-final", str(tmp_path / "entering.json")]) == 0
+    def test_report_background_is_the_saved_models(self, workdir):
         record = load_events_csv(workdir / "events.csv")
-        want = e_step(record, load_model(tmp_path / "entering.json")).p_background
+        want = background_probabilities(record, load_model(workdir / "model.json"))
         assert load_report(workdir / "report.json")["p_background"] == want.tolist()
+
+    def test_too_short_a_span_exits_2_in_every_mode(self, tmp_path, capsys):
+        # the span is two denormals, so the initial decay rate 1 / t_hat overflows
+        events = tmp_path / "ev.csv"
+        events.write_text("type,time\na,0\nb,5e-324\na,1e-323\n")
+        emb = tmp_path / "emb.csv"
+        emb.write_text("type_label,coord_1,coord_2\na,0.0,0.0\nb,1.0,1.0\n")
+        for flags in (["--mode", "hhg-a"], ["--mode", "hhg-b", "--eps2", "0.1"],
+                      ["--mode", "hhg-dm"], ["--mode", "frb"],
+                      ["--mode", "geo", "--frozen-embedding", str(emb)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli_dispatch(["fit", "--events", str(events),
+                                     "--out", str(tmp_path / "m.json")] + flags) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "decay rate" in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_config_file_fills_unset_flags_only(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -330,16 +344,15 @@ class TestFit:
                            "--mode", "hhg-a", "--eps", "1e290",
                            "--epochs", "8",
                            "--out", str(tmp_path / "m.json"),
-                           "--out-final", str(tmp_path / "final.json"),
                            "--report", str(tmp_path / "r.json")])
         assert rc == 3
         assert "aborted" in capsys.readouterr().err
-        # the last finite snapshot is still written, with its attribution
+        # the best finite snapshot is still written, with its background share
         assert load_model(tmp_path / "m.json").n == 3
         doc = load_report(tmp_path / "r.json")
         assert doc["aborted_epoch"] is not None
         record = load_events_csv(workdir / "events.csv")
-        want = e_step(record, load_model(tmp_path / "final.json")).p_background
+        want = background_probabilities(record, load_model(tmp_path / "m.json"))
         assert doc["p_background"] == want.tolist()
 
     def test_invalid_hyperparameter_is_a_usage_error(self, workdir, capsys):
@@ -450,6 +463,22 @@ class TestDiagnose:
         bad.write_text("{}")
         assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
                              "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field, value", [("kappa", [math.inf]), ("mu", [math.inf, 0.5]),
+                                              ("w", [math.nan])])
+    def test_non_finite_full_rank_model_exits_2(self, tmp_path, capsys, field, value):
+        events = tmp_path / "ev.csv"
+        events.write_text("type,time\na,0\nb,1\na,2\n")
+        path = tmp_path / "model.json"
+        save_model(FullRankParams(np.full((2, 2), 0.2), [1.0], [1.0], [0.5, 0.5]), path,
+                   labels=["a", "b"])
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        for argv in (["evaluate", "--split-time", "1.5"], ["diagnose"]):
+            assert cli_dispatch(argv + ["--events", str(events), "--model", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1
 
     def test_collapsed_embedding_notes_the_null_kendall_tau(self, workdir, tmp_path,
                                                            capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkesgeo import em, model
+from hawkesgeo.diagnostics import background_probabilities
 from hawkesgeo.em import (
     BRANCHING_FLOOR,
     BranchingStructure,
@@ -44,8 +45,8 @@ from hawkesgeo.model import (
     ModelParams,
     NumericsWarning,
     _pair_blocks,
-    _pair_response,
     compensator,
+    influence_matrix,
     log_likelihood,
     response,
 )
@@ -60,6 +61,7 @@ from conftest import (
     make_branching,
     make_model,
     make_record,
+    unblocked_response,
 )
 
 
@@ -196,7 +198,7 @@ class TestAttributionOracle:
 def unblocked_attribution(record, params, floor):
     """The attribution from one ``_pair_response`` over all of ``pair_indices``,
     as a single block: the reference the blocked ``e_step`` must equal."""
-    H, lam, pairs = _pair_response(record, params)
+    H, lam, pairs = unblocked_response(record, params)
     r, e, p, p_bg = _attribute(record, params, H, lam, pairs, floor)
     return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p, p_bg, H.shape[0])
 
@@ -272,15 +274,16 @@ class TestBlockedAttribution:
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         record = tied_record(rng, 3, N=40)
         want = model.pair_indices(record)
-        for cache in (False, True):
-            blocks = list(_pair_blocks(record, cache=cache))
-            assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
-            assert blocks[-1][0].stop == record.N
-            for got, full in zip(zip(*(b[1] for b in blocks)), want):
-                assert np.array_equal(np.concatenate(got), full)
-            for events, (_, j_idx, _), _ in blocks:
-                assert j_idx.size <= block or events.stop - events.start == 1
-                assert np.all((j_idx >= events.start) & (j_idx < events.stop))
+        blocks = list(_pair_blocks(record))
+        assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
+        assert blocks[-1][0].stop == record.N
+        for got, full in zip(zip(*(b[1] for b in blocks)), want):
+            assert np.array_equal(np.concatenate(got), full)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]),
+                              record.types[want[1]] * record.n + record.types[want[0]])
+        for events, (_, j_idx, _), _ in blocks:
+            assert j_idx.size <= block or events.stop - events.start == 1
+            assert np.all((j_idx >= events.start) & (j_idx < events.stop))
 
     @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
     def test_degenerate_event_keeps_its_record_index(self, rng, monkeypatch, block):
@@ -301,11 +304,9 @@ class TestBlockedAttribution:
     def test_streamed_statistics_are_the_cached_ones(self, rng, monkeypatch, block):
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         for record, params in blocked_cases(rng)[:-1]:
-            blocks = list(_pair_blocks(record, cache=True))
-            lam, stats, p_bg = _fit_e_step(record, params, blocks)
-            assert np.array_equal(lam, _pair_response(record, params)[1])
+            lam, stats = _fit_e_step(record, params, list(_pair_blocks(record)))
+            assert np.array_equal(lam, unblocked_response(record, params)[1])
             br = e_step(record, params)
-            assert_same_array(p_bg, br.p_background)
             assert stats.R == br.R
             for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
                 got, want = getattr(stats, name), getattr(br, name)
@@ -337,23 +338,38 @@ class TestBlockedAttribution:
         assert out > 150 * 8 * model.PAIR_BLOCK
         assert peak - out < 32 * 8 * model.PAIR_BLOCK
 
+    def test_fit_keeps_32_bytes_per_pair(self, rng, monkeypatch):
+        # 319,600 pairs in blocks of 4,096: fit keeps i, j, dt and the type
+        # pair of each, and whole-record temporaries would add 8 bytes a pair each
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        record = make_record(rng, 3, N=800, T=5.0)
+        pairs = record.N * (record.N - 1) // 2
+        assert model.pair_indices(record)[0].size == pairs
+        init = init_params(record, R=1, m=2)
+        init.amplitudes()
+        tracemalloc.start()
+        try:
+            fit(record, FitConfig(mode="geo", epochs=1), init=init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * pairs + 32 * 8 * model.PAIR_BLOCK
+
 
 def unblocked_fit(record, config, init=None):
     """``fit``'s loop on one ``_pair_response`` over all pairs per epoch, with
     the M-step on the full ``BranchingStructure``: the reference ``fit`` must
     equal.  Returns ``(curve, params_final, best_epoch, params_best,
-    branching, scored, aborted)``, where ``branching`` is the attribution of
-    the last epoch with a finite log-likelihood and ``scored`` its
-    parameters."""
+    aborted)``."""
     if init is not None:
         params = init
     elif config.mode == "frb":
         params = _initial_frb(record, config)
     else:
         params = init_params(record, R=config.R, m=config.m, alpha=config.dm_alpha)
-    curve, best, branching, aborted, prev = [], (-np.inf, -1, params), None, None, params
+    curve, best, aborted, prev = [], (-np.inf, -1, params), None, params
     for epoch in range(config.epochs):
-        H, lam, pairs = _pair_response(record, params)
+        H, lam, pairs = unblocked_response(record, params)
         ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):
             aborted, params = epoch, prev
@@ -370,30 +386,26 @@ def unblocked_fit(record, config, init=None):
         except (ValueError, FloatingPointError):
             aborted, params = epoch, prev
             break
-    # ``prev`` is the parameters ``branching`` attributes under
-    return np.array(curve), params, best[1], best[2], branching, prev, aborted
+    return np.array(curve), params, best[1], best[2], aborted
 
 
 def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None):
     """``fit`` and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each.
-    The reported background probabilities are those of ``e_step`` at the
-    parameters of the last finite epoch."""
+    The reported background probabilities are ``params_best``'s."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         arm()
         report = fit(record, config, init=init)
         arm()
-        curve, final, best_epoch, best, branching, scored, aborted = unblocked_fit(
-            record, config, init)
+        curve, final, best_epoch, best, aborted = unblocked_fit(record, config, init)
     assert np.array_equal(report.curve, curve)
     assert_same_params(report.params_final, final)
     assert_same_params(report.params_best, best)
     assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
-    if branching is None:
+    if best_epoch < 0:
         assert report.p_background is None
     else:
-        assert_same_array(report.p_background, branching.p_background)
-        assert_same_array(report.p_background, e_step(record, scored).p_background)
+        assert_same_array(report.p_background, background_probabilities(record, best))
     return report
 
 
@@ -790,6 +802,16 @@ class TestInfluencePointUpdate:
 
 
 class TestFullRankUpdate:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_params_reject_non_finite_entries(self, value):
+        good = {"phi": np.full((2, 2), 0.1), "kappa": [0.5, 2.0], "w": [0.25, 0.75],
+                "mu": [0.2, 0.3]}
+        FullRankParams(**good)
+        for name, match in (("kappa", "kappa entries"), ("w", "clock weights"), ("mu", "mu")):
+            bad = dict(good, **{name: np.array(good[name]) * value})
+            with pytest.raises(ValueError, match=f"{match} .*finite"):
+                FullRankParams(**bad)
+
     def test_single_type_mass_over_count(self, rng):
         record = cyclic_record(rng, 1, 8)
         br = make_branching(rng, record, 1)
@@ -878,9 +900,8 @@ class TestFit:
         assert report.curve[-1] > report.curve[0]
         assert_allclose(log_likelihood(sim_record, report.params_best),
                         report.curve[report.best_epoch], rtol=1e-10)
-        # the last epoch attributes under the parameters that seven epochs end on
-        entering = fit(sim_record, FitConfig(mode=mode, epochs=7, **kwargs)).params_final
-        assert_same_array(report.p_background, e_step(sim_record, entering).p_background)
+        assert_same_array(report.p_background,
+                          background_probabilities(sim_record, report.params_best))
 
     def test_curve_starts_at_init_score(self, sim_record):
         init = init_params(sim_record, R=1, m=2)
@@ -947,27 +968,48 @@ class TestFit:
                                                               monkeypatch, block):
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         tied = tied_record(rng, 4, N=60)
-        # an M-step that leaves the valid regime: the background probabilities
-        # are those of the last finite snapshot
+        # an M-step that leaves the valid regime
         report = assert_fit_reproduces_unblocked(
             sim_record, FitConfig(mode="hhg-a", epochs=6, eps=1e290))
         assert report.aborted_epoch is not None
-        assert_same_array(report.p_background,
-                          e_step(sim_record, report.params_final).p_background)
         # an objective that turns infinite after three M-steps
         for record in (sim_record, tied):
             report = assert_fit_reproduces_unblocked(
                 record, FitConfig(mode="frb", epochs=8),
                 arm=lambda: monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3)))
             assert report.aborted_epoch == 3
-            assert_same_array(report.p_background,
-                              e_step(record, report.params_final).p_background)
         # and one infinite from the start: no background probabilities at all
         init = _initial_frb(sim_record, FitConfig(mode="frb"))
         init = FullRankParams(np.full_like(init.phi, 1e308), init.kappa, init.w, init.mu)
         report = assert_fit_reproduces_unblocked(sim_record, FitConfig(mode="frb", epochs=4),
                                                  init)
         assert report.aborted_epoch == 0 and report.p_background is None
+
+    @pytest.mark.parametrize("mode", ["geo", "frb"])
+    def test_background_is_the_best_models_on_silent_and_zero_rate_types(self, rng, mode):
+        # two types never occur and only type 0 has a background rate
+        record = silent_type_record(rng, 6, 36)
+        params = make_model(rng, 6, R=2)
+        mu = np.where(np.arange(6) == 0, params.mu, 0.0)
+        if mode == "frb":
+            init = FullRankParams(influence_matrix(params), params.kappa, [0.5, 0.5], mu)
+        else:
+            init = ModelParams(params.embedding, params.kernels, params.xi, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            report = fit(record, FitConfig(mode=mode, epochs=5, R=2), init=init)
+        assert report.aborted_epoch is None
+        assert_same_array(report.p_background,
+                          background_probabilities(record, report.params_best))
+        assert np.all(report.p_background[record.types != 0] == 0.0)
+
+    def test_infinite_objective_warns_only_numerics(self, sim_record, monkeypatch):
+        monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(NumericsWarning, match="objective left the finite regime"):
+                report = fit(sim_record, FitConfig(mode="frb", epochs=8))
+        assert report.aborted_epoch == 3
 
     def test_fit_keeps_no_attribution_entries(self, sim_record, rng, monkeypatch):
         def no_entries(*args, **kwargs):

@@ -557,6 +557,19 @@ class TestModelDocuments:
         assert np.array_equal(back.w, params.w)
         assert np.array_equal(back.mu, params.mu)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", [np.inf]), ("mu", [np.inf, 0.5]), ("w", [np.nan]),
+        ("phi", [[0.2, np.inf], [0.2, 0.2]]),
+    ])
+    def test_non_finite_full_rank_values_are_flagged(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(FullRankParams(np.full((2, 2), 0.2), [1.0], [1.0], [0.5, 0.5]), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="inconsistent"):
+            load_model(path)
+
     def _doc(self, tmp_path, rng):
         path = tmp_path / "model.json"
         save_model(make_model(rng, n=2), path)

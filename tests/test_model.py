@@ -26,7 +26,6 @@ from hawkesgeo.model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
-    _pair_response,
     _rates,
     _realized_rates,
     _scored_events,
@@ -40,7 +39,8 @@ from hawkesgeo.model import (
     response,
 )
 
-from conftest import brute_intensity, brute_loglik, brute_response, make_model, make_record
+from conftest import brute_intensity, brute_loglik, brute_response, make_model, make_record, \
+    unblocked_response
 
 
 def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
@@ -260,7 +260,7 @@ class TestIntensity:
             assert_allclose(intensities_at(record, params, qs), brute, rtol=1e-10)
             table = intensities_at(record, params, record.times)
             assert_allclose(table[np.arange(record.N), record.types],
-                            _pair_response(record, params)[1], rtol=1e-10)
+                            unblocked_response(record, params)[1], rtol=1e-10)
 
     @given(st.data())
     def test_scan_property(self, data):
@@ -404,7 +404,7 @@ class TestLogLikelihood:
         assert_allclose(total, parts, rtol=1e-10)
         # windows that start inside the history, one of them at a tie
         for record, params in [(record, params)] + scoring_cases(rng):
-            lam = _pair_response(record, params)[1]
+            lam = unblocked_response(record, params)[1]
             for window in [(0.0, 3.0), (2.0, 4.5), (3.0, record.horizon)]:
                 scored = (record.times >= window[0]) & (record.times < window[1])
                 pairwise = np.sum(np.log(lam[scored])) - \
