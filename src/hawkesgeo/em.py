@@ -26,6 +26,7 @@ from .model import (
     NumericsWarning,
     _pair_blocks,
     _pair_response,
+    _Workspace,
     compensator,
     influence_matrix,
 )
@@ -276,36 +277,46 @@ def _require_positive(lam, start=0) -> None:
         raise DegenerateEventError(start + int(np.argmax(lam <= 0.0)))
 
 
-def _responses(record, params, blocks):
-    """``_pair_response`` over each of ``_pair_blocks``' blocks in turn: yields
-    ``(events, H, lam, pairs, dyad)``.  An event with zero intensity raises
-    ``DegenerateEventError`` with its index in the record."""
-    for events, pairs, dyad in blocks:
-        H, lam = _pair_response(record, params, events, pairs, dyad)
+def _responses(record, params, blocks, ws):
+    """``_pair_response`` over each of ``_pair_blocks``' blocks in turn, in the
+    ``_Workspace`` ``ws``: yields ``(events, dt, H, lam)``.  An event with zero
+    intensity raises ``DegenerateEventError`` with its index in the record."""
+    for events, rows, dt, dyad in blocks:
+        H, lam = _pair_response(record, params, events, rows, dt, dyad, ws)
         _require_positive(lam, events.start)
-        yield events, H, lam, pairs, dyad
+        yield events, dt, H, lam
 
 
-def _branching_from_response(H, lam, pairs, floor, start=0):
-    """The entries of ``p = H / lam[j - start]`` at or above ``floor``, as
-    ``(r, e, p)``: basis, offset into ``pairs`` and probability, basis-major."""
-    p = H * (1.0 / lam)[pairs[1] - start]
-    kept = np.flatnonzero(p >= floor)
-    cuts = np.searchsorted(kept, H.shape[1] * np.arange(1, H.shape[0]))
-    r = np.repeat(np.arange(H.shape[0]), np.diff(cuts, prepend=0, append=kept.size))
-    return r, kept - r * H.shape[1], p.ravel()[kept]
+def _branching_from_response(H, lam, rows, floor, ws):
+    """Overwrite ``H`` with ``p = H / lam[rows]`` and return ``(kept, cuts)``:
+    the flat offsets into ``H`` of the entries at or above ``floor``, and
+    where each basis' entries start among them."""
+    t = np.take(1.0 / lam, rows, out=ws.t[:rows.size], mode="clip")
+    np.multiply(H, t, out=H)
+    mask = np.greater_equal(H.ravel(), floor, out=ws.mask[:H.size])
+    kept = np.flatnonzero(mask)
+    return kept, np.searchsorted(kept, rows.size * np.arange(H.shape[0] + 1))
 
 
-def _attribute(record, params, H, lam, pairs, floor, start=0):
+def _attribute(record, params, H, lam, floor, start, ws):
     """The attribution of the events ``start + arange(lam.size)`` from
-    ``_pair_response``'s output: the kept ``(r, e, p)`` of
-    ``_branching_from_response``, each event's row renormalized to sum to one
-    after the floor truncation, and the background probabilities."""
-    r, e, p = _branching_from_response(H, lam, pairs, floor, start)
-    rows = pairs[1][e] - start
+    ``_pair_response``'s output in ``ws``: ``(cuts, e, rows, p, p_bg)``.  The
+    entries kept by ``_branching_from_response`` are basis-major, basis ``r``'s
+    at ``cuts[r]:cuts[r + 1]``, each with its offset ``e`` into the block, its
+    receiving row and its probability; each event's row is renormalized to sum
+    to one after the floor truncation, and ``p_bg`` holds the background
+    probabilities.  ``rows`` and ``p`` are views of ``ws``."""
+    m = H.shape[1]
+    kept, cuts = _branching_from_response(H, lam, ws.rows[:m], floor, ws)
+    c = kept.size
+    p = np.take(H.ravel(), kept, out=ws.kept_p[:c], mode="clip")
+    for r in range(1, H.shape[0]):
+        kept[cuts[r]:cuts[r + 1]] -= r * m
+    rows = np.take(ws.rows[:m], kept, out=ws.kept_rows[:c], mode="clip")
     p_bg = params.mu[record.types[start:start + lam.size]] / lam
     scale = 1.0 / (p_bg + np.bincount(rows, weights=p, minlength=lam.size))
-    return r, e, p * scale[rows], p_bg * scale
+    np.multiply(p, np.take(scale, rows, out=ws.t[:c], mode="clip"), out=p)
+    return cuts, kept, rows, p, p_bg * scale
 
 
 class _Entries:
@@ -318,13 +329,10 @@ class _Entries:
     def __init__(self, R):
         self.parts = [([], [], []) for _ in range(R)]  # per basis: i, p, entries per event
 
-    def add(self, r, e, p, pairs, events):
-        R, size = len(self.parts), events.stop - events.start
-        per_event = np.bincount(r * size + (pairs[1][e] - events.start), minlength=R * size)
-        cuts = np.searchsorted(r, np.arange(1, R))
-        for part, e_r, p_r, n_r in zip(self.parts, np.split(e, cuts), np.split(p, cuts),
-                                       per_event.reshape(R, size)):
-            for column, values in zip(part, (pairs[0][e_r], p_r, n_r)):
+    def add(self, cuts, i, rows, p, size):
+        for part, a, b in zip(self.parts, cuts[:-1], cuts[1:]):
+            for column, values in zip(part, (i[a:b], p[a:b].copy(),
+                                             np.bincount(rows[a:b], minlength=size))):
                 column.append(values)
 
     def branching(self, record, p_background) -> BranchingStructure:
@@ -353,16 +361,20 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     """
     entries = _Entries(params.R)
     p_bg = np.empty(record.N)
-    for events, H, lam, pairs, _ in _responses(record, params, _pair_blocks(record)):
-        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs, floor, events.start)
-        entries.add(r, e, p, pairs, events)
+    ws = _Workspace(params.R)
+    for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):
+        cuts, e, rows, p, p_bg[events] = _attribute(record, params, H, lam, floor,
+                                                    events.start, ws)
+        n_earlier = np.searchsorted(record.times, record.times[events], "left")
+        i = e - (np.cumsum(n_earlier) - n_earlier)[rows]  # a row's pairs start at its first
+        entries.add(cuts, i, rows, p, lam.size)
     return entries.branching(record, p_bg)
 
 
-def _fit_e_step(record, params, blocks):
-    """One E-step of ``fit``: the intensities at the events and the M-step
-    statistics streamed block by block as ``AttributionStats``; no entry is
-    kept.
+def _fit_e_step(record, params, blocks, ws):
+    """One E-step of ``fit`` in its ``_Workspace`` ``ws``: the intensities at
+    the events and the M-step statistics streamed block by block as
+    ``AttributionStats``; no entry is kept.
 
     Each statistic continues its sum through ``np.add.at`` in the order of
     the kept entries, so it is bitwise ``BranchingStructure``'s.  Once an
@@ -374,16 +386,21 @@ def _fit_e_step(record, params, blocks):
     lam_all, p_bg = np.empty(record.N), np.empty(record.N)
     mass, lag, dyad_mass = np.zeros(R), np.zeros(R), np.zeros(R * n * n)
     finite = True
-    for events, H, lam, pairs, dyad in _responses(record, params, blocks):
+    for events, dt, H, lam in _responses(record, params, blocks, ws):
         lam_all[events] = lam
         finite = finite and bool(np.all(np.isfinite(lam)))
         if not finite:
             continue
-        r, e, p, p_bg[events] = _attribute(record, params, H, lam, pairs,
-                                           BRANCHING_FLOOR, events.start)
+        cuts, e, r, p, p_bg[events] = _attribute(record, params, H, lam, BRANCHING_FLOOR,
+                                                 events.start, ws)
+        flat = np.take(ws.dyad[:dt.size], e, out=ws.kept_dyad[:e.size], mode="clip")
+        for b in range(R):  # the rows are spent: r becomes each entry's basis
+            r[cuts[b]:cuts[b + 1]] = b
+            flat[cuts[b]:cuts[b + 1]] += b * (n * n)
         np.add.at(mass, r, p)
-        np.add.at(lag, r, p * pairs[2][e])
-        np.add.at(dyad_mass, r * (n * n) + dyad[e], p)
+        np.add.at(dyad_mass, flat, p)
+        t = np.take(dt, e, out=ws.t[:e.size], mode="clip")
+        np.add.at(lag, r, np.multiply(p, t, out=t))
     if not finite:
         return lam_all, None
     return lam_all, AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
@@ -644,7 +661,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
 
-    blocks = list(_pair_blocks(record))
+    blocks, ws = list(_pair_blocks(record)), _Workspace(params.R)
     curve = np.empty(config.epochs)
     best_ll = -np.inf
     best_params = params
@@ -653,7 +670,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     prev_params = params
 
     for epoch in range(config.epochs):
-        lam, stats = _fit_e_step(record, params, blocks)
+        lam, stats = _fit_e_step(record, params, blocks, ws)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf aborts below
             ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):

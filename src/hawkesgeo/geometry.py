@@ -61,37 +61,38 @@ def _gaussian_terms(record: EventRecord, params: ModelParams):
     return diff, G, weights
 
 
-def reception_gradient(record: EventRecord, params: ModelParams,
-                       branching) -> ReceptionGradient:
-    """Gradient of the surrogate objective in the reception points.
-
-    The repulsive part sums once per occurrence of each influencing type; the
-    attractive part weighs displacement by attributed mass.
-    """
+def _reception_derivatives(record: EventRecord, params: ModelParams, branching,
+                           hessian: bool = True):
+    """``(ReceptionGradient, ReceptionHessian or None)`` from one set of
+    Gaussian terms: the repulsive part sums once per occurrence of each
+    influencing type, the attractive part weighs displacement by attributed
+    mass, and the Hessian blocks come in split form."""
     diff, G, weights = _gaussian_terms(record, params)
     M = branching.dyad_mass  # (R, n, n)
-    a = np.zeros_like(params.embedding.reception)
-    for r in range(params.R):
-        b2 = params.kernels.beta_sq[r]
-        coeff = (-M[r] + weights[None, :] * params.kernels.gamma[r] * G[r]) / b2
-        a += np.einsum("kl,klm->km", coeff, diff)
-    return ReceptionGradient(a)
-
-
-def reception_hessian(record: EventRecord, params: ModelParams,
-                      branching) -> ReceptionHessian:
-    """Per-type blocks of the surrogate Hessian, in split form."""
-    diff, G, weights = _gaussian_terms(record, params)
-    M = branching.dyad_mass
     n, m = params.embedding.reception.shape
+    a = np.zeros_like(params.embedding.reception)
     c = np.zeros(n)
     outer = np.zeros((n, m, m))
     for r in range(params.R):
         b2 = params.kernels.beta_sq[r]
         gauss = weights[None, :] * params.kernels.gamma[r] * G[r]
-        c += (gauss - M[r]).sum(axis=1) / b2
-        outer += np.einsum("kl,klm,kln->kmn", gauss, diff, diff) / b2**2
-    return ReceptionHessian(c, outer)
+        a += np.einsum("kl,klm->km", (-M[r] + gauss) / b2, diff)
+        if hessian:
+            c += (gauss - M[r]).sum(axis=1) / b2
+            outer += np.einsum("kl,klm,kln->kmn", gauss, diff, diff) / b2**2
+    return ReceptionGradient(a), (ReceptionHessian(c, outer) if hessian else None)
+
+
+def reception_gradient(record: EventRecord, params: ModelParams,
+                       branching) -> ReceptionGradient:
+    """Gradient of the surrogate objective in the reception points."""
+    return _reception_derivatives(record, params, branching, hessian=False)[0]
+
+
+def reception_hessian(record: EventRecord, params: ModelParams,
+                      branching) -> ReceptionHessian:
+    """Per-type blocks of the surrogate Hessian, in split form."""
+    return _reception_derivatives(record, params, branching)[1]
 
 
 def hhg_a_step(params: ModelParams, gradient: ReceptionGradient,
@@ -157,12 +158,11 @@ def embedding_inner_loop(record: EventRecord, params: ModelParams, branching,
                          steps: int = 4) -> ModelParams:
     """The damped-Newton inner loop run each M-phase.
 
-    Gradient and Hessian are recomputed after every step because the
-    affinities move with the points.
+    Gradient and Hessian are recomputed, from one set of Gaussian terms,
+    after every step because the affinities move with the points.
     """
     for _ in range(steps):
-        grad = reception_gradient(record, params, branching)
-        hess = reception_hessian(record, params, branching)
+        grad, hess = _reception_derivatives(record, params, branching)
         X_new = hhg_b_step(params, grad, hess, eps1, eps2, N)
         params = ModelParams(
             EmbeddingPair(X_new, params.embedding.influence),

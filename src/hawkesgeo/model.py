@@ -154,18 +154,37 @@ def _event_blocks(first):
 def _pair_blocks(record: EventRecord):
     """``pair_indices`` in blocks of receiving events, for attribution.
 
-    Yields ``(events, pairs, dyad)``: ``events`` a slice of the record,
-    ``pairs`` the ``(i_idx, j_idx, dt)`` its events receive, about
-    ``PAIR_BLOCK`` of them, and ``dyad`` their flat type pairs ``types[j] * n
-    + types[i]``.  Each block is built when reached, so a caller that walks
-    the generator holds one block, and one that keeps the list (``fit``)
-    32 bytes per pair.
+    Yields ``(events, rows, dt, dyad)``: ``events`` a slice of the record and,
+    for the pairs its events receive, about ``PAIR_BLOCK`` of them, the
+    receiving event ``j - events.start`` (int32), the lag and the flat type
+    pair ``types[j] * n + types[i]`` (int32 while ``n * n < 2**31``).  Each
+    block is built when reached, so a caller that walks the generator holds
+    one block, and one that keeps the list (``fit``) 16 bytes per pair.
     """
     first = np.concatenate(([0], np.cumsum(np.searchsorted(record.times, record.times, "left"))))
+    dyad_type = np.int32 if record.n * record.n < 2**31 else np.int64
     for s, e in _event_blocks(first):
         i, j = _earlier_pairs(record.times, s, e)
-        dyad = record.types[j] * record.n + record.types[i]
-        yield slice(s, e), (i, j, record.times[j] - record.times[i]), dyad
+        dyad = (record.types[j] * record.n + record.types[i]).astype(dyad_type)
+        yield slice(s, e), (j - s).astype(np.int32), record.times[j] - record.times[i], dyad
+
+
+class _Workspace:
+    """Buffers that ``_pair_response`` and the attribution after it write into,
+    reused block after block and regrown only for a block larger than all
+    before it.  ``rows`` and ``dyad`` hold the last block's as ``intp``, the
+    index type ``np.take`` and ``np.add.at`` read without a copy."""
+
+    def __init__(self, R: int):
+        self.R, self.size = R, -1
+
+    def reserve(self, m: int) -> None:
+        if m > self.size:
+            self.size, size = m, self.R * m
+            self.rows, self.dyad = np.empty(m, np.intp), np.empty(m, np.intp)
+            self.H, self.t, self.kept_p = np.empty(size), np.empty(size), np.empty(size)
+            self.kept_rows, self.kept_dyad = np.empty(size, np.intp), np.empty(size, np.intp)
+            self.mask = np.empty(size, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +330,29 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
 # intensity and likelihood
 
 
-def _pair_response(record: EventRecord, params, events: slice, pairs, dyad):
+def _pair_response(record: EventRecord, params, events: slice, rows, dt, dyad, ws):
     """Per-pair response values and the intensities at their receiving events.
 
-    ``events``, ``pairs`` and ``dyad`` are one block of ``_pair_blocks``: the
-    pairs hold every pair the events of the slice receive.  Returns ``(H,
-    lam)`` where ``H[r, e]`` is the basis-``r`` response along pair ``e`` and
-    ``lam`` the intensity at each event of ``events``.
+    ``events``, ``rows``, ``dt`` and ``dyad`` are one block of ``_pair_blocks``:
+    every pair the events of the slice receive.  Returns ``(H, lam)`` where
+    ``H[r, e]``, a view of the ``_Workspace`` ``ws``, is the basis-``r``
+    response along pair ``e`` and ``lam`` the intensity at each event of
+    ``events``.
     """
-    _, j_idx, dt = pairs
     A = params.amplitudes()
     start, stop, _ = events.indices(record.N)
     lam = params.mu[record.types[start:stop]].astype(np.float64, copy=True)
-    rows = j_idx - start
-    H = np.empty((A.shape[0], dt.size))
+    m = dt.size
+    ws.reserve(m)
+    np.copyto(ws.rows[:m], rows)
+    np.copyto(ws.dyad[:m], dyad)
+    H, t = ws.H[:A.shape[0] * m].reshape(A.shape[0], m), ws.t[:m]
     for r in range(A.shape[0]):
         kap = params.kappa[r]
-        H[r] = A[r].ravel()[dyad] * (kap * np.exp(-kap * dt))
-        lam += np.bincount(rows, weights=H[r], minlength=lam.size)
+        np.multiply(-kap, dt, out=t)
+        np.multiply(kap, np.exp(t, out=t), out=t)
+        np.multiply(np.take(A[r].ravel(), ws.dyad[:m], out=H[r], mode="clip"), t, out=H[r])
+        lam += np.bincount(ws.rows[:m], weights=H[r], minlength=lam.size)
     return H, lam
 
 

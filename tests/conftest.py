@@ -65,10 +65,13 @@ def strict_pairs(record):
 
 def unblocked_response(record, params):
     """``model._pair_response`` over all of ``model.pair_indices`` as one block,
-    the whole-record pass the blocked attribution is held to: ``(H, lam, pairs)``."""
+    the whole-record pass the blocked attribution is held to: ``(H, lam, pairs,
+    ws)``, where ``H`` is a view of the workspace ``ws``."""
     pairs = model.pair_indices(record)
     dyad = record.types[pairs[1]] * record.n + record.types[pairs[0]]
-    return (*model._pair_response(record, params, slice(None), pairs, dyad), pairs)
+    ws = model._Workspace(params.R)
+    H, lam = model._pair_response(record, params, slice(None), pairs[1], pairs[2], dyad, ws)
+    return H, lam, pairs, ws
 
 
 def make_branching(rng, record, R):

@@ -198,9 +198,15 @@ class TestAttributionOracle:
 def unblocked_attribution(record, params, floor):
     """The attribution from one ``_pair_response`` over all of ``pair_indices``,
     as a single block: the reference the blocked ``e_step`` must equal."""
-    H, lam, pairs = unblocked_response(record, params)
-    r, e, p, p_bg = _attribute(record, params, H, lam, pairs, floor)
-    return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p, p_bg, H.shape[0])
+    return attribution_of(record, params, unblocked_response(record, params), floor)
+
+
+def attribution_of(record, params, response, floor):
+    """``_attribute`` of ``unblocked_response``'s output, as a ``BranchingStructure``."""
+    H, lam, pairs, ws = response
+    cuts, e, _, p, p_bg = _attribute(record, params, H, lam, floor, 0, ws)
+    r = np.repeat(np.arange(H.shape[0]), np.diff(cuts))
+    return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p.copy(), p_bg, H.shape[0])
 
 
 BRANCHING_FIELDS = ("i_idx", "j_idx", "r_idx", "p", "p_background")
@@ -273,17 +279,29 @@ class TestBlockedAttribution:
     def test_blocks_cover_every_pair_once(self, rng, monkeypatch, block):
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         record = tied_record(rng, 3, N=40)
-        want = model.pair_indices(record)
+        i_idx, j_idx, dt = model.pair_indices(record)
         blocks = list(_pair_blocks(record))
         assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
         assert blocks[-1][0].stop == record.N
-        for got, full in zip(zip(*(b[1] for b in blocks)), want):
-            assert np.array_equal(np.concatenate(got), full)
-        assert np.array_equal(np.concatenate([b[2] for b in blocks]),
-                              record.types[want[1]] * record.n + record.types[want[0]])
-        for events, (_, j_idx, _), _ in blocks:
-            assert j_idx.size <= block or events.stop - events.start == 1
-            assert np.all((j_idx >= events.start) & (j_idx < events.stop))
+        for events, rows, lags, dyad in blocks:
+            assert rows.dtype == dyad.dtype == np.int32 and lags.dtype == np.float64
+            assert rows.size <= block or events.stop - events.start == 1
+            assert np.all((rows >= 0) & (rows < events.stop - events.start))
+        assert np.array_equal(np.concatenate([b[1] + b[0].start for b in blocks]), j_idx)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), dt)
+        assert np.array_equal(np.concatenate([b[3] for b in blocks]),
+                              record.types[j_idx] * record.n + record.types[i_idx])
+
+    @pytest.mark.parametrize("n, wide", [(46_340, False), (50_000, True)])
+    def test_dyad_widens_once_type_pairs_pass_int32(self, n, wide):
+        # 46,340^2 < 2^31 <= 50,000^2: the last type pair n^2 - 1 fits int32 only below
+        record = EventRecord([n - 1, 0, n - 1, n - 1], [0.0, 1.0, 2.0, 2.0], n, 3.0)
+        blocks = list(_pair_blocks(record))
+        dyad = np.concatenate([b[3] for b in blocks])
+        assert dyad.dtype == (np.int64 if wide else np.int32)
+        assert np.array_equal(dyad, [n - 1, (n - 1) * n + n - 1, (n - 1) * n, (n - 1) * n + n - 1,
+                                     (n - 1) * n])
+        assert all(b[1].dtype == np.int32 for b in blocks)
 
     @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
     def test_degenerate_event_keeps_its_record_index(self, rng, monkeypatch, block):
@@ -304,13 +322,17 @@ class TestBlockedAttribution:
     def test_streamed_statistics_are_the_cached_ones(self, rng, monkeypatch, block):
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         for record, params in blocked_cases(rng)[:-1]:
-            lam, stats = _fit_e_step(record, params, list(_pair_blocks(record)))
-            assert np.array_equal(lam, unblocked_response(record, params)[1])
-            br = e_step(record, params)
-            assert stats.R == br.R
-            for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
-                got, want = getattr(stats, name), getattr(br, name)
-                assert got.shape == want.shape and np.array_equal(got, want), name
+            assert_streamed_statistics_are_e_steps(record, params)
+
+    @given(small_problems(), st.sampled_from([1, 2, 7, 4096]), st.booleans())
+    def test_property_streamed_statistics_are_e_steps(self, problem, block, full_rank):
+        record, params, _ = problem
+        if full_rank:
+            rng = np.random.default_rng(record.N)
+            params = random_full_rank(rng, record.n, params.R)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "PAIR_BLOCK", block)
+            assert_streamed_statistics_are_e_steps(record, params)
 
     @given(small_problems(), st.sampled_from([1, 2, 7, model.PAIR_BLOCK]))
     def test_property_matches_unblocked_pass(self, problem, block):
@@ -338,9 +360,10 @@ class TestBlockedAttribution:
         assert out > 150 * 8 * model.PAIR_BLOCK
         assert peak - out < 32 * 8 * model.PAIR_BLOCK
 
-    def test_fit_keeps_32_bytes_per_pair(self, rng, monkeypatch):
-        # 319,600 pairs in blocks of 4,096: fit keeps i, j, dt and the type
-        # pair of each, and whole-record temporaries would add 8 bytes a pair each
+    def test_fit_keeps_16_bytes_per_pair(self, rng, monkeypatch):
+        # 319,600 pairs in blocks of 4,096: fit keeps the receiving row, the
+        # lag and the type pair of each, in 4 + 8 + 4 bytes; whole-record
+        # temporaries would add 8 bytes a pair each
         monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
         record = make_record(rng, 3, N=800, T=5.0)
         pairs = record.N * (record.N - 1) // 2
@@ -353,8 +376,32 @@ class TestBlockedAttribution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * pairs + 32 * 8 * model.PAIR_BLOCK
+        assert peak <= 16 * pairs + 32 * 8 * model.PAIR_BLOCK
 
+    @pytest.mark.parametrize("mode", ["geo", "frb"])
+    def test_fit_holds_nothing_but_its_report(self, rng, monkeypatch, mode):
+        # the workspace is the fit's own: one kept past the call would hold
+        # about 96 bytes per pair of the largest block at R = 2, 400 KB here
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        small = make_record(rng, 3, N=20, T=5.0)  # its fit makes the imports fit needs
+        fit(small, FitConfig(mode=mode, epochs=1),
+            init=init_params(small, R=1, m=2) if mode == "geo" else None)
+        record = make_record(rng, 3, N=300, T=5.0)
+        init = init_params(record, R=2, m=2) if mode == "geo" else None
+        config = FitConfig(mode=mode, epochs=2, R=2)
+        tracemalloc.start()
+        try:
+            report = fit(record, config, init=init)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = [report.curve, report.p_background]
+        for q in {id(report.params_final): report.params_final,
+                  id(report.params_best): report.params_best}.values():
+            if q is not init:
+                arrays += list(param_arrays(q)) + [vars(q).get("_amplitudes")]
+        own = sum(a.nbytes for a in arrays if a is not None)
+        assert held <= own + 64 * 1024  # the objects around the arrays take under 8 KB
 
 def unblocked_fit(record, config, init=None):
     """``fit``'s loop on one ``_pair_response`` over all pairs per epoch, with
@@ -369,16 +416,15 @@ def unblocked_fit(record, config, init=None):
         params = init_params(record, R=config.R, m=config.m, alpha=config.dm_alpha)
     curve, best, aborted, prev = [], (-np.inf, -1, params), None, params
     for epoch in range(config.epochs):
-        H, lam, pairs = unblocked_response(record, params)
-        ll = float(np.sum(np.log(lam)) - compensator(record, params))
+        response = unblocked_response(record, params)
+        ll = float(np.sum(np.log(response[1])) - compensator(record, params))
         if not np.isfinite(ll):
             aborted, params = epoch, prev
             break
         curve.append(ll)
         if ll > best[0]:
             best = (ll, epoch, params)
-        r, e, p, p_bg = _attribute(record, params, H, lam, pairs, BRANCHING_FLOOR)
-        branching = BranchingStructure(record, pairs[0][e], pairs[1][e], r, p, p_bg, params.R)
+        branching = attribution_of(record, params, response, BRANCHING_FLOOR)
         prev = params
         try:
             step = em._m_step_frb if config.mode == "frb" else em._m_step_geometric
@@ -435,6 +481,19 @@ def per_entry_bound(record, params, br):
         if pb > 0.0:
             total += pb * np.log(params.mu[k])
     return total - compensator(record, params)
+
+
+def assert_streamed_statistics_are_e_steps(record, params):
+    """``_fit_e_step``'s ``lam`` and four statistics equal, to the bit, the
+    unblocked pass's intensities and those of ``e_step``'s entries."""
+    ws = model._Workspace(params.R)
+    lam, stats = _fit_e_step(record, params, list(_pair_blocks(record)), ws)
+    assert_same_array(lam, unblocked_response(record, params)[1])
+    br = e_step(record, params)
+    assert stats.R == br.R
+    for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
+        # without entries, bincount gives e_step's statistics as integer zeros
+        assert_same_array(getattr(stats, name), getattr(br, name).astype(np.float64), name)
 
 
 def random_full_rank(rng, n, R):

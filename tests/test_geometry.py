@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawkesgeo import geometry
 from hawkesgeo.em import FitConfig, fit
 from hawkesgeo.geometry import (
     ReceptionGradient,
@@ -261,6 +262,26 @@ class TestInnerLoop:
         assert np.array_equal(four.embedding.influence,
                               params.embedding.influence)
         assert four.kernels is params.kernels
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_is_a_loop_of_the_public_derivatives(self, rng, monkeypatch, R):
+        n = 4
+        record = cyclic_record(rng, n, 16)
+        params = make_model(rng, n, R=R)
+        br = make_branching(rng, record, R)
+        want = params
+        for _ in range(3):
+            X = hhg_b_step(want, reception_gradient(record, want, br),
+                           reception_hessian(record, want, br), 0.5, 0.1, record.N)
+            want = with_reception(want, X)
+
+        calls = []
+        terms = geometry._gaussian_terms
+        monkeypatch.setattr(geometry, "_gaussian_terms",
+                            lambda *args: calls.append(args) or terms(*args))
+        got = embedding_inner_loop(record, params, br, 0.5, 0.1, record.N, steps=3)
+        assert np.array_equal(got.embedding.reception, want.embedding.reception)
+        assert len(calls) == 3  # one set of Gaussian terms per step
 
     def test_improves_surrogate_objective(self, rng):
         n = 3

@@ -1,9 +1,12 @@
 """Spectral embedding of influence structure and the initialization protocol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawkesgeo import model
 from hawkesgeo.model import EmbeddingPair, EventRecord, NumericsWarning
 from hawkesgeo.spectral import (
     density_normalize,
@@ -14,6 +17,19 @@ from hawkesgeo.spectral import (
 )
 
 from conftest import make_record
+
+
+def chunked_bincount_guess(record):
+    """The influence guess as one ``bincount`` over all pairs of each 512
+    receiving events: the rounding every fit without ``init`` starts from."""
+    kap = 1.0 / event_time_scale(record)
+    n, times, types = record.n, record.times, record.types
+    phi = np.zeros(n * n)
+    for s in range(0, record.N, 512):
+        ii, jj = model._earlier_pairs(times, s, min(s + 512, record.N))
+        vals = kap * np.exp(-kap * (times[jj] - times[ii]))
+        phi += np.bincount(types[jj] * n + types[ii], weights=vals, minlength=n * n)
+    return phi.reshape(n, n)
 
 
 class TestDensityNormalize:
@@ -131,6 +147,29 @@ class TestInfluenceGuess:
                     want[record.types[j], record.types[i]] += \
                         np.exp(-dt / t_hat) / t_hat
         assert_allclose(init_influence_guess(record), want, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_blocked_guess_is_the_chunked_bincount(self, rng, monkeypatch, block):
+        monkeypatch.setattr(model, "PAIR_BLOCK", block)
+        tied = np.sort(rng.integers(0, 300, size=1100)) * 0.5
+        for record in (make_record(rng, 4, N=1100, T=5.0),
+                       EventRecord(rng.integers(0, 3, size=tied.size), tied, 4, 200.0)):
+            got = init_influence_guess(record)
+            assert got.dtype == np.float64 and np.array_equal(got, chunked_bincount_guess(record))
+
+    def test_memory_beyond_the_output_is_one_block(self, rng, monkeypatch):
+        # late 512-event chunks hold about 800,000 pairs; blocks hold 4,096
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        record = make_record(rng, 3, N=2000, T=5.0)
+        tracemalloc.start()
+        try:
+            guess = init_influence_guess(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(guess, chunked_bincount_guess(record))
+        assert peak - guess.nbytes < 32 * 8 * model.PAIR_BLOCK
 
 
 class TestInitParams:
