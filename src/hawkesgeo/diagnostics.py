@@ -6,8 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import kendalltau
 
 from . import model
 from .em import BranchingStructure, _require_positive
@@ -20,6 +18,7 @@ from .model import (
     _rates,
     _realized_rates,
     _scored_events,
+    _sq_distances,
     log_likelihood,
 )
 
@@ -227,6 +226,56 @@ def categorical_accuracy(record: EventRecord, params, window):
     return geo(shares), geo(naive_shares)
 
 
+def _tied_pairs(starts: np.ndarray) -> int:
+    """Tied pairs of a sorted sample, given ``starts``, true where a new value begins."""
+    runs = np.diff(np.flatnonzero(np.append(starts, True)))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _inversions(a: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``a[i] > a[j]``, for integers ``0 <= a < a.size``.
+
+    Bottom-up merging: while blocks of width ``w`` are each sorted, every
+    element of a right block counts the elements above it in its left block
+    with one ``searchsorted`` over all left blocks, keyed by block pair.
+    ``O(M log^2 M)``.
+    """
+    M = a.size
+    idx = np.arange(M)
+    count, w = 0, 1
+    while w < M:
+        pair = idx // (2 * w)
+        key = pair * M + a
+        right = (idx // w) % 2 == 1
+        not_above = np.searchsorted(key[~right], key[right], side="right") - pair[right] * w
+        count += int(np.sum(w - not_above))
+        a = np.sort(key) - pair * M
+        w *= 2
+    return count
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of two equal-length samples, formed as
+    ``scipy.stats.kendalltau(x, y).statistic`` forms it, and so equal to it to
+    the bit: ties in ``x``, in ``y`` and in both, and discordant pairs, counted
+    as integers.  NaN when either sample is all ties."""
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    tot = x.size * (x.size - 1) // 2
+    x_new = np.r_[True, x[1:] != x[:-1]]
+    xtie = _tied_pairs(x_new)
+    ntie = _tied_pairs(x_new | np.r_[True, y[1:] != y[:-1]])
+    y_sorted = np.sort(y)
+    ytie = _tied_pairs(np.r_[True, y_sorted[1:] != y_sorted[:-1]])
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    # discordant: y falls while x rises; within a tie in x, y is sorted
+    dis = _inversions(np.searchsorted(y_sorted, y))
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
 def kendall_distance_correlation(learned: EmbeddingPair, truth: EmbeddingPair) -> float:
     """Kendall tau-b between all n^2 cross dyad distances of two embeddings.
 
@@ -236,9 +285,9 @@ def kendall_distance_correlation(learned: EmbeddingPair, truth: EmbeddingPair) -
     """
     if learned.n != truth.n:
         raise ValueError("embeddings must cover the same types")
-    d_learned = cdist(learned.reception, learned.influence).ravel()
-    d_truth = cdist(truth.reception, truth.influence).ravel()
-    tau = float(kendalltau(d_learned, d_truth).statistic)
+    d_learned, d_truth = (np.sqrt(_sq_distances(e.reception, e.influence)).ravel()
+                          for e in (learned, truth))
+    tau = _kendall_tau_b(d_learned, d_truth)
     if np.isnan(tau):
         warnings.warn("an embedding has all cross distances equal; kendall tau is nan",
                       NumericsWarning)

@@ -119,6 +119,11 @@ class FitConfig:
         return GammaPrior(self.prior_alpha, self.prior_beta)
 
 
+def _weighted_counts(index, weights, size: int) -> np.ndarray:
+    """``np.bincount`` with weights, float64 also when ``index`` is empty."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BranchingStructure:
     """Sparse posterior attribution of events to triggers and background.
@@ -159,25 +164,24 @@ class BranchingStructure:
     @cached_property
     def mass_by_r(self) -> np.ndarray:
         """Total attributed mass per basis kernel, (R,)."""
-        return np.bincount(self.r_idx, weights=self.p, minlength=self.R)
+        return _weighted_counts(self.r_idx, self.p, self.R)
 
     @cached_property
     def lag_mass_by_r(self) -> np.ndarray:
         """Attribution-weighted time lags per basis kernel, (R,)."""
         dt = self.record.times[self.j_idx] - self.record.times[self.i_idx]
-        return np.bincount(self.r_idx, weights=self.p * dt, minlength=self.R)
+        return _weighted_counts(self.r_idx, self.p * dt, self.R)
 
     @cached_property
     def dyad_mass(self) -> np.ndarray:
         """Attributed mass per (basis, receiving type, influencing type), (R, n, n)."""
         n = self.record.n
         flat = (self.r_idx * n + self.record.types[self.j_idx]) * n + self.record.types[self.i_idx]
-        out = np.bincount(flat, weights=self.p, minlength=self.R * n * n)
-        return out.reshape(self.R, n, n)
+        return _weighted_counts(flat, self.p, self.R * n * n).reshape(self.R, n, n)
 
     @cached_property
     def background_mass_by_type(self) -> np.ndarray:
-        return np.bincount(self.record.types, weights=self.p_background, minlength=self.record.n)
+        return _weighted_counts(self.record.types, self.p_background, self.record.n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Squared distances are clamped at SQDIST_CLAMP * beta_sq inside the Gaussian
 # exponent so the receptor normalization can never underflow to an all-zero
@@ -245,6 +244,19 @@ class EmbeddingPair:
         return self.reception.shape[1]
 
 
+def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances ``[k, l]`` between the rows of ``X`` and
+    ``Y``, summed from zero one coordinate at a time: the running sum that
+    ``scipy.spatial.distance.cdist(X, Y, "sqeuclidean")`` forms, so equal to it
+    to the bit.  A distance beyond the float range is inf, without a warning."""
+    d2 = np.zeros((X.shape[0], Y.shape[0]))
+    with np.errstate(over="ignore"):
+        for c in range(X.shape[1]):
+            d = X[:, c, None] - Y[:, c]
+            d2 += np.square(d, out=d)
+    return d2
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter set of the latent-geometry excitation model."""
@@ -287,7 +299,7 @@ class ModelParams:
     def _amplitudes(self) -> np.ndarray:
         X = self.embedding.reception
         Y = self.embedding.influence
-        d2 = cdist(X, Y, "sqeuclidean")  # [k, l]
+        d2 = _sq_distances(X, Y)  # [k, l]
         A = np.empty((self.R, self.n, self.n))
         for r in range(self.R):
             b2 = self.kernels.beta_sq[r]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import fields
@@ -9,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import hawkesgeo
 from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
 from hawkesgeo.diagnostics import background_probabilities, background_qq
 from hawkesgeo.em import FitConfig, FullRankParams, e_step
@@ -42,6 +46,16 @@ def workdir(tmp_path_factory):
 
 
 class TestDispatch:
+    def test_package_and_cli_import_no_scipy(self):
+        # a fresh interpreter, since this one imports scipy for the test oracles
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hawkesgeo.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, hawkesgeo, hawkesgeo.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_no_command_is_a_usage_error(self, capsys):
         assert cli_dispatch([]) == 1
         assert "usage" in capsys.readouterr().err

@@ -1,16 +1,20 @@
 """Held-out scoring, attribution divergence, and residual diagnostics."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
+from scipy.stats import kendalltau
 
 from hawkesgeo import model
 from hawkesgeo.diagnostics import (
     EvalSplit,
+    _kendall_tau_b,
     attribution_hellinger,
     background_probabilities,
     background_qq,
@@ -499,6 +503,79 @@ class TestCategoricalAccuracy:
                             for k in range(record.n)])
             logs.append(np.log(lam[record.types[j]] / lam.sum()))
         assert_allclose(score, np.exp(np.mean(logs)), rtol=1e-9)
+
+
+def scipy_tau(x, y) -> float:
+    with warnings.catch_warnings():
+        # scipy warns that one value is too small a sample, and returns NaN
+        warnings.filterwarnings("ignore", "One or more sample arguments is too small",
+                                RuntimeWarning)
+        return kendalltau(x, y).statistic
+
+
+def assert_tau_is_scipys(x, y):
+    """``_kendall_tau_b`` equals ``kendalltau(x, y).statistic`` to the bit."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    got, want = _kendall_tau_b(x, y), scipy_tau(x, y)
+    assert isinstance(got, float)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@st.composite
+def tied_samples(draw):
+    """Two samples of equal length, each on a few levels or continuous, with
+    joint ties wherever both repeat, and optionally some infinite values."""
+    M = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample():
+        levels = draw(st.sampled_from([1, 2, 3, 5, M]))
+        values = rng.integers(0, levels, size=M).astype(np.float64)
+        if draw(st.booleans()):
+            values[rng.random(M) < 0.1] = np.inf
+        return values
+
+    return sample(), sample()
+
+
+class TestKendallTauB:
+    @given(tied_samples())
+    def test_property_is_scipys_to_the_bit(self, samples):
+        assert_tau_is_scipys(*samples)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0], [0.0, 1.0]),                            # M = 2, concordant
+        ([0.0, 1.0], [1.0, 0.0]),                            # M = 2, discordant
+        ([0.0, 1.0], [3.0, 3.0]),                            # M = 2, y all ties
+        ([2.0, 2.0], [0.0, 1.0]),                            # M = 2, x all ties
+        ([5.0], [1.0]),                                      # one value: no pairs
+        ([4.0] * 7, [4.0] * 7),                              # all equal
+        ([1.0, 1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 0.0, 0.0]),  # joint ties
+        ([0.0, np.inf, np.inf, 1.0], [np.inf, 2.0, 1.0, np.inf]),
+    ])
+    def test_hand_cases_are_scipys(self, x, y):
+        assert_tau_is_scipys(x, y)
+
+    def test_continuous_samples_are_scipys(self, rng):
+        for M in (2, 3, 50, 2500):
+            assert_tau_is_scipys(rng.normal(size=M), rng.normal(size=M))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e200])
+    def test_distance_correlation_is_scipys_on_cdist(self, rng, scale):
+        # at 1e200 some cross distances overflow to inf
+        for _ in range(5):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            learned, truth = (EmbeddingPair(scale * rng.normal(size=(n, m)),
+                                            scale * rng.normal(size=(n, m))) for _ in range(2))
+            want = scipy_tau(cdist(learned.reception, learned.influence).ravel(),
+                             cdist(truth.reception, truth.influence).ravel())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericsWarning)
+                got = kendall_distance_correlation(learned, truth)
+            assert np.isnan(got) if np.isnan(want) else got == want
 
 
 class TestKendall:

@@ -92,6 +92,18 @@ class TestEStep:
         assert br.p.size == 0
         assert_allclose(br.p_background, [1.0])
 
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_statistics_without_entries_are_float_zeros(self, rng, R):
+        record = EventRecord([1], [0.5], 2, 1.0)
+        params = make_model(rng, 2, R=R)
+        br = e_step(record, params)
+        assert br.p.size == 0
+        for name, want in (("mass_by_r", np.zeros(R)), ("lag_mass_by_r", np.zeros(R)),
+                           ("dyad_mass", np.zeros((R, 2, 2))),
+                           ("background_mass_by_type", np.array([0.0, 1.0]))):
+            assert_same_array(getattr(br, name), want, name)
+        assert_streamed_statistics_are_e_steps(record, params)
+
     def test_two_event_ratio(self):
         # engineered so the pair response is 0.3 against background 0.1
         record = EventRecord([0, 0], [0.0, np.log(2.0)], 1, 1.0 + np.log(2.0))
@@ -492,8 +504,7 @@ def assert_streamed_statistics_are_e_steps(record, params):
     br = e_step(record, params)
     assert stats.R == br.R
     for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
-        # without entries, bincount gives e_step's statistics as integer zeros
-        assert_same_array(getattr(stats, name), getattr(br, name).astype(np.float64), name)
+        assert_same_array(getattr(stats, name), getattr(br, name), name)
 
 
 def random_full_rank(rng, n, R):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from hawkesgeo import model
 from hawkesgeo.diagnostics import categorical_accuracy
@@ -153,6 +154,43 @@ class TestEventRecord:
         assert got == [(0, 2), (1, 2)]
         assert_allclose(dt, [0.5, 0.5])
         assert all(a.size == 0 for a in pair_indices(EventRecord([], [], 1, 1.0)))
+
+
+@st.composite
+def point_sets(draw):
+    """Two point sets of one dimension whose coordinates span up to 300
+    decades, the first rows of the second set coincident with the first's."""
+    na, nb, m = draw(st.integers(1, 60)), draw(st.integers(1, 60)), draw(st.integers(1, 12))
+    lo = draw(st.floats(-150.0, 150.0))
+    hi = draw(st.floats(lo, 150.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, Y = (rng.normal(size=(k, m)) * 10.0 ** rng.uniform(lo, hi, size=(k, m)) for k in (na, nb))
+    shared = draw(st.integers(0, min(na, nb)))
+    Y[:shared] = X[:shared]
+    return X, Y
+
+
+class TestSquaredDistances:
+    @given(point_sets())
+    def test_property_is_cdist_to_the_bit(self, points):
+        X, Y = points
+        d2 = model._sq_distances(X, Y)
+        assert d2.tobytes() == cdist(X, Y, "sqeuclidean").tobytes()
+        assert np.sqrt(d2).tobytes() == cdist(X, Y).tobytes()
+
+    @pytest.mark.parametrize("X, Y", [
+        ([[1e200, 0.0]], [[-1e200, 1.0]]),             # the square overflows
+        ([[1.7e308]], [[-1.7e308]]),                   # the difference overflows
+        ([[1e154, 1e154, 1e154]], [[0.0, 0.0, 0.0]]),  # the running sum overflows
+        ([[1e200, 0.0], [0.0, 0.0]], [[0.0, 1.0], [3.0, 4.0]]),
+    ])
+    def test_overflow_is_inf_without_a_warning(self, X, Y):
+        X, Y = np.array(X), np.array(Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = model._sq_distances(X, Y)
+        assert np.isinf(d2).any()
+        assert d2.tobytes() == cdist(X, Y, "sqeuclidean").tobytes()
 
 
 class TestKernels:
