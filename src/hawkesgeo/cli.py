@@ -20,10 +20,10 @@ import numpy as np
 from .diagnostics import EvalSplit, attribution_hellinger, background_qq, \
     categorical_accuracy, kendall_distance_correlation, phi_rmse, split_eval
 from .em import MODES, FitConfig, NumericalError, fit
-from .io import SCHEMA_VERSION, DataFormatError, check_writable, discretize_counts, \
-    load_counts_csv, load_embedding_csv, load_events_csv, load_model, \
-    load_report, read_json, reorder_to_labels, save_events_csv, save_model, \
-    save_report, write_curve_csv, write_embedding_csv, write_json, \
+from .io import SCHEMA_VERSION, DataFormatError, _type_labels, check_writable, \
+    discretize_counts, load_counts_csv, load_embedding_csv, load_events_csv, \
+    load_model, load_report, read_json, reorder_to_labels, save_events_csv, \
+    save_model, save_report, write_curve_csv, write_embedding_csv, write_json, \
     write_qq_csv
 from .model import EmbeddingPair, ModelParams, influence_matrix
 from .simulate import sample_ground_truth, simulate_thinning
@@ -52,11 +52,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_FIT = {f.name: f.default for f in fields(FitConfig)}
+
 # Each subcommand's options as (flag, kind, default, help); kind is a type or
 # a tuple of allowed values.  argparse defaults every option to None so "was
 # this flag given" stays decidable; the defaults here apply after the config
 # file, whose accepted keys are exactly these options.  The fit options named
-# like FitConfig's fields become its fields, with its defaults.
+# like FitConfig's fields become its fields, with its defaults (``_FIT``).
 _OPTIONS = {
     "simulate": (
         ("--n", int, None, "number of event types (required)"),
@@ -70,17 +72,19 @@ _OPTIONS = {
     ),
     "fit": (
         ("--events", str, None, "events CSV path (required)"),
-        ("--mode", MODES, "hhg-b", "estimator mode"),
-        ("--epochs", int, 500, "EM epochs"),
-        ("--R", int, 1, "number of kernel bases"),
-        ("--m", int, None, "embedding dimension (default 2, or the frozen embedding's)"),
-        ("--eps", _finite_float, None, "hhg-a learning rate (default n/N)"),
-        ("--eps1", _finite_float, None, "hhg-b curvature regularizer (default off)"),
-        ("--eps2", _finite_float, 0.0, "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
-        ("--dm-alpha", _finite_float, 1.0, "density-normalization exponent"),
-        ("--inner-steps", int, 4, "hhg-b inner steps per epoch"),
-        ("--prior-alpha", _finite_float, 1.0, "Gamma prior shape on decay rates"),
-        ("--prior-beta", _finite_float, 0.0, "Gamma prior rate on decay rates"),
+        ("--mode", MODES, _FIT["mode"], "estimator mode"),
+        ("--epochs", int, _FIT["epochs"], "EM epochs"),
+        ("--R", int, _FIT["R"], "number of kernel bases"),
+        ("--m", int, None, f"embedding dimension (default {_FIT['m']}, or the frozen "
+                           "embedding's)"),
+        ("--eps", _finite_float, _FIT["eps"], "hhg-a learning rate (default n/N)"),
+        ("--eps1", _finite_float, _FIT["eps1"], "hhg-b curvature regularizer (default off)"),
+        ("--eps2", _finite_float, _FIT["eps2"],
+         "hhg-b shrinkage regularizer (hhg-b needs eps1 or eps2)"),
+        ("--dm-alpha", _finite_float, _FIT["dm_alpha"], "density-normalization exponent"),
+        ("--inner-steps", int, _FIT["inner_steps"], "hhg-b inner steps per epoch"),
+        ("--prior-alpha", _finite_float, _FIT["prior_alpha"], "Gamma prior shape on decay rates"),
+        ("--prior-beta", _finite_float, _FIT["prior_beta"], "Gamma prior rate on decay rates"),
         ("--frozen-embedding", str, None,
          "coordinates CSV; required for geo, otherwise an initialization"),
         ("--horizon", _finite_float, None, "override the record horizon"),
@@ -172,17 +176,20 @@ def _require(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _labels_for(record):
-    return list(record.labels) if record.labels else [str(k) for k in range(record.n)]
-
-
 def _load_aligned_model(path, record):
     """Load a model and reorder its types to match the record's labels."""
     params, labels = load_model(path, with_labels=True)
-    target = _labels_for(record)
+    target = _type_labels(record.labels, record.n)
     if list(labels) == target:
         return params
     return reorder_to_labels(params, labels, target)
+
+
+def _record_and_model(args):
+    """The ``--events`` record and the ``--model`` aligned to its labels."""
+    _require(args, "events", "model")
+    record = load_events_csv(args.events, horizon=args.horizon)
+    return record, _load_aligned_model(args.model, record)
 
 
 def _split_time(args, record) -> float | None:
@@ -200,7 +207,7 @@ def _split_time(args, record) -> float | None:
 
 def _frozen_embedding(args, record):
     emb_labels, X, Y = load_embedding_csv(args.frozen_embedding)
-    target = _labels_for(record)
+    target = _type_labels(record.labels, record.n)
     missing = [lab for lab in target if lab not in emb_labels]
     if missing:
         raise DataFormatError("embedding file lacks coordinates for: "
@@ -282,10 +289,9 @@ def _cmd_fit(args) -> int:
 
     report = fit(record, config, init=init)
 
-    labels = _labels_for(record)
-    save_model(report.params_best, args.out, labels=labels)
+    save_model(report.params_best, args.out, labels=record.labels)
     if args.out_final is not None:
-        save_model(report.params_final, args.out_final, labels=labels)
+        save_model(report.params_final, args.out_final, labels=record.labels)
     if args.report is not None:
         save_report(report, args.report, config=asdict(config))
 
@@ -312,9 +318,7 @@ def _split_scores(record, params, split_time) -> dict:
 
 def _cmd_evaluate(args) -> int:
     """per-event log-likelihood across a time split"""
-    _require(args, "events", "model")
-    record = load_events_csv(args.events, horizon=args.horizon)
-    params = _load_aligned_model(args.model, record)
+    record, params = _record_and_model(args)
     split_time = _split_time(args, record)
     if split_time is None:
         raise UsageError("give --split-time or --test-days")
@@ -326,9 +330,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     """residual and recovery diagnostics for a fit"""
-    _require(args, "events", "model")
-    record = load_events_csv(args.events, horizon=args.horizon)
-    params = _load_aligned_model(args.model, record)
+    record, params = _record_and_model(args)
     doc = {"schema_version": SCHEMA_VERSION, "train_ll_per_event": None,
            "test_ll_per_event": None, "n_train": record.N, "n_test": 0,
            "hellinger": None, "phi_rmse": None, "kendall_tau": None, "notes": []}

@@ -575,18 +575,15 @@ def frb_kernel_weights(branching: BranchingStructure, current=None) -> np.ndarra
 
 
 def _initial_frb(record: EventRecord, config: FitConfig):
-    from .spectral import event_time_scale, init_influence_guess
+    from .spectral import _initial_rates, init_influence_guess
 
-    t_hat = event_time_scale(record)
+    kappa0, w0, mu0 = _initial_rates(record, config.R)
     guess = init_influence_guess(record)
     total = guess.sum()
     if total > 0.0:
         phi0 = guess * (record.n / total)  # mean column sum one, like the geometric init
     else:
         phi0 = np.full((record.n, record.n), 1.0 / record.n)
-    kappa0 = np.array([1.0 / (r * t_hat) for r in range(1, config.R + 1)])
-    w0 = np.full(config.R, 1.0 / config.R)
-    mu0 = np.full(record.n, record.N / (record.horizon * record.n))
     return FullRankParams(phi0, kappa0, w0, mu0)
 
 

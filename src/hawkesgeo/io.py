@@ -40,14 +40,14 @@ class DataFormatError(ValueError):
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w"):
-    """Write to a sibling temp file and rename into place on success; an
+def atomic_write(path):
+    """Write text to a sibling temp file and rename into place on success; an
     ``OSError`` on the way raises ``DataFormatError`` naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            with os.fdopen(fd, mode, newline="" if "b" not in mode else None) as f:
+            with os.fdopen(fd, "w", newline="") as f:
                 yield f
             os.replace(tmp, path)
         except BaseException:
@@ -95,6 +95,23 @@ def _csv_rows(path):
         yield next(reader, None), filter(itemgetter(1), enumerate(reader, start=2))
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows atomically; a Python float field is written as
+    its ``repr``, so it reads back exactly."""
+    with atomic_write(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _type_labels(labels, n: int) -> list[str]:
+    """The given type labels, or ``"0" .. "n-1"``; there must be ``n`` of them."""
+    labels = list(labels) if labels is not None else [str(k) for k in range(n)]
+    if len(labels) != n:
+        raise ValueError("labels must have length n")
+    return labels
+
+
 def write_json(doc: dict, path) -> None:
     """Write a JSON document atomically: indent 2, sorted keys, trailing newline."""
     with atomic_write(path) as f:
@@ -114,6 +131,15 @@ def read_json(path) -> dict:
     return doc
 
 
+def _read_document(path) -> dict:
+    """Read a JSON document of this package's ``SCHEMA_VERSION``."""
+    doc = read_json(path)
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # event records
 
@@ -125,7 +151,6 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
     events then sort stably by time.  The horizon defaults to just past the
     last event unless overridden.  An empty file gives an empty record.
     """
-    labels: list[str] = []
     ids: dict[str, int] = {}
     types: list[int] = []
     times: list[float] = []
@@ -142,10 +167,7 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
                 raise DataFormatError(f"line {lineno}: unparseable time {row[1]!r}") from None
             if not math.isfinite(t) or t < 0.0:
                 raise DataFormatError(f"line {lineno}: time must be finite and nonnegative")
-            if label not in ids:
-                ids[label] = len(labels)
-                labels.append(label)
-            types.append(ids[label])
+            types.append(ids.setdefault(label, len(ids)))
             times.append(t)
 
     types_arr = np.asarray(types, dtype=np.int64)
@@ -157,19 +179,16 @@ def load_events_csv(path, horizon: float | None = None) -> EventRecord:
     elif times_arr.size and horizon <= times_arr[-1]:
         raise DataFormatError("horizon must lie strictly after the last event")
     try:  # the padded horizon of a time near the float maximum is infinite
-        return EventRecord(types_arr, times_arr, len(labels), horizon,
-                           tuple(labels) if labels else None)
+        return EventRecord(types_arr, times_arr, len(ids), horizon,
+                           tuple(ids) if ids else None)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 
 
 def save_events_csv(record: EventRecord, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["type", "time"])
-        names = record.labels or [str(k) for k in range(record.n)]
-        writer.writerows(zip(map(names.__getitem__, record.types.tolist()),
-                             map(repr, record.times.tolist())))
+    names = _type_labels(record.labels, record.n)
+    _write_csv(path, ["type", "time"], zip(map(names.__getitem__, record.types.tolist()),
+                                           record.times.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +227,6 @@ class CountSeries:
 def load_counts_csv(path) -> CountSeries:
     """Read a ``location,day,cumulative_count`` CSV."""
     per_loc: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
     with _csv_rows(path) as (header, rows):
         if header is None:
             raise DataFormatError("empty counts file")
@@ -223,15 +241,12 @@ def load_counts_csv(path) -> CountSeries:
                 day, cum = float(row[1]), float(row[2])
             except ValueError:
                 raise DataFormatError(f"line {lineno}: unparseable number") from None
-            if lab not in per_loc:
-                per_loc[lab] = []
-                order.append(lab)
-            per_loc[lab].append((day, cum))
+            per_loc.setdefault(lab, []).append((day, cum))
     try:
         return CountSeries(
-            tuple(order),
-            tuple(np.array([d for d, _ in per_loc[lab]]) for lab in order),
-            tuple(np.array([c for _, c in per_loc[lab]]) for lab in order),
+            tuple(per_loc),
+            tuple(np.array([d for d, _ in obs]) for obs in per_loc.values()),
+            tuple(np.array([c for _, c in obs]) for obs in per_loc.values()),
         )
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
@@ -299,44 +314,33 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
 # models
 
 
-def _default_labels(n: int) -> list[str]:
-    return [str(k) for k in range(n)]
-
-
 def save_model(params, path, labels=None) -> None:
     """Serialize a fitted or sampled model as a structured JSON document."""
     if not isinstance(params, (ModelParams, FullRankParams)):
         raise TypeError("params must be ModelParams or FullRankParams")
-    labels = list(labels) if labels is not None else _default_labels(params.n)
-    if len(labels) != params.n:
-        raise ValueError("labels must have length n")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "n": params.n,
+        "R": params.R,
+        "kappa": params.kappa.tolist(),
+        "mu": params.mu.tolist(),
+        "type_labels": _type_labels(labels, params.n),
+    }
     if isinstance(params, ModelParams):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "n": params.n,
+        doc.update({
             "m": params.m,
-            "R": params.R,
             "reception_X": params.embedding.reception.tolist(),
             "influence_Y": params.embedding.influence.tolist(),
             "beta_sq": params.kernels.beta_sq.tolist(),
-            "kappa": params.kernels.kappa.tolist(),
             "gamma": params.kernels.gamma.tolist(),
             "xi": params.xi.tolist(),
-            "mu": params.mu.tolist(),
-            "type_labels": labels,
-        }
+        })
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
+        doc.update({
             "kind": "full_rank",
-            "n": params.n,
-            "R": params.R,
             "phi": params.phi.tolist(),
-            "kappa": params.kappa.tolist(),
             "w": params.w.tolist(),
-            "mu": params.mu.tolist(),
-            "type_labels": labels,
-        }
+        })
     write_json(doc, path)
 
 
@@ -351,31 +355,20 @@ def _require(doc: dict, fields: set, path) -> None:
 
 def load_model(path, with_labels: bool = False):
     """Load a model document; rejects unknown versions and unknown fields."""
-    doc = read_json(path)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
+    doc = _read_document(path)
     try:
         if doc.get("kind") == "full_rank":
             _require(doc, _FULL_RANK_FIELDS, path)
-            params = FullRankParams(
-                np.asarray(doc["phi"], dtype=np.float64),
-                np.asarray(doc["kappa"], dtype=np.float64),
-                np.asarray(doc["w"], dtype=np.float64),
-                np.asarray(doc["mu"], dtype=np.float64),
-            )
+            params = FullRankParams(doc["phi"], doc["kappa"], doc["w"], doc["mu"])
         elif "kind" in doc:
             raise DataFormatError(f"{path}: unknown model kind {doc['kind']!r}")
         else:
             _require(doc, _MODEL_FIELDS, path)
             params = ModelParams(
-                EmbeddingPair(np.asarray(doc["reception_X"], dtype=np.float64),
-                              np.asarray(doc["influence_Y"], dtype=np.float64)),
-                KernelBank(np.asarray(doc["beta_sq"], dtype=np.float64),
-                           np.asarray(doc["kappa"], dtype=np.float64),
-                           np.asarray(doc["gamma"], dtype=np.float64)),
-                np.asarray(doc["xi"], dtype=np.float64),
-                np.asarray(doc["mu"], dtype=np.float64),
+                EmbeddingPair(doc["reception_X"], doc["influence_Y"]),
+                KernelBank(doc["beta_sq"], doc["kappa"], doc["gamma"]),
+                doc["xi"],
+                doc["mu"],
             )
     except (ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: inconsistent model document ({exc})") from None
@@ -428,9 +421,7 @@ def save_report(report: FitReport, path, config: dict | None = None) -> None:
 
 def load_report(path) -> dict:
     """Load a fit report document; its ``curve`` must be a list of numbers."""
-    doc = read_json(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(f"{path}: unsupported schema_version")
+    doc = _read_document(path)
     curve = doc.get("curve")
     if not (isinstance(curve, list) and all(isinstance(v, (int, float)) for v in curve)):
         raise DataFormatError(f"{path}: report lacks a numeric curve")
@@ -442,14 +433,12 @@ def load_report(path) -> dict:
 
 
 def write_embedding_csv(params: ModelParams, labels, path) -> None:
-    labels = list(labels) if labels is not None else _default_labels(params.n)
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["type_label", "role"] + [f"coord_{d + 1}" for d in range(params.m)])
-        for role, pts in (("reception", params.embedding.reception),
-                          ("influence", params.embedding.influence)):
-            for k in range(params.n):
-                writer.writerow([labels[k], role] + [repr(float(v)) for v in pts[k]])
+    labels = _type_labels(labels, params.n)
+    _write_csv(path, ["type_label", "role"] + [f"coord_{d + 1}" for d in range(params.m)],
+               ([label, role, *coords]
+                for role, pts in (("reception", params.embedding.reception),
+                                  ("influence", params.embedding.influence))
+                for label, coords in zip(labels, pts.tolist())))
 
 
 def load_embedding_csv(path):
@@ -461,7 +450,6 @@ def load_embedding_csv(path):
     layout.
     """
     points: dict[tuple[str, str], list[float]] = {}
-    order: list[str] = []
     with _csv_rows(path) as (header, rows):
         if header is None:
             raise DataFormatError("empty embedding file")
@@ -488,32 +476,22 @@ def load_embedding_csv(path):
             if (label, role) in points:
                 raise DataFormatError(f"line {lineno}: duplicate entry for {label!r}")
             points[(label, role)] = coords
-            if label not in order:
-                order.append(label)
-    X = np.empty((len(order), m))
-    Y = np.empty((len(order), m)) if with_role else None
-    for k, lab in enumerate(order):
-        if (lab, "reception") not in points:
-            raise DataFormatError(f"missing reception coordinates for {lab!r}")
-        X[k] = points[(lab, "reception")]
-        if with_role:
-            if (lab, "influence") not in points:
-                raise DataFormatError(f"missing influence coordinates for {lab!r}")
-            Y[k] = points[(lab, "influence")]
-    return tuple(order), X, Y
+    order = tuple(dict.fromkeys(label for label, _ in points))
+    stacked = {}
+    for role in ("reception", "influence") if with_role else ("reception",):
+        stacked[role] = np.empty((len(order), m))
+        for k, lab in enumerate(order):
+            if (lab, role) not in points:
+                raise DataFormatError(f"missing {role} coordinates for {lab!r}")
+            stacked[role][k] = points[(lab, role)]
+    return order, stacked["reception"], stacked.get("influence")
 
 
 def write_curve_csv(report_doc: dict, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_log_likelihood"])
-        for e, v in enumerate(report_doc["curve"]):
-            writer.writerow([e, repr(float(v))])
+    _write_csv(path, ["epoch", "train_log_likelihood"],
+               enumerate(map(float, report_doc["curve"])))
 
 
 def write_qq_csv(points: np.ndarray, path) -> None:
-    with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["empirical_quantile", "theoretical_quantile"])
-        for emp, theo in points:
-            writer.writerow([repr(float(emp)), repr(float(theo))])
+    _write_csv(path, ["empirical_quantile", "theoretical_quantile"],
+               np.asarray(points, dtype=np.float64).tolist())

@@ -99,6 +99,13 @@ def event_time_scale(record: EventRecord) -> float:
     return t_hat
 
 
+def _initial_rates(record: EventRecord, R: int):
+    """Initial decay rates ``1/(r t_hat)``, even basis weights, even background rates."""
+    t_hat = event_time_scale(record)
+    kappa = np.array([1.0 / (r * t_hat) for r in range(1, R + 1)])
+    return kappa, np.full(R, 1.0 / R), np.full(record.n, record.N / (record.horizon * record.n))
+
+
 def init_influence_guess(record: EventRecord) -> np.ndarray:
     """Crude pairwise influence counts with a single exponential clock.
 
@@ -137,7 +144,7 @@ def init_params(record: EventRecord, R: int = 1, m: int = 2,
     given coordinates instead (the frozen-coordinate estimator relies on
     this).
     """
-    t_hat = event_time_scale(record)
+    kappa, gamma, mu = _initial_rates(record, R)
     if embedding is None:
         A = density_normalize(init_influence_guess(record), alpha)
         emb = diffusion_embed(A, m)
@@ -152,9 +159,8 @@ def init_params(record: EventRecord, R: int = 1, m: int = 2,
         beta0 = 1e-12
     kernels = KernelBank(
         beta_sq=np.full(R, beta0),
-        kappa=np.array([1.0 / (r * t_hat) for r in range(1, R + 1)]),
-        gamma=np.full(R, 1.0 / R),
+        kappa=kappa,
+        gamma=gamma,
     )
     xi = np.ones(record.n)
-    mu = np.full(record.n, record.N / (record.horizon * record.n))
     return ModelParams(emb, kernels, xi, mu)

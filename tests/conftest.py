@@ -298,6 +298,36 @@ def reference_events_csv(record, path):
             writer.writerow([label, repr(float(t))])
 
 
+def reference_embedding_csv(params, labels, path):
+    """``write_embedding_csv`` one ``writerow`` per point."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["type_label", "role"] + [f"coord_{d + 1}" for d in range(params.m)])
+        for role, pts in (("reception", params.embedding.reception),
+                          ("influence", params.embedding.influence)):
+            for k in range(params.n):
+                label = labels[k] if labels is not None else str(k)
+                writer.writerow([label, role] + [repr(float(v)) for v in pts[k]])
+
+
+def reference_curve_csv(report_doc, path):
+    """``write_curve_csv`` one ``writerow`` per epoch."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["epoch", "train_log_likelihood"])
+        for e, v in enumerate(report_doc["curve"]):
+            writer.writerow([str(e), repr(float(v))])
+
+
+def reference_qq_csv(points, path):
+    """``write_qq_csv`` one ``writerow`` per point."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["empirical_quantile", "theoretical_quantile"])
+        for emp, theo in points:
+            writer.writerow([repr(float(emp)), repr(float(theo))])
+
+
 # ---------------------------------------------------------------------------
 # surrogate objective the M-step maximizes (softmax denominators and the
 # temporal integral both treated as unit mass; optionally keeping the

@@ -258,7 +258,7 @@ class TestFit:
                                 + given) == 1
             assert message in capsys.readouterr().err
 
-    def test_options_are_the_config_fields(self, workdir):
+    def test_options_are_the_config_fields(self, workdir, capsys, monkeypatch):
         table = {flag[2:].replace("-", "_"): default
                  for flag, _, default, _ in _OPTIONS["fit"]}
         files = {"events", "frozen_embedding", "horizon", "train_end", "out",
@@ -268,6 +268,14 @@ class TestFit:
         for name, default in defaults.items():
             # m stays unset so that a frozen embedding's dimension can fill it
             assert table[name] == (None if name == "m" else default), name
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a help text
+        assert cli_dispatch(["fit", "--help"]) == 0
+        entries = capsys.readouterr().out.split("\n  -")  # one per option
+        for name, default in defaults.items():
+            flag = "-" + name.replace("_", "-")
+            [entry] = [e for e in entries if e.split()[0] == flag]
+            if default is not None:
+                assert f"(default {default}" in entry, entry
         config = load_report(workdir / "report.json")["config"]
         assert config.keys() == {"mode", "epochs", "R", "m", "eps", "eps1", "eps2",
                                  "dm_alpha", "inner_steps", "prior_alpha", "prior_beta"}

@@ -43,7 +43,8 @@ from hawkesgeo.model import (
     NumericsWarning,
 )
 
-from conftest import make_model, reference_discretize, reference_events_csv
+from conftest import make_model, reference_curve_csv, reference_discretize, \
+    reference_embedding_csv, reference_events_csv, reference_qq_csv
 
 
 class TestAtomicWrite:
@@ -542,6 +543,14 @@ class TestModelDocuments:
         _, labels = load_model(path, with_labels=True)
         assert labels == ("0", "1", "2")
 
+    @pytest.mark.parametrize("labels", [[], ["a", "b"], ["a", "b", "c", "d"]])
+    def test_labels_must_have_length_n(self, tmp_path, rng, labels):
+        params = make_model(rng, n=3)
+        for write in (save_model, write_embedding_csv):
+            with pytest.raises(ValueError, match="labels must have length n"):
+                write(params, path=tmp_path / "out", labels=labels)
+        assert os.listdir(tmp_path) == []
+
     def test_full_rank_round_trip(self, tmp_path, rng):
         params = FullRankParams(rng.uniform(0.0, 0.3, size=(3, 3)),
                                 np.array([0.5, 2.0]),
@@ -594,7 +603,7 @@ class TestModelDocuments:
         path, doc = self._doc(tmp_path, rng)
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match="schema_version"):
+        with pytest.raises(DataFormatError, match="unsupported schema_version 99$"):
             load_model(path)
 
     def test_unknown_kind(self, tmp_path, rng):
@@ -696,7 +705,7 @@ class TestReport:
     def test_version_check(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"schema_version": 0}))
-        with pytest.raises(DataFormatError, match="schema_version"):
+        with pytest.raises(DataFormatError, match="unsupported schema_version 0$"):
             load_report(path)
         with pytest.raises(DataFormatError, match="not found"):
             load_report(tmp_path / "absent.json")
@@ -773,3 +782,28 @@ class TestPlotExports:
         assert rows[0] == ["empirical_quantile", "theoretical_quantile"]
         assert [float(v) for v in rows[1]] == [0.1, 0.2]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("labels", [None, ("north", "a,b", 'q"x', " pad ")])
+    def test_embedding_bytes_are_the_row_by_row_writer(self, tmp_path, rng, labels):
+        params = make_model(rng, n=4, m=3)
+        X = params.embedding.reception.copy()
+        X[0, 0], X[1, 1], X[2, 2], X[3, 0] = -0.0, 5e-324, 1.0 / 3.0, -1.7976931348623157e308
+        params = ModelParams(EmbeddingPair(X, params.embedding.influence), params.kernels,
+                             params.xi, params.mu)
+        write_embedding_csv(params, labels, tmp_path / "fast.csv")
+        reference_embedding_csv(params, labels, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("curve", [[], [-3, -2.5, 5e-324, -0.0, 1.0 / 3.0, -1e300, 7]])
+    def test_curve_bytes_are_the_row_by_row_writer(self, tmp_path, curve):
+        write_curve_csv({"curve": curve}, tmp_path / "fast.csv")
+        reference_curve_csv({"curve": curve}, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("points", [np.empty((0, 2)),
+                                        np.array([[0.0, -0.0], [5e-324, 1.0 / 3.0],
+                                                  [0.1, 0.2], [1e300, 1.7976931348623157e308]])])
+    def test_qq_bytes_are_the_row_by_row_writer(self, tmp_path, points):
+        write_qq_csv(points, tmp_path / "fast.csv")
+        reference_qq_csv(points, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
