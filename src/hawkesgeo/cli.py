@@ -288,6 +288,10 @@ def _cmd_fit(args) -> int:
         check_writable(target)  # before the fit, not after its last epoch
 
     report = fit(record, config, init=init)
+    if report.best_epoch < 0:
+        print(f"fit[{config.mode}]: aborted at epoch {report.aborted_epoch} with no finite "
+              "epoch (non-finite objective); wrote nothing", file=sys.stderr)
+        return 3
 
     save_model(report.params_best, args.out, labels=record.labels)
     if args.out_final is not None:

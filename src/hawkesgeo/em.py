@@ -217,9 +217,9 @@ class FullRankParams:
         mu = np.asarray(self.mu, dtype=np.float64)
         for name, val in (("phi", phi), ("kappa", kappa), ("w", w), ("mu", mu)):
             object.__setattr__(self, name, val)
-        n = phi.shape[0]
-        if phi.ndim != 2 or phi.shape != (n, n):
+        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ValueError("phi must be square")
+        n = phi.shape[0]
         if np.any(phi < 0.0) or not np.all(np.isfinite(phi)):
             raise ValueError("phi entries must be nonnegative and finite")
         if kappa.shape != w.shape or kappa.ndim != 1:
@@ -366,11 +366,12 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     entries = _Entries(params.R)
     p_bg = np.empty(record.N)
     ws = _Workspace(params.R)
+    n_earlier = np.searchsorted(record.times, record.times, "left")
+    first = np.cumsum(n_earlier) - n_earlier  # where each event's pairs start
     for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):
         cuts, e, rows, p, p_bg[events] = _attribute(record, params, H, lam, floor,
                                                     events.start, ws)
-        n_earlier = np.searchsorted(record.times, record.times[events], "left")
-        i = e - (np.cumsum(n_earlier) - n_earlier)[rows]  # a row's pairs start at its first
+        i = e - (first[events] - first[events.start])[rows]  # a row's pairs start at its first
         entries.add(cuts, i, rows, p, lam.size)
     return entries.branching(record, p_bg)
 

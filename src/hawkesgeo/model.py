@@ -150,22 +150,36 @@ def _event_blocks(first):
     return blocks
 
 
+def _pair_block(record: EventRecord, n_earlier, s: int, e: int, dyad_type):
+    """The lags and flat type pairs ``types[j] * n + types[i]`` (as
+    ``dyad_type``) of every pair that events ``s..e-1`` receive, in
+    ``pair_indices``' order.  Event ``j``'s triggers are its ``n_earlier[j]``
+    predecessors, the prefix ``[0, n_earlier[j])`` of the sorted record, so
+    both come from concatenated prefixes without index arrays or gathers."""
+    times, types, c = record.times, record.types, n_earlier[s:e]
+    prefixes = c.tolist()
+    dt = np.repeat(times[s:e], c) - np.concatenate([times[:k] for k in prefixes])
+    dyad = np.repeat(types[s:e] * record.n, c) + np.concatenate([types[:k] for k in prefixes])
+    return dt, dyad.astype(dyad_type, copy=False)
+
+
 def _pair_blocks(record: EventRecord):
     """``pair_indices`` in blocks of receiving events, for attribution.
 
     Yields ``(events, rows, dt, dyad)``: ``events`` a slice of the record and,
     for the pairs its events receive, about ``PAIR_BLOCK`` of them, the
-    receiving event ``j - events.start`` (int32), the lag and the flat type
-    pair ``types[j] * n + types[i]`` (int32 while ``n * n < 2**31``).  Each
-    block is built when reached, so a caller that walks the generator holds
-    one block, and one that keeps the list (``fit``) 16 bytes per pair.
+    receiving event ``j - events.start``, the lag and the flat type pair
+    ``types[j] * n + types[i]``.  Rows and type pairs take the narrowest
+    unsigned type that holds the block's last row and ``n * n - 1``, so at
+    ``n <= 256`` with at most 256 events in a block a pair takes 11 bytes.
+    Each block is built when reached, so a caller that walks the generator
+    holds one block, and one that keeps the list (``fit``) all of them.
     """
-    first = np.concatenate(([0], np.cumsum(np.searchsorted(record.times, record.times, "left"))))
-    dyad_type = np.int32 if record.n * record.n < 2**31 else np.int64
-    for s, e in _event_blocks(first):
-        i, j = _earlier_pairs(record.times, s, e)
-        dyad = (record.types[j] * record.n + record.types[i]).astype(dyad_type)
-        yield slice(s, e), (j - s).astype(np.int32), record.times[j] - record.times[i], dyad
+    n_earlier = np.searchsorted(record.times, record.times, "left")
+    dyad_type = np.min_scalar_type(record.n * record.n - 1)
+    for s, e in _event_blocks(np.concatenate(([0], np.cumsum(n_earlier)))):
+        rows = np.repeat(np.arange(e - s, dtype=np.min_scalar_type(e - s - 1)), n_earlier[s:e])
+        yield slice(s, e), rows, *_pair_block(record, n_earlier, s, e, dyad_type)
 
 
 class _Workspace:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
-    _earlier_pairs, _event_blocks
+    _event_blocks, _pair_block
 
 _SMOOTHING = 1e-12
 
@@ -112,23 +112,22 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
     Each ordered pair of types accumulates the clock value at its observed
     lags, with the clock's rate set from the mean interarrival time.  It is a
     pair sum over 512 receiving events at a time, since fits depend on its
-    rounding; a chunk's pairs are built in blocks of about ``PAIR_BLOCK``, and
-    its sums continue from block to block in pair order, as its ``bincount``.
+    rounding; a chunk's pairs are built from the record's prefixes by
+    ``_pair_block`` in blocks of about ``PAIR_BLOCK``, and ``np.add.at``
+    continues its sums from block to block in pair order, as its ``bincount``.
     """
     t_hat = event_time_scale(record)
     kap = 1.0 / t_hat
     n = record.n
-    times = record.times
-    types = record.types
-    first = np.concatenate(([0], np.cumsum(np.searchsorted(times, times, "left"))))
+    n_earlier = np.searchsorted(record.times, record.times, "left")
+    first = np.concatenate(([0], np.cumsum(n_earlier)))
     phi, part = np.zeros(n * n), np.empty(n * n)
     chunk = 512
     for s in range(0, record.N, chunk):
         part[:] = 0.0
         for a, b in _event_blocks(first[s:s + chunk + 1]):
-            ii, jj = _earlier_pairs(times, s + a, s + b)
-            vals = kap * np.exp(-kap * (times[jj] - times[ii]))
-            np.add.at(part, types[jj] * n + types[ii], vals)
+            dt, dyad = _pair_block(record, n_earlier, s + a, s + b, np.intp)
+            np.add.at(part, dyad, kap * np.exp(-kap * dt))
         phi += part
     return phi.reshape(n, n)
 

@@ -377,6 +377,31 @@ class TestFit:
         want = background_probabilities(record, load_model(tmp_path / "m.json"))
         assert doc["p_background"] == want.tolist()
 
+    def test_no_finite_epoch_exits_3_and_writes_nothing(self, workdir, tmp_path, capsys,
+                                                       monkeypatch):
+        # a full-rank start whose influence is 1e308 leaves the finite regime
+        # at epoch 0, so the report has an empty curve and best_epoch -1
+        from hawkesgeo import cli
+
+        real_fit = cli.fit
+
+        def overflowing_fit(record, config, init=None):
+            phi = np.full((record.n, record.n), 1e308)
+            return real_fit(record, config, init=FullRankParams(phi, [1.0], [1.0],
+                                                                np.full(record.n, 0.1)))
+
+        monkeypatch.setattr(cli, "fit", overflowing_fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                               "--mode", "frb", "--epochs", "3",
+                               "--out", str(tmp_path / "m.json"),
+                               "--report", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "aborted at epoch 0 with no finite epoch" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_hyperparameter_is_a_usage_error(self, workdir, capsys):
         for flags in (["--epochs", "0"], ["--eps2", "0.1", "--prior-alpha", "0"]):
             assert cli_dispatch(["fit", "--events", str(workdir / "events.csv")]
@@ -501,6 +526,22 @@ class TestDiagnose:
             assert cli_dispatch(argv + ["--events", str(events), "--model", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("phi", [5, [0.2, 0.2]])
+    def test_full_rank_phi_of_the_wrong_rank_exits_2(self, tmp_path, capsys, phi):
+        events = tmp_path / "ev.csv"
+        events.write_text("type,time\na,0\nb,1\na,2\n")
+        path = tmp_path / "model.json"
+        save_model(FullRankParams(np.full((2, 2), 0.2), [1.0], [1.0], [0.5, 0.5]), path,
+                   labels=["a", "b"])
+        doc = json.loads(path.read_text())
+        doc["phi"] = phi
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["evaluate", "--split-time", "1.5", "--events", str(events),
+                             "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "inconsistent model document (phi must be square)" in err
 
     def test_collapsed_embedding_notes_the_null_kendall_tau(self, workdir, tmp_path,
                                                            capsys):

@@ -257,6 +257,13 @@ def silent_type_record(rng, n, N):
     return EventRecord(types, times, n, times[-1] + 1.0)
 
 
+def receivers(blocks):
+    """The receiving event ``j`` of every pair in ``_pair_blocks``' blocks;
+    the rows are widened first, since a uint8 row plus its block's start can
+    pass 255."""
+    return np.concatenate([b[0].start + b[1].astype(np.int64) for b in blocks])
+
+
 def blocked_cases(rng):
     """Records and parameters for the blocked attribution: tie runs that
     cross block edges, silent and ``mu = 0`` types, R = 2, full-rank
@@ -287,33 +294,44 @@ class TestBlockedAttribution:
             if record.N:
                 assert_matches_oracle(record, params, floor)
 
-    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_blocks_cover_every_pair_once(self, rng, monkeypatch, block):
+        # a 300-event tie run at time 0 receives no pair, so a block that starts
+        # there spans more than 256 events and its rows go uint16; at 2^16 that
+        # block holds all 420 events and all their pairs
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
-        record = tied_record(rng, 3, N=40)
-        i_idx, j_idx, dt = model.pair_indices(record)
-        blocks = list(_pair_blocks(record))
-        assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
-        assert blocks[-1][0].stop == record.N
-        for events, rows, lags, dyad in blocks:
-            assert rows.dtype == dyad.dtype == np.int32 and lags.dtype == np.float64
-            assert rows.size <= block or events.stop - events.start == 1
-            assert np.all((rows >= 0) & (rows < events.stop - events.start))
-        assert np.array_equal(np.concatenate([b[1] + b[0].start for b in blocks]), j_idx)
-        assert np.array_equal(np.concatenate([b[2] for b in blocks]), dt)
-        assert np.array_equal(np.concatenate([b[3] for b in blocks]),
-                              record.types[j_idx] * record.n + record.types[i_idx])
+        burst = np.concatenate((np.zeros(300), np.sort(rng.integers(1, 40, size=120)) * 0.25))
+        for record in (tied_record(rng, 3, N=40), silent_type_record(rng, 6, 36),
+                       EventRecord(rng.integers(0, 4, size=burst.size), burst, 5, 11.0)):
+            i_idx, j_idx, dt = model.pair_indices(record)
+            blocks = list(_pair_blocks(record))
+            assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
+            assert blocks[-1][0].stop == record.N
+            for events, rows, lags, dyad in blocks:
+                # the narrowest unsigned types; at n <= 16 a type pair fits a byte
+                assert rows.dtype == np.min_scalar_type(events.stop - events.start - 1)
+                assert dyad.dtype == np.uint8 and lags.dtype == np.float64
+                assert rows.size <= block or events.stop - events.start == 1
+                assert np.all(rows < events.stop - events.start)
+            assert np.array_equal(receivers(blocks), j_idx)
+            assert_same_array(np.concatenate([b[2] for b in blocks]), dt)
+            assert np.array_equal(np.concatenate([b[3] for b in blocks]),
+                                  record.types[j_idx] * record.n + record.types[i_idx])
+        assert blocks[0][1].dtype == np.uint16
+        assert blocks[0][1].size == (dt.size if block == 1 << 16 else 0)
 
-    @pytest.mark.parametrize("n, wide", [(46_340, False), (50_000, True)])
-    def test_dyad_widens_once_type_pairs_pass_int32(self, n, wide):
-        # 46,340^2 < 2^31 <= 50,000^2: the last type pair n^2 - 1 fits int32 only below
+    @pytest.mark.parametrize("n, dtype", [(16, np.uint8), (17, np.uint16), (256, np.uint16),
+                                          (257, np.uint32), (65_536, np.uint32),
+                                          (65_537, np.uint64)])
+    def test_dyad_takes_the_narrowest_unsigned_type(self, n, dtype):
+        # the last type pair n^2 - 1 is 255, 65,535 and 2^32 - 1 at n = 16, 256, 65,536
         record = EventRecord([n - 1, 0, n - 1, n - 1], [0.0, 1.0, 2.0, 2.0], n, 3.0)
         blocks = list(_pair_blocks(record))
         dyad = np.concatenate([b[3] for b in blocks])
-        assert dyad.dtype == (np.int64 if wide else np.int32)
+        assert dyad.dtype == dtype
         assert np.array_equal(dyad, [n - 1, (n - 1) * n + n - 1, (n - 1) * n, (n - 1) * n + n - 1,
                                      (n - 1) * n])
-        assert all(b[1].dtype == np.int32 for b in blocks)
+        assert all(b[1].dtype == np.uint8 for b in blocks)
 
     @pytest.mark.parametrize("block", [1, 7, model.PAIR_BLOCK])
     def test_degenerate_event_keeps_its_record_index(self, rng, monkeypatch, block):
@@ -372,10 +390,11 @@ class TestBlockedAttribution:
         assert out > 150 * 8 * model.PAIR_BLOCK
         assert peak - out < 32 * 8 * model.PAIR_BLOCK
 
-    def test_fit_keeps_16_bytes_per_pair(self, rng, monkeypatch):
-        # 319,600 pairs in blocks of 4,096: fit keeps the receiving row, the
-        # lag and the type pair of each, in 4 + 8 + 4 bytes; whole-record
-        # temporaries would add 8 bytes a pair each
+    def test_fit_keeps_10_bytes_per_pair(self, rng, monkeypatch):
+        # 319,600 pairs in blocks of 4,096, none of more than 256 events: fit
+        # keeps the receiving row, the lag and the type pair of each, in
+        # 1 + 8 + 1 bytes at n = 3; whole-record temporaries would add 8 bytes
+        # a pair each
         monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
         record = make_record(rng, 3, N=800, T=5.0)
         pairs = record.N * (record.N - 1) // 2
@@ -388,7 +407,7 @@ class TestBlockedAttribution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * pairs + 32 * 8 * model.PAIR_BLOCK
+        assert peak <= 10 * pairs + 32 * 8 * model.PAIR_BLOCK
 
     @pytest.mark.parametrize("mode", ["geo", "frb"])
     def test_fit_holds_nothing_but_its_report(self, rng, monkeypatch, mode):

@@ -579,6 +579,18 @@ class TestModelDocuments:
         with pytest.raises(DataFormatError, match="inconsistent"):
             load_model(path)
 
+    @pytest.mark.parametrize("phi", [5, [0.2, 0.2], [[0.2, 0.2]]])
+    def test_full_rank_phi_of_the_wrong_rank_is_inconsistent(self, tmp_path, phi):
+        # a scalar phi has no shape[0]: the rank is checked before the size
+        path = tmp_path / "model.json"
+        save_model(FullRankParams(np.full((2, 2), 0.2), [1.0], [1.0], [0.5, 0.5]), path)
+        doc = json.loads(path.read_text())
+        doc["phi"] = phi
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError,
+                           match=r"inconsistent model document \(phi must be square\)"):
+            load_model(path)
+
     def _doc(self, tmp_path, rng):
         path = tmp_path / "model.json"
         save_model(make_model(rng, n=2), path)
