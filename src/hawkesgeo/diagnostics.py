@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .em import BranchingStructure, _require_positive
 from .model import (
     EmbeddingPair,
@@ -57,37 +56,13 @@ def split_eval(record: EventRecord, params, split: EvalSplit):
     return train, test
 
 
-def _event_runs(b: BranchingStructure):
-    """``b``'s entries ordered by basis, then receiving event, then trigger, as
-    ``(r_idx, j_idx, i_idx, p)`` with ``first[r][j]``, the offset of event
-    ``j``'s first entry of basis ``r``.  ``e_step`` stores them in this order,
-    which a scan in blocks confirms; other entries are sorted once."""
-    N = b.record.N
-    order = (b.r_idx, b.j_idx, b.i_idx, b.p)
-
-    def key(sl):
-        return (b.r_idx[sl] * N + b.j_idx[sl]) * N + b.i_idx[sl]
-
-    for a in range(0, b.p.size, model.PAIR_BLOCK):
-        k = key(slice(a, a + model.PAIR_BLOCK + 1))
-        if np.any(k[1:] < k[:-1]):
-            perm = np.argsort(key(slice(None)), kind="stable")
-            order = tuple(arr[perm] for arr in order)
-            break
-    r_idx, j_idx = order[:2]
-    bounds = np.searchsorted(r_idx, np.arange(b.R + 1))
-    first = [lo + np.searchsorted(j_idx[lo:hi], np.arange(N + 1))
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return order, first
-
-
 def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructure) -> float:
     """Mean per-event Hellinger distance between two attributions.
 
     Each event's attribution is a distribution over (trigger, basis) pairs
     plus background; entries absent from one side count as zero.  Events are
-    compared in blocks of about ``model.PAIR_BLOCK`` entries, each event's
-    common terms summed in ``(trigger, basis)`` order.
+    compared in blocks of about ``model.PAIR_BLOCK`` entries, read off each
+    side's runs, each event's common terms summed in ``(trigger, basis)`` order.
     """
     if estimated.record is not truth.record and estimated.record != truth.record:
         raise ValueError("attributions describe different records")
@@ -95,23 +70,22 @@ def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructur
     if N == 0:
         raise ValueError("empty record")
     R = max(estimated.R, truth.R)
-    sides = [_event_runs(b) for b in (estimated, truth)]
+    firsts = [[b.starts[r * N:(r + 1) * N + 1] for r in range(b.R)] for b in (estimated, truth)]
 
-    def block(side, s, e):
-        (r_idx, j_idx, i_idx, p), first = side
-        sl = [slice(f[s], f[e]) for f in first]
-        keys = np.concatenate([(j_idx[x] * N + i_idx[x]) * R + r_idx[x] for x in sl])
-        return keys, np.concatenate([p[x] for x in sl])
+    def block(b, first, s, e):
+        keys = [(np.repeat(np.arange(s, e) * N, np.diff(f[s:e + 1])) + b.i_idx[f[s]:f[e]]) * R
+                + r for r, f in enumerate(first)]
+        return np.concatenate(keys), np.concatenate([b.p[f[s]:f[e]] for f in first])
 
     bc = np.sqrt(estimated.p_background * truth.p_background)
-    for s, e in _event_blocks(sum(f for side in sides for f in side[1])):
-        (ka, pa), (kb, pb) = block(sides[0], s, e), block(sides[1], s, e)
+    for s, e in _event_blocks(sum(f for first in firsts for f in first)):
+        (ka, pa), (kb, pb) = (block(b, first, s, e)
+                              for b, first in zip((estimated, truth), firsts))
         common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
         if common.size:
             bc[s:e] += np.bincount(common // (N * R) - s, weights=np.sqrt(pa[ia] * pb[ib]),
                                    minlength=e - s)
-    h = np.sqrt(np.maximum(0.0, 1.0 - bc))
-    return float(h.mean())
+    return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
 
 
 def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
@@ -235,21 +209,18 @@ def _tied_pairs(starts: np.ndarray) -> int:
 def _inversions(a: np.ndarray) -> int:
     """Pairs ``i < j`` with ``a[i] > a[j]``, for integers ``0 <= a < a.size``.
 
-    Bottom-up merging: while blocks of width ``w`` are each sorted, every
-    element of a right block counts the elements above it in its left block
-    with one ``searchsorted`` over all left blocks, keyed by block pair.
-    ``O(M log^2 M)``.
+    Bottom-up merging: while blocks of width ``w`` are each sorted, a stable
+    argsort by (block pair, ``a``) merges each pair (timsort merges the runs it
+    finds).  Only a right block's elements move left, each past the elements
+    above it in its left block, so the level counts the leftward moves.
     """
     M = a.size
     idx = np.arange(M)
     count, w = 0, 1
     while w < M:
-        pair = idx // (2 * w)
-        key = pair * M + a
-        right = (idx // w) % 2 == 1
-        not_above = np.searchsorted(key[~right], key[right], side="right") - pair[right] * w
-        count += int(np.sum(w - not_above))
-        a = np.sort(key) - pair * M
+        order = np.argsort(idx // (2 * w) * M + a, kind="stable")
+        count += int(np.sum(np.maximum(order - idx, 0)))
+        a = a[order]
         w *= 2
     return count
 

@@ -124,7 +124,7 @@ def _weighted_counts(index, weights, size: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BranchingStructure:
     """Sparse posterior attribution of events to triggers and background.
 
@@ -133,28 +133,69 @@ class BranchingStructure:
     ``p_background[j]`` is the probability event ``j`` is exogenous.  Each
     event's probabilities sum to one (entries below a floor may be dropped,
     after which the row is renormalized).
+
+    Entries are kept as runs, 16 bytes each: basis ``r``'s for event ``j`` are
+    ``starts[r*N + j]:starts[r*N + j + 1]`` of ``i_idx`` and ``p``, by trigger.
+    ``j_idx`` and ``r_idx`` are rebuilt from ``starts`` on each access.  The
+    constructor rejects an entry outside the record or with ``t_i >= t_j``,
+    and orders the entries (stably) unless they already are.
     """
 
     record: EventRecord
     i_idx: np.ndarray
-    j_idx: np.ndarray
-    r_idx: np.ndarray
     p: np.ndarray
+    starts: np.ndarray
     p_background: np.ndarray
     R: int
 
-    def __post_init__(self):
-        for name, dt in (("i_idx", np.int64), ("j_idx", np.int64), ("r_idx", np.int64),
-                         ("p", np.float64), ("p_background", np.float64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dt))
-        if not (self.i_idx.shape == self.j_idx.shape == self.r_idx.shape == self.p.shape):
+    def __init__(self, record, i_idx, j_idx, r_idx, p, p_background, R):
+        N = record.N
+        i_idx, j_idx, r_idx = (np.asarray(a, dtype=np.int64) for a in (i_idx, j_idx, r_idx))
+        p = np.asarray(p, dtype=np.float64)
+        if not (i_idx.shape == j_idx.shape == r_idx.shape == p.shape == (p.size,)):
             raise ValueError("entry arrays must share a common length")
-        if self.p_background.shape != (self.record.N,):
+        for name, idx, size in (("r_idx", r_idx, R), ("i_idx", i_idx, N), ("j_idx", j_idx, N)):
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(f"{name} entries must lie in [0, {size})")
+        if np.any(record.times[i_idx] >= record.times[j_idx]):
+            raise ValueError("each i_idx entry must precede its j_idx entry in time")
+        run = r_idx * N + j_idx
+        if np.any(np.diff(run * N + i_idx) < 0):
+            order = np.lexsort((i_idx, run))
+            i_idx, p, run = i_idx[order], p[order], run[order]
+        self._store(record, i_idx, p, np.bincount(run, minlength=R * N), p_background, R)
+
+    @classmethod
+    def _from_runs(cls, record, i_idx, p, per_run, p_background, R) -> BranchingStructure:
+        """A structure of entries already in run order, as ``_store`` takes them."""
+        out = cls.__new__(cls)
+        out._store(record, i_idx, p, per_run, p_background, R)
+        return out
+
+    def _store(self, record, i_idx, p, per_run, p_background, R):
+        """Keep entries in run order, ``per_run[r*N + j]`` of them in each run."""
+        p_background = np.asarray(p_background, dtype=np.float64)
+        if p_background.shape != (record.N,):
             raise ValueError("p_background must have one entry per event")
-        if self.p.size and (self.p.min() < 0.0 or self.p.max() > 1.0 + 1e-12):
+        if p.size and (p.min() < 0.0 or p.max() > 1.0 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.p_background.size and (self.p_background.min() < 0.0):
+        if p_background.size and (p_background.min() < 0.0):
             raise ValueError("background probabilities must be nonnegative")
+        starts = np.concatenate(([0], np.cumsum(per_run)))
+        for name, value in (("record", record), ("i_idx", i_idx), ("p", p), ("starts", starts),
+                            ("p_background", p_background), ("R", R)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def j_idx(self) -> np.ndarray:
+        """Each entry's receiving event, rebuilt from ``starts``."""
+        return np.repeat(np.tile(np.arange(self.record.N), self.R), np.diff(self.starts))
+
+    @property
+    def r_idx(self) -> np.ndarray:
+        """Each entry's basis, rebuilt from ``starts``."""
+        bounds = self.starts[np.arange(self.R + 1) * self.record.N]
+        return np.repeat(np.arange(self.R), np.diff(bounds))
 
     def row_sums(self) -> np.ndarray:
         sums = self.p_background.copy()
@@ -327,7 +368,7 @@ class _Entries:
     """Kept attribution entries gathered block by block, basis-major at the end.
 
     Per basis it keeps each block's triggers ``i`` and probabilities ``p``,
-    and how many entries each event receives, from which ``j`` is rebuilt.
+    and how many entries each event receives, which give the runs' starts.
     """
 
     def __init__(self, R):
@@ -342,16 +383,14 @@ class _Entries:
     def branching(self, record, p_background) -> BranchingStructure:
         R = len(self.parts)
         columns = []
-        for f in range(3):  # one column at a time, freeing its parts as it goes
+        for f, dtype in enumerate((np.int64, np.float64, np.int64)):  # freeing parts as it goes
             pieces = [piece for part in self.parts for piece in part[f]]
             for part in self.parts:
                 part[f].clear()
-            columns.append(np.concatenate(pieces) if pieces else np.zeros(0, np.int64))
+            columns.append(np.concatenate(pieces) if pieces else np.zeros(0, dtype))
             del pieces
         i_idx, p, per_event = columns
-        j_idx = np.repeat(np.tile(np.arange(record.N), R), per_event)
-        r_idx = np.repeat(np.arange(R), per_event.reshape(R, record.N).sum(axis=1))
-        return BranchingStructure(record, i_idx, j_idx, r_idx, p, p_background, R)
+        return BranchingStructure._from_runs(record, i_idx, p, per_event, p_background, R)
 
 
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:

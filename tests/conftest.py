@@ -103,6 +103,13 @@ def make_branching(rng, record, R):
     )
 
 
+def shuffled(rng, b: BranchingStructure) -> BranchingStructure:
+    """``b``'s entries passed to the constructor in a random order."""
+    perm = rng.permutation(b.p.size)
+    return BranchingStructure(b.record, b.i_idx[perm], b.j_idx[perm], b.r_idx[perm],
+                              b.p[perm], b.p_background, b.R)
+
+
 # ---------------------------------------------------------------------------
 # independent likelihood oracle (loops + quadrature)
 

@@ -35,7 +35,7 @@ from hawkesgeo.model import (
 )
 from hawkesgeo.simulate import sample_ground_truth, simulate_thinning
 
-from conftest import make_branching, make_model, make_record
+from conftest import make_branching, make_model, make_record, shuffled
 
 
 class TestSplitEval:
@@ -127,12 +127,6 @@ def event_distances(a: BranchingStructure, b: BranchingStructure) -> np.ndarray:
 def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
     """The divergence as one ``np.intersect1d`` over every ``(j, i, r)`` key."""
     return float(event_distances(a, b).mean())
-
-
-def shuffled(rng, b: BranchingStructure) -> BranchingStructure:
-    perm = rng.permutation(b.p.size)
-    return BranchingStructure(b.record, b.i_idx[perm], b.j_idx[perm], b.r_idx[perm],
-                              b.p[perm], b.p_background, b.R)
 
 
 def only_basis(b: BranchingStructure, r: int, R: int) -> BranchingStructure:
@@ -562,6 +556,12 @@ class TestKendallTauB:
     def test_continuous_samples_are_scipys(self, rng):
         for M in (2, 3, 50, 2500):
             assert_tau_is_scipys(rng.normal(size=M), rng.normal(size=M))
+
+    def test_large_tied_samples_are_scipys(self, rng):
+        # 2,500 values on 40 and 15 levels: ties in each sample and joint ties
+        x, y = rng.integers(0, 40, size=2500), rng.integers(0, 15, size=2500)
+        assert_tau_is_scipys(x, y)
+        assert_tau_is_scipys(x, np.where(rng.random(2500) < 0.5, x, y))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e200])
     def test_distance_correlation_is_scipys_on_cdist(self, rng, scale):

@@ -5,6 +5,7 @@ surrogate objective (conftest.Surrogate), which re-derives the objective
 independently of the package.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -61,6 +62,8 @@ from conftest import (
     make_branching,
     make_model,
     make_record,
+    shuffled,
+    strict_pairs,
     unblocked_response,
 )
 
@@ -167,6 +170,94 @@ def clustered_record(rng, n):
     return EventRecord(rng.integers(0, n, size=times.size), times, n, 1202.0)
 
 
+class TestRunLayout:
+    """A ``BranchingStructure`` stores ``i_idx``, ``p`` and ``starts`` in
+    (basis, event, trigger) order; ``j_idx`` and ``r_idx`` derive from ``starts``."""
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_indices_round_trip(self, rng, R):
+        record = tied_record(rng, 3, N=15)
+        # (i, j, r, p) of every strictly ordered pair, event by event, the bases interleaved
+        entries = [(i, j, r, rng.uniform(0.0, 0.1)) for (i, j) in strict_pairs(record)
+                   for r in range(R)]
+        b = BranchingStructure(record, *(np.array(c) for c in zip(*entries)),
+                               rng.uniform(0.0, 0.1, size=record.N), R)
+        want = sorted(entries, key=lambda e: (e[2], e[1], e[0]))
+        for name, f in (("i_idx", 0), ("j_idx", 1), ("r_idx", 2), ("p", 3)):
+            got = getattr(b, name)
+            assert got.dtype == (np.float64 if name == "p" else np.int64)
+            assert got.tolist() == [e[f] for e in want], name
+        runs = np.bincount([e[2] * record.N + e[1] for e in entries], minlength=R * record.N)
+        assert_same_array(b.starts, np.concatenate([[0], np.cumsum(runs)]))
+        again = BranchingStructure(record, b.i_idx, b.j_idx, b.r_idx, b.p, b.p_background, R)
+        assert_same_branching(again, b)
+
+    def test_make_branching_comes_out_basis_major(self, rng):
+        record = make_record(rng, 3, N=10)
+        b = make_branching(rng, record, R=2)
+        key = (b.r_idx * record.N + b.j_idx) * record.N + b.i_idx
+        assert np.all(np.diff(key) > 0)
+        assert b.p.size == 2 * len(strict_pairs(record))
+        half = b.p.size // 2
+        assert b.starts[record.N] == half and np.all(b.r_idx[:half] == 0)
+        assert_allclose(b.row_sums(), np.ones(record.N), rtol=1e-12)
+
+    def test_shuffled_copy_is_the_original(self, rng):
+        record = tied_record(rng, 3, N=30)
+        for b in (make_branching(rng, record, R=2), e_step(record, make_model(rng, 3, R=2))):
+            assert_same_branching(shuffled(rng, b), b)
+
+    def test_structure_holds_no_derived_array(self, rng):
+        record = make_record(rng, 3, N=10)
+        b = e_step(record, make_model(rng, 3, R=2))
+        assert [f.name for f in dataclasses.fields(b)] == \
+            ["record", "i_idx", "p", "starts", "p_background", "R"]
+        assert b.j_idx is not b.j_idx and b.r_idx is not b.r_idx  # rebuilt, not cached
+        assert not {"j_idx", "r_idx"} & set(vars(b))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.p = b.p
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_empty_attribution(self, R):
+        record = EventRecord([0, 1, 1], [0.0, 1.0, 2.0], 2, 3.0)
+        empty = np.array([], dtype=np.int64)
+        b = BranchingStructure(record, empty, empty, empty, [], np.ones(3), R)
+        assert_same_array(b.starts, np.zeros(R * 3 + 1, dtype=np.int64))
+        assert_same_array(b.j_idx, empty)
+        assert_same_array(b.r_idx, empty)
+        assert_same_array(b.p, np.zeros(0))
+        assert_same_array(b.mass_by_r, np.zeros(R))
+        assert_same_array(b.dyad_mass, np.zeros((R, 2, 2)))
+        assert_same_array(b.row_sums(), np.ones(3))
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_one_event_record(self, rng, R):
+        record = EventRecord([0], [0.5], 1, 1.0)
+        b = e_step(record, make_model(rng, 1, R=R))
+        assert_same_array(b.starts, np.zeros(R + 1, dtype=np.int64))
+        assert b.j_idx.size == b.r_idx.size == 0
+        assert_same_array(b.row_sums(), np.ones(1))
+
+    @pytest.mark.parametrize("field, i, j, r, R", [
+        ("r_idx", 0, 1, 3, 1),    # made mass_by_r 4 long
+        ("r_idx", 0, 1, -1, 2),
+        ("i_idx", -1, 1, 0, 1),   # made lag_mass_by_r negative
+        ("i_idx", 3, 1, 0, 1),
+        ("j_idx", 0, 5, 0, 1),    # broke row_sums with a broadcast error
+        ("j_idx", 0, -1, 0, 1),
+    ])
+    def test_entries_outside_the_record_are_rejected(self, field, i, j, r, R):
+        record = EventRecord([0, 0, 0], [0.0, 1.0, 1.0], 1, 2.0)
+        with pytest.raises(ValueError, match=field):
+            BranchingStructure(record, [i], [j], [r], [0.5], [1.0, 0.5, 1.0], R)
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (1, 0), (1, 1)])
+    def test_a_trigger_must_precede_its_event(self, i, j):
+        record = EventRecord([0, 0, 0], [0.0, 1.0, 1.0], 1, 2.0)  # events 1 and 2 tie
+        with pytest.raises(ValueError, match="i_idx .* precede"):
+            BranchingStructure(record, [i], [j], [0], [0.5], [1.0, 0.5, 0.5], 1)
+
+
 @st.composite
 def small_problems(draw):
     n = draw(st.integers(1, 4))
@@ -221,7 +312,7 @@ def attribution_of(record, params, response, floor):
     return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p.copy(), p_bg, H.shape[0])
 
 
-BRANCHING_FIELDS = ("i_idx", "j_idx", "r_idx", "p", "p_background")
+BRANCHING_FIELDS = ("i_idx", "p", "starts", "p_background")  # what a structure stores
 
 
 def assert_same_array(got, want, name=None):
@@ -230,7 +321,8 @@ def assert_same_array(got, want, name=None):
 
 
 def assert_same_branching(got, want):
-    """All five arrays equal to the bit, dtypes included."""
+    """All four stored arrays equal to the bit, dtypes included, and so the
+    derived ``j_idx`` and ``r_idx`` too."""
     assert got.R == want.R
     for name in BRANCHING_FIELDS:
         assert_same_array(getattr(got, name), getattr(want, name), name)
@@ -385,10 +477,27 @@ class TestBlockedAttribution:
         finally:
             tracemalloc.stop()
         out = sum(getattr(br, name).nbytes for name in BRANCHING_FIELDS)
-        # the output fills 175 blocks of float64, which an unblocked pass adds
-        # 225 more to; the blocked pass adds under 3
-        assert out > 150 * 8 * model.PAIR_BLOCK
-        assert peak - out < 32 * 8 * model.PAIR_BLOCK
+        # the output fills 88 blocks of float64 at 16 bytes an entry, which an
+        # unblocked pass adds 225 more to; the blocked pass adds one column's
+        # pieces while it concatenates them, 8 bytes an entry, and under 10 blocks
+        assert out > 80 * 8 * model.PAIR_BLOCK
+        assert peak - out < 8 * br.p.size + 32 * 8 * model.PAIR_BLOCK
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_output_holds_16_bytes_per_entry(self, rng, R):
+        # i_idx and p per entry, the runs' starts and p_background; j_idx and
+        # r_idx would add 16 bytes an entry, 2.9 MB at R = 1 here
+        record = make_record(rng, 3, N=600, T=5.0)
+        params = make_model(rng, 3, R=R)
+        params.amplitudes()
+        tracemalloc.start()
+        try:
+            br = e_step(record, params, floor=0.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert br.p.size == R * record.N * (record.N - 1) // 2
+        assert held <= 16 * br.p.size + 8 * (R * record.N + 1) + 8 * record.N + 64 * 1024
 
     def test_fit_keeps_10_bytes_per_pair(self, rng, monkeypatch):
         # 319,600 pairs in blocks of 4,096, none of more than 256 events: fit
