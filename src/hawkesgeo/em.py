@@ -26,6 +26,7 @@ from .model import (
     NumericsWarning,
     _pair_blocks,
     _pair_response,
+    _sq_distances,
     _Workspace,
     compensator,
     influence_matrix,
@@ -45,9 +46,9 @@ class NumericalError(RuntimeError):
 class DegenerateEventError(NumericalError):
     """An event has zero intensity, so no attribution exists."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"event {index} has zero intensity and zero background rate")
+        super().__init__(f"event {index} has zero intensity and zero background rate")
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,8 @@ class BranchingStructure:
     Entries are kept as runs, 16 bytes each: basis ``r``'s for event ``j`` are
     ``starts[r*N + j]:starts[r*N + j + 1]`` of ``i_idx`` and ``p``, by trigger.
     ``j_idx`` and ``r_idx`` are rebuilt from ``starts`` on each access.  The
-    constructor rejects an entry outside the record or with ``t_i >= t_j``,
-    and orders the entries (stably) unless they already are.
+    constructor rejects an entry outside the record, with ``t_i >= t_j`` or
+    repeated, and orders the entries unless they already are.
     """
 
     record: EventRecord
@@ -159,11 +160,13 @@ class BranchingStructure:
                 raise ValueError(f"{name} entries must lie in [0, {size})")
         if np.any(record.times[i_idx] >= record.times[j_idx]):
             raise ValueError("each i_idx entry must precede its j_idx entry in time")
-        run = r_idx * N + j_idx
-        if np.any(np.diff(run * N + i_idx) < 0):
-            order = np.lexsort((i_idx, run))
-            i_idx, p, run = i_idx[order], p[order], run[order]
-        self._store(record, i_idx, p, np.bincount(run, minlength=R * N), p_background, R)
+        key = (r_idx * N + j_idx) * N + i_idx
+        if np.any(np.diff(key) < 0):
+            order = np.argsort(key)
+            i_idx, p, key = i_idx[order], p[order], key[order]
+        if np.any(np.diff(key) == 0):
+            raise ValueError("each (i_idx, j_idx, r_idx) entry may appear only once")
+        self._store(record, i_idx, p, np.bincount(key // N, minlength=R * N), p_background, R)
 
     @classmethod
     def _from_runs(cls, record, i_idx, p, per_run, p_background, R) -> BranchingStructure:
@@ -396,11 +399,11 @@ class _Entries:
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
     """Closed-form posterior attribution under the current parameters.
 
-    Pair entries below ``floor`` are dropped and each event's remaining
-    probabilities renormalized to sum to one exactly; ``floor=0`` keeps every
-    pair.  Events are attributed in blocks of about ``model.PAIR_BLOCK``
-    pairs, each built when reached, so the time is ``O(N^2 R)`` but the memory
-    beyond the returned entries is one block's.
+    Pair entries below ``floor`` are dropped and each event's remaining probabilities
+    renormalized to sum to one exactly; ``floor=0`` keeps every pair.  Events are attributed
+    in blocks of about ``model.PAIR_BLOCK`` pairs, each built when reached, so the time is
+    ``O(N^2 R)`` but the memory beyond the returned entries is one block's.  An event whose
+    intensity is not finite raises ``NumericalError``.
     """
     entries = _Entries(params.R)
     p_bg = np.empty(record.N)
@@ -408,6 +411,9 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     n_earlier = np.searchsorted(record.times, record.times, "left")
     first = np.cumsum(n_earlier) - n_earlier  # where each event's pairs start
     for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):
+        if not np.all(np.isfinite(lam)):
+            bad = events.start + int(np.argmin(np.isfinite(lam)))
+            raise NumericalError(f"event {bad} has a non-finite intensity; no attribution exists")
         cuts, e, rows, p, p_bg[events] = _attribute(record, params, H, lam, floor,
                                                     events.start, ws)
         i = e - (first[events] - first[events.start])[rows]  # a row's pairs start at its first
@@ -486,54 +492,55 @@ def complete_data_loglik(record: EventRecord, params, branching: BranchingStruct
 # closed-form M-step updates
 
 
-def update_kappa(branching: BranchingStructure, record: EventRecord, prior: GammaPrior,
-                 r: int, current: float | None = None) -> float:
-    """Posterior-mode decay rate for basis ``r`` under a Gamma prior."""
-    num = branching.mass_by_r[r] + prior.alpha - 1.0
-    den = branching.lag_mass_by_r[r] + prior.beta
-    if num <= 0.0 or den <= 0.0:
-        warnings.warn(f"basis {r} has no usable attributed mass; kappa kept", NumericsWarning)
-        if current is None:
-            raise ValueError("degenerate kappa update with no previous value to keep")
-        return float(current)
-    return float(num / den)
+def update_kappa(stats: AttributionStats, prior: GammaPrior, current) -> np.ndarray:
+    """Posterior-mode decay rate of each basis under a Gamma prior, (R,); a
+    basis with no usable attributed mass keeps its ``current`` rate."""
+    kappa = np.array(current, dtype=np.float64)
+    for r in range(stats.R):
+        num = stats.mass_by_r[r] + prior.alpha - 1.0
+        den = stats.lag_mass_by_r[r] + prior.beta
+        if num <= 0.0 or den <= 0.0:
+            warnings.warn(f"basis {r} has no usable attributed mass; kappa kept", NumericsWarning)
+            continue
+        kappa[r] = num / den
+    return kappa
 
 
-def update_beta_sq(branching: BranchingStructure, embedding: EmbeddingPair, r: int,
-                   current: float | None = None) -> float:
-    """Attribution-weighted mean squared reach per dimension for basis ``r``."""
-    X, Y = embedding.reception, embedding.influence
-    with np.errstate(over="ignore"):  # runaway embeddings produce inf, caught downstream
-        d2 = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
-    M = branching.dyad_mass[r]
-    mass = M.sum()
-    if mass <= 0.0:
-        warnings.warn(f"basis {r} has no attributed mass; beta_sq kept", NumericsWarning)
-        if current is None:
-            raise ValueError("degenerate beta_sq update with no previous value to keep")
-        return float(current)
-    out = float(np.sum(M * d2) / (embedding.m * mass))
-    if out <= 0.0:
-        # every attributed dyad sits at distance zero; guard the collapse
-        warnings.warn(f"basis {r} collapsed to zero reach; flooring beta_sq",
-                      NumericsWarning)
-        return 1e-12
-    return out
+def update_beta_sq(stats: AttributionStats, embedding: EmbeddingPair, current) -> np.ndarray:
+    """Attribution-weighted mean squared reach per dimension of each basis,
+    (R,); a basis with no attributed mass keeps its ``current`` value."""
+    d2 = _sq_distances(embedding.reception, embedding.influence)
+    beta_sq = np.array(current, dtype=np.float64)
+    for r in range(stats.R):
+        M = stats.dyad_mass[r]
+        mass = M.sum()
+        if mass <= 0.0:
+            warnings.warn(f"basis {r} has no attributed mass; beta_sq kept", NumericsWarning)
+            continue
+        beta_sq[r] = np.sum(M * d2) / (embedding.m * mass)
+        if beta_sq[r] <= 0.0:
+            # every attributed dyad sits at distance zero; guard the collapse
+            warnings.warn(f"basis {r} collapsed to zero reach; flooring beta_sq",
+                          NumericsWarning)
+            beta_sq[r] = 1e-12
+    return beta_sq
 
 
-def update_gamma(branching: BranchingStructure, record: EventRecord, xi, r: int) -> float:
-    """Basis amplitude: attributed mass over total exertion across occurrences.
+def update_gamma(stats: AttributionStats, record: EventRecord, xi) -> np.ndarray:
+    """Basis amplitudes (R,): attributed mass over total exertion across occurrences.
 
-    Uses the passed (previous-iterate) exertion values; with zero attributed
-    mass the basis goes dormant (gamma 0).
+    Uses the passed (previous-iterate) exertion values; a basis with zero
+    attributed mass goes dormant (gamma 0).
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    mass = branching.mass_by_r[r]
-    if mass <= 0.0:
-        warnings.warn(f"basis {r} is dormant this epoch (gamma 0)", NumericsWarning)
-        return 0.0
-    exertion = float(np.sum(xi[record.types]))
-    return float(mass / exertion)
+    exertion = float(np.sum(np.asarray(xi, dtype=np.float64)[record.types]))
+    gamma = np.zeros(stats.R)
+    for r in range(stats.R):
+        mass = stats.mass_by_r[r]
+        if mass <= 0.0:
+            warnings.warn(f"basis {r} is dormant this epoch (gamma 0)", NumericsWarning)
+            continue
+        gamma[r] = mass / exertion
+    return gamma
 
 
 def update_xi(branching: BranchingStructure, record: EventRecord, gamma):
@@ -568,19 +575,17 @@ def update_mu(branching: BranchingStructure, record: EventRecord) -> np.ndarray:
     return branching.background_mass_by_type / record.horizon
 
 
-def update_influence_points(branching: BranchingStructure, record: EventRecord,
-                            embedding: EmbeddingPair) -> np.ndarray:
+def update_influence_points(stats: AttributionStats, embedding: EmbeddingPair) -> np.ndarray:
     """Each influence point moves to the attribution-weighted mean of the
     reception points it excites; zero-mass types stay put (with a warning)."""
     X = embedding.reception
-    M = branching.dyad_mass.sum(axis=0)  # (n_recv, n_infl)
+    M = stats.dyad_mass.sum(axis=0)  # (n_recv, n_infl)
     mass = M.sum(axis=0)
     Y_new = embedding.influence.copy()
     ok = mass > 0.0
     if not ok.all():
         warnings.warn("influence points with no attributed mass left unchanged", NumericsWarning)
-    if ok.any():
-        Y_new[ok] = (M.T[ok] @ X) / mass[ok, None]
+    Y_new[ok] = (M.T[ok] @ X) / mass[ok, None]
     return Y_new
 
 
@@ -598,15 +603,13 @@ def frb_update(branching: BranchingStructure, record: EventRecord) -> np.ndarray
     return phi
 
 
-def frb_kernel_weights(branching: BranchingStructure, current=None) -> np.ndarray:
-    """Per-clock share of the attributed mass (uniform fallback when empty)."""
-    mass = branching.mass_by_r
+def frb_kernel_weights(stats: AttributionStats, current) -> np.ndarray:
+    """Per-clock share of the attributed mass; with none, a copy of ``current``."""
+    mass = stats.mass_by_r
     total = mass.sum()
     if total <= 0.0:
         warnings.warn("no attributed mass; temporal weights kept", NumericsWarning)
-        if current is not None:
-            return np.asarray(current, dtype=np.float64).copy()
-        return np.full(branching.R, 1.0 / branching.R)
+        return np.array(current, dtype=np.float64)
     return mass / total
 
 
@@ -631,31 +634,28 @@ def _m_step_geometric(record, params, br, config):
     from .geometry import embedding_inner_loop, hhg_a_step, reception_gradient
     from .spectral import density_normalize, diffusion_embed
 
-    R = params.R
     kern = params.kernels
-    kappa_new = np.array([update_kappa(br, record, config.prior, r, current=kern.kappa[r])
-                          for r in range(R)])
-    beta_new = np.array([update_beta_sq(br, params.embedding, r, current=kern.beta_sq[r])
-                         for r in range(R)])
-    gamma_new = np.array([update_gamma(br, record, params.xi, r) for r in range(R)])
+    kappa_new = update_kappa(br, config.prior, kern.kappa)
+    beta_new = update_beta_sq(br, params.embedding, kern.beta_sq)
+    gamma_new = update_gamma(br, record, params.xi)
     xi_new, gamma_new = update_xi(br, record, gamma_new)
     mu_new = update_mu(br, record)
     if config.mode == "geo":
         emb = params.embedding
     else:
-        Y_new = update_influence_points(br, record, params.embedding)
+        Y_new = update_influence_points(br, params.embedding)
         emb = EmbeddingPair(params.embedding.reception, Y_new)
     cand = ModelParams(emb, KernelBank(beta_new, kappa_new, gamma_new), xi_new, mu_new)
 
     if config.mode == "hhg-a":
-        eps = config.eps if config.eps is not None else record.n / max(record.N, 1)
+        eps = config.eps if config.eps is not None else record.n / record.N
         grad = reception_gradient(record, cand, br)
         X_new = hhg_a_step(cand, grad, eps, record.N)
         cand = ModelParams(EmbeddingPair(X_new, cand.embedding.influence),
                            cand.kernels, cand.xi, cand.mu)
     elif config.mode == "hhg-b":
         cand = embedding_inner_loop(record, cand, br, config.eps1, config.eps2,
-                                    record.N, steps=config.inner_steps)
+                                    steps=config.inner_steps)
     elif config.mode == "hhg-dm":
         A = density_normalize(influence_matrix(cand), config.dm_alpha)
         emb2 = diffusion_embed(A, cand.m)
@@ -664,10 +664,9 @@ def _m_step_geometric(record, params, br, config):
 
 
 def _m_step_frb(record, params, br, config):
-    kappa_new = np.array([update_kappa(br, record, config.prior, r, current=params.kappa[r])
-                          for r in range(params.R)])
+    kappa_new = update_kappa(br, config.prior, params.kappa)
     phi_new = frb_update(br, record)
-    w_new = frb_kernel_weights(br, current=params.w)
+    w_new = frb_kernel_weights(br, params.w)
     mu_new = update_mu(br, record)
     return FullRankParams(phi_new, kappa_new, w_new, mu_new)
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EmbeddingPair, EventRecord, ModelParams, NumericsWarning
-
-
-@dataclass(frozen=True)
-class ReceptionGradient:
-    """Surrogate-objective gradient for each reception point, shape (n, m)."""
-
-    a: np.ndarray
+from .model import EmbeddingPair, EventRecord, ModelParams, NumericsWarning, _sq_distances
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,7 @@ def _gaussian_terms(record: EventRecord, params: ModelParams):
     Y = params.embedding.influence
     m = params.m
     diff = X[:, None, :] - Y[None, :, :]          # (n, n, m), [k, l]
-    d2 = np.sum(diff * diff, axis=2)
+    d2 = _sq_distances(X, Y)
     counts = record.count_by_type()
     weights = counts * params.xi                   # occurrences weighted by exertion
     G = np.empty((params.R, record.n, record.n))
@@ -63,7 +56,7 @@ def _gaussian_terms(record: EventRecord, params: ModelParams):
 
 def _reception_derivatives(record: EventRecord, params: ModelParams, branching,
                            hessian: bool = True):
-    """``(ReceptionGradient, ReceptionHessian or None)`` from one set of
+    """``(gradient (n, m), ReceptionHessian or None)`` from one set of
     Gaussian terms: the repulsive part sums once per occurrence of each
     influencing type, the attractive part weighs displacement by attributed
     mass, and the Hessian blocks come in split form."""
@@ -80,12 +73,12 @@ def _reception_derivatives(record: EventRecord, params: ModelParams, branching,
         if hessian:
             c += (gauss - M[r]).sum(axis=1) / b2
             outer += np.einsum("kl,klm,kln->kmn", gauss, diff, diff) / b2**2
-    return ReceptionGradient(a), (ReceptionHessian(c, outer) if hessian else None)
+    return a, (ReceptionHessian(c, outer) if hessian else None)
 
 
 def reception_gradient(record: EventRecord, params: ModelParams,
-                       branching) -> ReceptionGradient:
-    """Gradient of the surrogate objective in the reception points."""
+                       branching) -> np.ndarray:
+    """Gradient of the surrogate objective in the reception points, (n, m)."""
     return _reception_derivatives(record, params, branching, hessian=False)[0]
 
 
@@ -95,12 +88,12 @@ def reception_hessian(record: EventRecord, params: ModelParams,
     return _reception_derivatives(record, params, branching)[1]
 
 
-def hhg_a_step(params: ModelParams, gradient: ReceptionGradient,
+def hhg_a_step(params: ModelParams, gradient: np.ndarray,
                eps: float, N: int) -> np.ndarray:
-    """One plain ascent step ``x + eps * a / N``; non-finite rows stay put."""
+    """One plain ascent step ``x + eps * gradient / N``; non-finite rows stay put."""
     if eps <= 0.0 or N <= 0:
         raise ValueError("eps and N must be positive")
-    step = (eps / N) * gradient.a
+    step = (eps / N) * gradient
     ok = np.all(np.isfinite(step), axis=1)
     if not ok.all():
         warnings.warn("non-finite gradient rows skipped in ascent step", NumericsWarning)
@@ -108,7 +101,7 @@ def hhg_a_step(params: ModelParams, gradient: ReceptionGradient,
     return params.embedding.reception + step
 
 
-def hhg_b_step(params: ModelParams, gradient: ReceptionGradient,
+def hhg_b_step(params: ModelParams, gradient: np.ndarray,
                hessians: ReceptionHessian, eps1: float | None, eps2: float,
                N: int) -> np.ndarray:
     """One damped Newton ascent step on the reception points.
@@ -126,7 +119,7 @@ def hhg_b_step(params: ModelParams, gradient: ReceptionGradient,
     ridge = 2.0 * N * (inv_eps1 + eps2)
     X = params.embedding.reception
     n, m = X.shape
-    atil = gradient.a - 2.0 * N * eps2 * X
+    atil = gradient - 2.0 * N * eps2 * X
     neg_blocks = -hessians.assembled()
     eye = np.eye(m)
     step = np.zeros_like(X)
@@ -135,35 +128,31 @@ def hhg_b_step(params: ModelParams, gradient: ReceptionGradient,
         z = np.linalg.solve(L, atil[:, :, None])
         step = np.linalg.solve(np.transpose(L, (0, 2, 1)), z)[:, :, 0]
     except np.linalg.LinAlgError:
-        for k in range(n):
-            solved = False
+        for k in range(n):  # a skipped block keeps its zero step
             for factor in (1.0, 10.0):
                 try:
                     Lk = np.linalg.cholesky(neg_blocks[k] + factor * ridge * eye)
                     zk = np.linalg.solve(Lk, atil[k])
                     step[k] = np.linalg.solve(Lk.T, zk)
-                    solved = True
                     break
                 except np.linalg.LinAlgError:
                     continue
-            if not solved:
+            else:
                 warnings.warn(f"singular Newton block for type {k}; step skipped",
                               NumericsWarning)
-                step[k] = 0.0
     return X + step
 
 
 def embedding_inner_loop(record: EventRecord, params: ModelParams, branching,
-                         eps1: float | None, eps2: float, N: int,
-                         steps: int = 4) -> ModelParams:
-    """The damped-Newton inner loop run each M-phase.
+                         eps1: float | None, eps2: float, steps: int = 4) -> ModelParams:
+    """The damped-Newton inner loop run each M-phase, for ``record.N`` events.
 
     Gradient and Hessian are recomputed, from one set of Gaussian terms,
     after every step because the affinities move with the points.
     """
     for _ in range(steps):
         grad, hess = _reception_derivatives(record, params, branching)
-        X_new = hhg_b_step(params, grad, hess, eps1, eps2, N)
+        X_new = hhg_b_step(params, grad, hess, eps1, eps2, record.N)
         params = ModelParams(
             EmbeddingPair(X_new, params.embedding.influence),
             params.kernels, params.xi, params.mu,

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
-    _event_blocks, _pair_block
+    _event_blocks, _pair_block, _sq_distances
 
 _SMOOTHING = 1e-12
 
@@ -151,7 +151,7 @@ def init_params(record: EventRecord, R: int = 1, m: int = 2,
         if embedding.reception.shape[0] != record.n:
             raise ValueError("embedding size does not match number of types")
         emb = embedding
-    d2 = np.sum((emb.reception[:, None, :] - emb.influence[None, :, :]) ** 2, axis=2)
+    d2 = _sq_distances(emb.reception, emb.influence)
     beta0 = float(d2.mean())
     if beta0 <= 0.0:
         warnings.warn("collapsed initial embedding; flooring bandwidth", NumericsWarning)

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hawkesgeo import em, model
+from hawkesgeo import em, geometry, model
 from hawkesgeo.diagnostics import background_probabilities
 from hawkesgeo.em import (
     BRANCHING_FLOOR,
@@ -24,6 +24,7 @@ from hawkesgeo.em import (
     FitConfig,
     FullRankParams,
     GammaPrior,
+    NumericalError,
     _attribute,
     _fit_e_step,
     _initial_frb,
@@ -51,7 +52,7 @@ from hawkesgeo.model import (
     log_likelihood,
     response,
 )
-from hawkesgeo.simulate import sample_ground_truth, simulate_thinning
+from hawkesgeo.simulate import ground_truth_branching, sample_ground_truth, simulate_thinning
 from hawkesgeo.spectral import init_params
 
 from conftest import (
@@ -143,6 +144,15 @@ class TestEStep:
         with pytest.raises(DegenerateEventError) as exc:
             e_step(record, dead)
         assert exc.value.index == 0
+
+    @pytest.mark.parametrize("attribute", [e_step, ground_truth_branching])
+    def test_infinite_intensity_raises(self, attribute):
+        # the fourth event's three predecessors excite it past the float range;
+        # attributing it would divide by an infinite intensity
+        record = EventRecord([0, 1, 0, 1, 0], [0.0, 0.1, 0.2, 0.3, 0.4], 2, 1.0)
+        params = FullRankParams(np.full((2, 2), 1e308), [1.0], [1.0], [0.5, 0.5])
+        with pytest.raises(NumericalError, match="event 3 has a non-finite intensity"):
+            attribute(record, params)
 
 
 def assert_matches_oracle(record, params, floor):
@@ -256,6 +266,15 @@ class TestRunLayout:
         record = EventRecord([0, 0, 0], [0.0, 1.0, 1.0], 1, 2.0)  # events 1 and 2 tie
         with pytest.raises(ValueError, match="i_idx .* precede"):
             BranchingStructure(record, [i], [j], [0], [0.5], [1.0, 0.5, 0.5], 1)
+
+    # a repeat counted twice in row_sums, and hellinger_divergence, which
+    # assumes one key per entry, ended in an IndexError
+    @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([0, 1, 0], [2, 2, 2])])
+    def test_a_repeated_entry_is_rejected(self, i, j):
+        record = EventRecord([0, 0, 0], [0.0, 1.0, 2.0], 1, 3.0)
+        with pytest.raises(ValueError, match="may appear only once"):
+            BranchingStructure(record, i, j, [0] * len(i), [0.25] * len(i),
+                               [1.0, 0.5, 0.25], 1)
 
 
 @st.composite
@@ -748,12 +767,12 @@ class TestKappaUpdate:
     def test_hand_example_flat_prior(self):
         record = EventRecord([0, 0], [0.0, 2.0], 1, 3.0)
         br = one_pair_branching(record)
-        assert_allclose(update_kappa(br, record, GammaPrior(1.0, 0.0), 0), 0.5)
+        assert_allclose(update_kappa(br, GammaPrior(1.0, 0.0), [1.0]), [0.5])
 
     def test_hand_example_informative_prior(self):
         record = EventRecord([0, 0], [0.0, 2.0], 1, 3.0)
         br = one_pair_branching(record)
-        assert_allclose(update_kappa(br, record, GammaPrior(2.0, 1.0), 0), 2.0 / 3.0)
+        assert_allclose(update_kappa(br, GammaPrior(2.0, 1.0), [1.0]), [2.0 / 3.0])
 
     def test_zero_mass_keeps_current(self, rng):
         record = EventRecord([0, 0], [0.0, 2.0], 1, 3.0)
@@ -762,8 +781,8 @@ class TestKappaUpdate:
                                 np.array([], dtype=np.int64),
                                 np.array([]), np.array([1.0, 1.0]), 1)
         with pytest.warns(NumericsWarning):
-            out = update_kappa(br, record, GammaPrior(1.0, 0.0), 0, current=0.7)
-        assert out == 0.7
+            out = update_kappa(br, GammaPrior(1.0, 0.0), [0.7])
+        assert out == [0.7]
 
     def test_matches_numeric_argmax(self, rng):
         for _ in range(6):
@@ -775,13 +794,13 @@ class TestKappaUpdate:
             prior = GammaPrior(float(rng.uniform(1.0, 3.0)),
                                float(rng.uniform(0.0, 1.0)))
             sur = Surrogate(record, br, prior=prior)
+            got = update_kappa(br, prior, params.kernels.kappa)
             for r in range(R):
-                got = update_kappa(br, record, prior, r)
                 want = argmax_scalar(
                     lambda v: sur.value(with_kernels(
                         params, kappa=set_entry(params.kernels.kappa, r, v))),
                     1e-3, 200.0)
-                assert_allclose(got, want, rtol=1e-6)
+                assert_allclose(got[r], want, rtol=1e-6)
 
 
 class TestBetaUpdate:
@@ -789,14 +808,14 @@ class TestBetaUpdate:
         record = EventRecord([0, 0], [0.0, 1.0], 1, 2.0)
         br = one_pair_branching(record)
         emb = EmbeddingPair(np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]]))
-        assert_allclose(update_beta_sq(br, emb, 0), 2.0)
+        assert_allclose(update_beta_sq(br, emb, [1.0]), [2.0])
 
     def test_coincident_points_floored(self):
         record = EventRecord([0, 0], [0.0, 1.0], 1, 2.0)
         br = one_pair_branching(record)
         emb = EmbeddingPair(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.warns(NumericsWarning):
-            assert update_beta_sq(br, emb, 0) == 1e-12
+            assert update_beta_sq(br, emb, [1.0]) == [1e-12]
 
     def test_zero_mass_keeps_current(self, rng):
         record = EventRecord([0, 0], [0.0, 1.0], 1, 2.0)
@@ -806,7 +825,7 @@ class TestBetaUpdate:
                                 np.array([]), np.array([1.0, 1.0]), 1)
         emb = EmbeddingPair(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.warns(NumericsWarning):
-            assert update_beta_sq(br, emb, 0, current=0.3) == 0.3
+            assert update_beta_sq(br, emb, [0.3]) == [0.3]
 
     def test_matches_numeric_argmax(self, rng):
         for _ in range(6):
@@ -816,13 +835,13 @@ class TestBetaUpdate:
             params = make_model(rng, n, R=R)
             br = make_branching(rng, record, R)
             sur = Surrogate(record, br)
+            got = update_beta_sq(br, params.embedding, params.kernels.beta_sq)
             for r in range(R):
-                got = update_beta_sq(br, params.embedding, r)
                 want = argmax_scalar(
                     lambda v: sur.value(with_kernels(
                         params, beta_sq=set_entry(params.kernels.beta_sq, r, v))),
                     1e-4, 500.0)
-                assert_allclose(got, want, rtol=1e-6)
+                assert_allclose(got[r], want, rtol=1e-6)
 
 
 class TestGammaUpdate:
@@ -832,7 +851,7 @@ class TestGammaUpdate:
         br = make_branching(rng, record, R)
         for r in range(R):
             mass = br.p[br.r_idx == r].sum()
-            assert_allclose(update_gamma(br, record, np.ones(n), r),
+            assert_allclose(update_gamma(br, record, np.ones(n))[r],
                             mass / record.N, rtol=1e-12)
 
     def test_zero_mass_means_dormant(self, rng):
@@ -842,7 +861,7 @@ class TestGammaUpdate:
                                 np.array([], dtype=np.int64),
                                 np.array([]), np.array([1.0, 1.0]), 1)
         with pytest.warns(NumericsWarning):
-            assert update_gamma(br, record, np.ones(1), 0) == 0.0
+            assert update_gamma(br, record, np.ones(1)) == [0.0]
 
     def test_matches_numeric_argmax(self, rng):
         for _ in range(6):
@@ -852,13 +871,65 @@ class TestGammaUpdate:
             params = make_model(rng, n, R=R)
             br = make_branching(rng, record, R)
             sur = Surrogate(record, br)
+            got = update_gamma(br, record, params.xi)
             for r in range(R):
-                got = update_gamma(br, record, params.xi, r)
                 want = argmax_scalar(
                     lambda v: sur.value(with_kernels(
                         params, gamma=set_entry(params.kernels.gamma, r, v))),
                     1e-6, 50.0)
-                assert_allclose(got, want, rtol=1e-6)
+                assert_allclose(got[r], want, rtol=1e-6)
+
+
+class TestUpdatesOverBases:
+    """Each closed-form update returns every basis' value from one call."""
+
+    def test_a_basis_without_mass_keeps_current_and_warns_once(self, rng):
+        n = 3
+        record = cyclic_record(rng, n, 9)
+        one = make_branching(rng, record, 1)
+        br = BranchingStructure(record, one.i_idx, one.j_idx, one.r_idx, one.p,
+                                one.p_background, 2)  # basis 1 receives no entry
+        params = make_model(rng, n, R=2)
+        kern, emb, xi = params.kernels, params.embedding, params.xi
+        prior = GammaPrior(1.0, 0.0)
+        M = br.dyad_mass[0]
+        d2 = np.sum((emb.reception[:, None, :] - emb.influence[None, :, :]) ** 2, axis=2)
+        cases = (  # the update, basis 0 by the per-basis formula, basis 1, the warning
+            (lambda: update_kappa(br, prior, kern.kappa),
+             (br.mass_by_r[0] + prior.alpha - 1.0) / (br.lag_mass_by_r[0] + prior.beta),
+             kern.kappa[1], "basis 1 has no usable attributed mass; kappa kept"),
+            (lambda: update_beta_sq(br, emb, kern.beta_sq),
+             np.sum(M * d2) / (emb.m * M.sum()),
+             kern.beta_sq[1], "basis 1 has no attributed mass; beta_sq kept"),
+            (lambda: update_gamma(br, record, xi),
+             br.mass_by_r[0] / float(np.sum(xi[record.types])),
+             0.0, "basis 1 is dormant this epoch (gamma 0)"),
+        )
+        for update, want0, want1, message in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = update()
+            assert [str(w.message) for w in caught] == [message]
+            assert got.shape == (2,) and got[0] == want0 and got[1] == want1
+
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_every_squared_distance_is_sq_distances(self, rng, m):
+        # the running sum the amplitudes use; np.sum over the coordinates adds
+        # in another order from 8 of them on
+        n, R = 5, 2
+        record = cyclic_record(rng, n, 12)
+        X, Y = rng.normal(size=(n, m)), rng.normal(size=(n, m))
+        d2 = model._sq_distances(X, Y)
+        params = init_params(record, R=R, m=m, embedding=EmbeddingPair(X, Y))
+        assert params.kernels.beta_sq.tolist() == [float(d2.mean())] * R
+        br = make_branching(rng, record, R)
+        M = br.dyad_mass
+        assert update_beta_sq(br, params.embedding, params.kernels.beta_sq).tolist() == \
+            [np.sum(M[r] * d2) / (m * M[r].sum()) for r in range(R)]
+        _, G, _ = geometry._gaussian_terms(record, params)
+        for r in range(R):
+            b2 = params.kernels.beta_sq[r]
+            assert_same_array(G[r], (2.0 * np.pi * b2) ** (-m / 2.0) * np.exp(-d2 / (2.0 * b2)))
 
 
 class TestXiUpdate:
@@ -966,7 +1037,7 @@ class TestInfluencePointUpdate:
                                 np.array([0, 0]), np.array([0.2, 0.6]),
                                 np.array([1.0, 0.8, 0.4]), 1)
         with pytest.warns(NumericsWarning):  # type 1 has no outgoing mass
-            Y = update_influence_points(br, record, emb)
+            Y = update_influence_points(br, emb)
         assert_allclose(Y[0], [0.75, 0.0], rtol=1e-12)
         assert_allclose(Y[1], [6.0, 6.0])  # unchanged
 
@@ -977,7 +1048,7 @@ class TestInfluencePointUpdate:
                                 np.array([0]), np.array([0.9]),
                                 np.array([1.0, 0.1]), 1)
         with pytest.warns(NumericsWarning):
-            Y = update_influence_points(br, record, emb)
+            Y = update_influence_points(br, emb)
         assert_allclose(Y[0], emb.reception[1], rtol=1e-12)
 
     def test_gradient_vanishes_at_solution(self, rng):
@@ -987,7 +1058,7 @@ class TestInfluencePointUpdate:
             record = cyclic_record(rng, n, int(rng.integers(8, 14)))
             params = make_model(rng, n, R=1)
             br = make_branching(rng, record, 1)
-            Y = update_influence_points(br, record, params.embedding)
+            Y = update_influence_points(br, params.embedding)
             X = params.embedding.reception
             for l in range(n):
                 sel = record.types[br.i_idx] == l
@@ -1030,7 +1101,7 @@ class TestFullRankUpdate:
         br = make_branching(rng, record, 2)
         kappa = rng.uniform(0.4, 2.0, size=2)
         mu = rng.uniform(0.1, 0.4, size=n)
-        w = frb_kernel_weights(br)
+        w = frb_kernel_weights(br, np.full(2, 0.5))
         counts = record.count_by_type()
         phi = frb_update(br, record)
         ki = record.types[br.i_idx]
@@ -1057,7 +1128,7 @@ class TestFullRankUpdate:
     def test_kernel_weights_are_mass_ratios(self, rng):
         record = cyclic_record(rng, 2, 10)
         br = make_branching(rng, record, 3)
-        w = frb_kernel_weights(br)
+        w = frb_kernel_weights(br, np.full(3, 1.0 / 3.0))
         assert_allclose(w.sum(), 1.0, rtol=1e-12)
         for r in range(3):
             assert_allclose(w[r], br.p[br.r_idx == r].sum() / br.p.sum(),
@@ -1069,9 +1140,11 @@ class TestFullRankUpdate:
                                 np.array([], dtype=np.int64),
                                 np.array([], dtype=np.int64),
                                 np.array([]), np.array([1.0, 1.0]), 2)
+        current = np.array([0.7, 0.3])
         with pytest.warns(NumericsWarning):
-            w = frb_kernel_weights(br, current=np.array([0.7, 0.3]))
+            w = frb_kernel_weights(br, current)
         assert_allclose(w, [0.7, 0.3])
+        assert not np.shares_memory(w, current)  # a copy, not the caller's array
 
 
 @pytest.fixture(scope="module")
