@@ -135,11 +135,12 @@ class BranchingStructure:
     event's probabilities sum to one (entries below a floor may be dropped,
     after which the row is renormalized).
 
-    Entries are kept as runs, 16 bytes each: basis ``r``'s for event ``j`` are
-    ``starts[r*N + j]:starts[r*N + j + 1]`` of ``i_idx`` and ``p``, by trigger.
-    ``j_idx`` and ``r_idx`` are rebuilt from ``starts`` on each access.  The
-    constructor rejects an entry outside the record, with ``t_i >= t_j`` or
-    repeated, and orders the entries unless they already are.
+    Entries are kept as runs: basis ``r``'s for event ``j`` are ``starts[r*N + j]:
+    starts[r*N + j + 1]`` of ``i_idx`` and ``p``, by trigger.  ``p`` is float64 and
+    ``i_idx`` the narrowest unsigned type holding ``N - 1`` (widen it before arithmetic):
+    9 bytes an entry, 10 past 256 events.  ``j_idx`` and ``r_idx`` are rebuilt from
+    ``starts`` on each access.  The constructor rejects an entry outside the record, with
+    ``t_i >= t_j`` or repeated, and orders the entries unless they already are.
     """
 
     record: EventRecord
@@ -168,15 +169,8 @@ class BranchingStructure:
             raise ValueError("each (i_idx, j_idx, r_idx) entry may appear only once")
         self._store(record, i_idx, p, np.bincount(key // N, minlength=R * N), p_background, R)
 
-    @classmethod
-    def _from_runs(cls, record, i_idx, p, per_run, p_background, R) -> BranchingStructure:
-        """A structure of entries already in run order, as ``_store`` takes them."""
-        out = cls.__new__(cls)
-        out._store(record, i_idx, p, per_run, p_background, R)
-        return out
-
-    def _store(self, record, i_idx, p, per_run, p_background, R):
-        """Keep entries in run order, ``per_run[r*N + j]`` of them in each run."""
+    def _store(self, record, i_idx, p, per_run, p_background, R) -> BranchingStructure:
+        """Keep entries in run order, ``per_run[r*N + j]`` of them in each run; return self."""
         p_background = np.asarray(p_background, dtype=np.float64)
         if p_background.shape != (record.N,):
             raise ValueError("p_background must have one entry per event")
@@ -184,10 +178,12 @@ class BranchingStructure:
             raise ValueError("probabilities must lie in [0, 1]")
         if p_background.size and (p_background.min() < 0.0):
             raise ValueError("background probabilities must be nonnegative")
+        i_idx = i_idx.astype(np.min_scalar_type(max(record.N - 1, 0)), copy=False)
         starts = np.concatenate(([0], np.cumsum(per_run)))
         for name, value in (("record", record), ("i_idx", i_idx), ("p", p), ("starts", starts),
                             ("p_background", p_background), ("R", R)):
             object.__setattr__(self, name, value)
+        return self
 
     @property
     def j_idx(self) -> np.ndarray:
@@ -367,33 +363,41 @@ def _attribute(record, params, H, lam, floor, start, ws):
     return cuts, kept, rows, p, p_bg * scale
 
 
-class _Entries:
-    """Kept attribution entries gathered block by block, basis-major at the end.
+class _Columns:
+    """The entries ``_attribute`` keeps, added block by block to per-basis columns
+    that ``resize`` grows in place: basis ``r``'s triggers ``i[r]``, in ``_store``'s
+    narrow type, probabilities ``p[r]`` and per-event counts ``runs[r]``.  A full
+    column grows to its kept share of the pairs walked so far times all pairs, at
+    most doubling; no view of a column outlives a resize, which may move it."""
 
-    Per basis it keeps each block's triggers ``i`` and probabilities ``p``,
-    and how many entries each event receives, which give the runs' starts.
-    """
+    def __init__(self, record, R):
+        n_earlier = np.searchsorted(record.times, record.times, "left")
+        self.first = np.concatenate(([0], np.cumsum(n_earlier)))  # where each event's pairs start
+        itype = np.min_scalar_type(max(record.N - 1, 0))
+        self.i, self.p = [np.empty(0, itype) for _ in range(R)], [np.empty(0) for _ in range(R)]
+        self.used, self.runs = [0] * R, np.zeros((R, record.N), np.int64)
 
-    def __init__(self, R):
-        self.parts = [([], [], []) for _ in range(R)]  # per basis: i, p, entries per event
-
-    def add(self, cuts, i, rows, p, size):
-        for part, a, b in zip(self.parts, cuts[:-1], cuts[1:]):
-            for column, values in zip(part, (i[a:b], p[a:b].copy(),
-                                             np.bincount(rows[a:b], minlength=size))):
-                column.append(values)
+    def add(self, events, cuts, e, rows, p):
+        base = self.first[events] - self.first[events.start]
+        walked, pairs = int(self.first[events.stop]), int(self.first[-1])
+        for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            u, v = self.used[r], self.used[r] + int(b - a)
+            if v > self.i[r].size:
+                size = max(v, min(2 * v, -(-v * pairs // walked)))
+                self.i[r].resize(size, refcheck=False)
+                self.p[r].resize(size, refcheck=False)
+            np.subtract(e[a:b], base[rows[a:b]], out=self.i[r][u:v], casting="unsafe")
+            self.p[r][u:v], self.used[r] = p[a:b], v
+            self.runs[r, events] = np.bincount(rows[a:b], minlength=events.stop - events.start)
 
     def branching(self, record, p_background) -> BranchingStructure:
-        R = len(self.parts)
-        columns = []
-        for f, dtype in enumerate((np.int64, np.float64, np.int64)):  # freeing parts as it goes
-            pieces = [piece for part in self.parts for piece in part[f]]
-            for part in self.parts:
-                part[f].clear()
-            columns.append(np.concatenate(pieces) if pieces else np.zeros(0, dtype))
-            del pieces
-        i_idx, p, per_event = columns
-        return BranchingStructure._from_runs(record, i_idx, p, per_event, p_background, R)
+        for columns in (self.i, self.p):  # basis 0's grow to hold all, the others moved in
+            columns[0].resize(sum(self.used), refcheck=False)
+            for r in range(1, len(columns)):
+                columns[0][sum(self.used[:r]):sum(self.used[:r + 1])] = columns[r][:self.used[r]]
+                columns[r] = None
+        return BranchingStructure.__new__(BranchingStructure)._store(
+            record, self.i[0], self.p[0], self.runs.ravel(), p_background, len(self.used))
 
 
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
@@ -401,24 +405,19 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
 
     Pair entries below ``floor`` are dropped and each event's remaining probabilities
     renormalized to sum to one exactly; ``floor=0`` keeps every pair.  Events are attributed
-    in blocks of about ``model.PAIR_BLOCK`` pairs, each built when reached, so the time is
-    ``O(N^2 R)`` but the memory beyond the returned entries is one block's.  An event whose
-    intensity is not finite raises ``NumericalError``.
+    in blocks of about ``model.PAIR_BLOCK`` pairs, each built when reached and its kept entries
+    written into the output's columns, so the time is ``O(N^2 R)`` but the memory beyond the
+    returned entries is one block's.  A non-finite intensity raises ``NumericalError``.
     """
-    entries = _Entries(params.R)
-    p_bg = np.empty(record.N)
-    ws = _Workspace(params.R)
-    n_earlier = np.searchsorted(record.times, record.times, "left")
-    first = np.cumsum(n_earlier) - n_earlier  # where each event's pairs start
+    p_bg, ws, columns = np.empty(record.N), _Workspace(params.R), _Columns(record, params.R)
     for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):
         if not np.all(np.isfinite(lam)):
             bad = events.start + int(np.argmin(np.isfinite(lam)))
             raise NumericalError(f"event {bad} has a non-finite intensity; no attribution exists")
         cuts, e, rows, p, p_bg[events] = _attribute(record, params, H, lam, floor,
                                                     events.start, ws)
-        i = e - (first[events] - first[events.start])[rows]  # a row's pairs start at its first
-        entries.add(cuts, i, rows, p, lam.size)
-    return entries.branching(record, p_bg)
+        columns.add(events, cuts, e, rows, p)
+    return columns.branching(record, p_bg)
 
 
 def _fit_e_step(record, params, blocks, ws):

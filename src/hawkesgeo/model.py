@@ -366,8 +366,7 @@ def _pair_response(record: EventRecord, params, events: slice, rows, dt, dyad, w
     ``events``.
     """
     A = params.amplitudes()
-    start, stop, _ = events.indices(record.N)
-    lam = params.mu[record.types[start:stop]].astype(np.float64, copy=True)
+    lam = params.mu[record.types[events]]  # a copy, as the index is an array
     m = dt.size
     ws.reserve(m)
     np.copyto(ws.rows[:m], rows)
@@ -377,8 +376,9 @@ def _pair_response(record: EventRecord, params, events: slice, rows, dt, dyad, w
         kap = params.kappa[r]
         np.multiply(-kap, dt, out=t)
         np.multiply(kap, np.exp(t, out=t), out=t)
-        np.multiply(np.take(A[r].ravel(), ws.dyad[:m], out=H[r], mode="clip"), t, out=H[r])
-        lam += np.bincount(ws.rows[:m], weights=H[r], minlength=lam.size)
+        with np.errstate(over="ignore"):  # the callers report an infinite intensity
+            np.multiply(np.take(A[r].ravel(), ws.dyad[:m], out=H[r], mode="clip"), t, out=H[r])
+            lam += np.bincount(ws.rows[:m], weights=H[r], minlength=lam.size)
     return H, lam
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkesgeo import em, geometry, model
-from hawkesgeo.diagnostics import background_probabilities
+from hawkesgeo.diagnostics import background_probabilities, hellinger_divergence
 from hawkesgeo.em import (
     BRANCHING_FLOOR,
     BranchingStructure,
@@ -193,9 +193,10 @@ class TestRunLayout:
         b = BranchingStructure(record, *(np.array(c) for c in zip(*entries)),
                                rng.uniform(0.0, 0.1, size=record.N), R)
         want = sorted(entries, key=lambda e: (e[2], e[1], e[0]))
+        dtypes = {"i_idx": np.uint8, "j_idx": np.int64, "r_idx": np.int64, "p": np.float64}
         for name, f in (("i_idx", 0), ("j_idx", 1), ("r_idx", 2), ("p", 3)):
             got = getattr(b, name)
-            assert got.dtype == (np.float64 if name == "p" else np.int64)
+            assert got.dtype == dtypes[name]
             assert got.tolist() == [e[f] for e in want], name
         runs = np.bincount([e[2] * record.N + e[1] for e in entries], minlength=R * record.N)
         assert_same_array(b.starts, np.concatenate([[0], np.cumsum(runs)]))
@@ -276,6 +277,22 @@ class TestRunLayout:
             BranchingStructure(record, i, j, [0] * len(i), [0.25] * len(i),
                                [1.0, 0.5, 0.25], 1)
 
+    @pytest.mark.parametrize("N, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_i_idx_takes_the_narrowest_unsigned_type(self, rng, N, dtype):
+        # at N = 257 and R = 2, hellinger_divergence's keys (j N + i) R + r pass
+        # 65,535, which arithmetic in i_idx's own type would wrap
+        record = make_record(rng, 3, N=N, T=5.0)
+        params = make_model(rng, 3, R=2)
+        b, other = e_step(record, params), e_step(record, make_model(rng, 3, R=2))
+        again = BranchingStructure(record, b.i_idx, b.j_idx, b.r_idx, b.p, b.p_background, 2)
+        assert b.i_idx.dtype == again.i_idx.dtype == dtype
+        wide = widened(b)
+        assert hellinger_divergence(b, other) == hellinger_divergence(wide, widened(other))
+        for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass"):
+            assert_same_array(getattr(b, name), getattr(wide, name), name)
+        assert complete_data_loglik(record, params, b) == \
+            complete_data_loglik(record, params, wide)
+
 
 @st.composite
 def small_problems(draw):
@@ -332,6 +349,14 @@ def attribution_of(record, params, response, floor):
 
 
 BRANCHING_FIELDS = ("i_idx", "p", "starts", "p_background")  # what a structure stores
+
+
+def widened(b):
+    """``b`` with its ``i_idx`` widened to int64, which ``_store`` would narrow."""
+    wide = BranchingStructure.__new__(BranchingStructure)._store(
+        b.record, b.i_idx, b.p, np.diff(b.starts), b.p_background, b.R)
+    object.__setattr__(wide, "i_idx", b.i_idx.astype(np.int64))
+    return wide
 
 
 def assert_same_array(got, want, name=None):
@@ -496,27 +521,31 @@ class TestBlockedAttribution:
         finally:
             tracemalloc.stop()
         out = sum(getattr(br, name).nbytes for name in BRANCHING_FIELDS)
-        # the output fills 88 blocks of float64 at 16 bytes an entry, which an
-        # unblocked pass adds 225 more to; the blocked pass adds one column's
-        # pieces while it concatenates them, 8 bytes an entry, and under 10 blocks
-        assert out > 80 * 8 * model.PAIR_BLOCK
-        assert peak - out < 8 * br.p.size + 32 * 8 * model.PAIR_BLOCK
+        # the output fills 55 blocks of float64 at 10 bytes an entry, which an
+        # unblocked pass adds 225 more to; the blocked pass writes the entries
+        # straight into the output, and adds its workspace (7 blocks) and the
+        # block's temporaries
+        assert out > 50 * 8 * model.PAIR_BLOCK
+        assert peak - out < 20 * 8 * model.PAIR_BLOCK
 
     @pytest.mark.parametrize("R", [1, 2])
-    def test_output_holds_16_bytes_per_entry(self, rng, R):
-        # i_idx and p per entry, the runs' starts and p_background; j_idx and
-        # r_idx would add 16 bytes an entry, 2.9 MB at R = 1 here
-        record = make_record(rng, 3, N=600, T=5.0)
-        params = make_model(rng, 3, R=R)
-        params.amplitudes()
-        tracemalloc.start()
-        try:
-            br = e_step(record, params, floor=0.0)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert br.p.size == R * record.N * (record.N - 1) // 2
-        assert held <= 16 * br.p.size + 8 * (R * record.N + 1) + 8 * record.N + 64 * 1024
+    def test_output_holds_10_bytes_per_entry(self, rng, R):
+        # i_idx and p per entry, the runs' starts and p_background; i_idx takes
+        # uint16 at 600 events and uint8 at 256, and j_idx and r_idx would add
+        # 16 bytes an entry, 2.9 MB at R = 1 here
+        for N, entry in ((600, 10), (256, 9)):
+            record = make_record(rng, 3, N=N, T=5.0)
+            params = make_model(rng, 3, R=R)
+            params.amplitudes()
+            tracemalloc.start()
+            try:
+                br = e_step(record, params, floor=0.0)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert br.p.size == R * record.N * (record.N - 1) // 2
+            assert br.i_idx.itemsize + br.p.itemsize == entry
+            assert held <= entry * br.p.size + 8 * (R * N + 1) + 8 * N + 64 * 1024
 
     def test_fit_keeps_10_bytes_per_pair(self, rng, monkeypatch):
         # 319,600 pairs in blocks of 4,096, none of more than 256 events: fit
@@ -1282,11 +1311,25 @@ class TestFit:
                 report = fit(sim_record, FitConfig(mode="frb", epochs=8))
         assert report.aborted_epoch == 3
 
+    def test_overflow_at_two_bases_warns_only_numerics(self, sim_record):
+        # the second basis' responses added to an intensity already past half
+        # the float range raised a raw "overflow encountered in add"
+        n = sim_record.n
+        start = FullRankParams(np.full((n, n), 1e308), [1.0, 1.0], [0.5, 0.5], np.full(n, 0.1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            report = fit(sim_record, FitConfig(mode="frb", epochs=3, R=2), init=start)
+            with pytest.raises(NumericalError, match="non-finite intensity"):
+                e_step(sim_record, start)
+        assert report.aborted_epoch == 0 and report.curve.size == 0
+        assert [w.category for w in caught] == [NumericsWarning]
+
     def test_fit_keeps_no_attribution_entries(self, sim_record, rng, monkeypatch):
         def no_entries(*args, **kwargs):
             raise AssertionError("fit gathered attribution entries")
 
-        monkeypatch.setattr(em, "_Entries", no_entries)
+        monkeypatch.setattr(em, "_Columns", no_entries)
         init = init_params(sim_record, R=1, m=2)
         for mode, kwargs in (("hhg-a", {}), ("hhg-b", {"eps2": 0.1}), ("hhg-dm", {}),
                              ("frb", {"R": 2}), ("geo", {})):
