@@ -59,33 +59,33 @@ def split_eval(record: EventRecord, params, split: EvalSplit):
 def hellinger_divergence(estimated: BranchingStructure, truth: BranchingStructure) -> float:
     """Mean per-event Hellinger distance between two attributions.
 
-    Each event's attribution is a distribution over (trigger, basis) pairs
-    plus background; entries absent from one side count as zero.  Events are
-    compared in blocks of about ``model.PAIR_BLOCK`` entries, read off each
-    side's runs, each event's common terms summed in ``(trigger, basis)`` order.
+    Each event's attribution is a distribution over (trigger, basis) pairs plus background;
+    entries absent from one side count as zero.  An event's squared distance is half the sum of
+    ``(sqrt(a) - sqrt(b))**2`` over its background and common entries plus the entries only one
+    side holds, which unlike ``1 - BC`` does not cancel: identical attributions score 0.  Events
+    are compared in blocks of about ``model.PAIR_BLOCK`` entries read off each side's runs.
     """
     if estimated.record is not truth.record and estimated.record != truth.record:
         raise ValueError("attributions describe different records")
-    N = estimated.record.N
+    N, R = estimated.record.N, max(estimated.R, truth.R)
     if N == 0:
         raise ValueError("empty record")
-    R = max(estimated.R, truth.R)
-    firsts = [[b.starts[r * N:(r + 1) * N + 1] for r in range(b.R)] for b in (estimated, truth)]
 
-    def block(b, first, s, e):
-        keys = [(np.repeat(np.arange(s, e) * N, np.diff(f[s:e + 1])) + b.i_idx[f[s]:f[e]]) * R
-                + r for r, f in enumerate(first)]
-        return np.concatenate(keys), np.concatenate([b.p[f[s]:f[e]] for f in first])
+    def block(b, s, e):  # events s..e-1's keys (j R + r) N + i, ascending, and probabilities
+        j, r = np.divmod(np.arange(s * b.R, e * b.R), b.R)
+        lo, hi = b.starts[s * b.R], b.starts[e * b.R]
+        keys = np.repeat((j * R + r) * N, np.diff(b.starts[s * b.R:e * b.R + 1]))
+        return keys + b.i_idx[lo:hi], b.p[lo:hi]
 
-    bc = np.sqrt(estimated.p_background * truth.p_background)
-    for s, e in _event_blocks(sum(f for first in firsts for f in first)):
-        (ka, pa), (kb, pb) = (block(b, first, s, e)
-                              for b, first in zip((estimated, truth), firsts))
-        common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-        if common.size:
-            bc[s:e] += np.bincount(common // (N * R) - s, weights=np.sqrt(pa[ia] * pb[ib]),
-                                   minlength=e - s)
-    return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
+    sq = np.square(np.sqrt(estimated.p_background) - np.sqrt(truth.p_background))
+    for s, e in _event_blocks(estimated.starts[::estimated.R] + truth.starts[::truth.R]):
+        (ka, pa), (kb, pb) = block(estimated, s, e), block(truth, s, e)
+        at = np.searchsorted(kb, ka)
+        ia = np.flatnonzero(np.append(kb, -1)[at] == ka)  # -1 matches no key
+        terms = np.concatenate((pa, pb))  # one-sided entries add themselves, b's common ones 0
+        terms[ia], terms[pa.size + at[ia]] = np.square(np.sqrt(pa[ia]) - np.sqrt(pb[at[ia]])), 0.0
+        sq[s:e] += np.bincount(np.concatenate((ka, kb)) // (N * R) - s, terms, e - s)
+    return float(np.sqrt(0.5 * sq).mean())
 
 
 def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
@@ -101,8 +101,9 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     clock ``(kappa_r + kappa'_r) / 2``.  One ``_decayed_counts`` scan over both
     sets' clocks and their means yields ``lam``, ``lam'`` and that sum, in
     ``O(N n R + N n^2 R)`` time.  Equals, up to rounding,
-    ``hellinger_divergence`` of the two unfloored ``e_step`` attributions; an
-    event with zero intensity under either set raises ``DegenerateEventError``.
+    ``hellinger_divergence`` of the two unfloored ``e_step`` attributions, whose sum of
+    squares it cannot form without per-pair terms: its ``1 - BC`` cancels where the two
+    nearly agree.  An event with zero intensity under either set raises ``DegenerateEventError``.
     """
     if record.N == 0:
         raise ValueError("empty record")

@@ -135,8 +135,8 @@ class BranchingStructure:
     event's probabilities sum to one (entries below a floor may be dropped,
     after which the row is renormalized).
 
-    Entries are kept as runs: basis ``r``'s for event ``j`` are ``starts[r*N + j]:
-    starts[r*N + j + 1]`` of ``i_idx`` and ``p``, by trigger.  ``p`` is float64 and
+    Entries are kept as runs: basis ``r``'s for event ``j`` are ``starts[j*R + r]:
+    starts[j*R + r + 1]`` of ``i_idx`` and ``p``, by trigger.  ``p`` is float64 and
     ``i_idx`` the narrowest unsigned type holding ``N - 1`` (widen it before arithmetic):
     9 bytes an entry, 10 past 256 events.  ``j_idx`` and ``r_idx`` are rebuilt from
     ``starts`` on each access.  The constructor rejects an entry outside the record, with
@@ -161,7 +161,7 @@ class BranchingStructure:
                 raise ValueError(f"{name} entries must lie in [0, {size})")
         if np.any(record.times[i_idx] >= record.times[j_idx]):
             raise ValueError("each i_idx entry must precede its j_idx entry in time")
-        key = (r_idx * N + j_idx) * N + i_idx
+        key = (j_idx * R + r_idx) * N + i_idx
         if np.any(np.diff(key) < 0):
             order = np.argsort(key)
             i_idx, p, key = i_idx[order], p[order], key[order]
@@ -170,7 +170,7 @@ class BranchingStructure:
         self._store(record, i_idx, p, np.bincount(key // N, minlength=R * N), p_background, R)
 
     def _store(self, record, i_idx, p, per_run, p_background, R) -> BranchingStructure:
-        """Keep entries in run order, ``per_run[r*N + j]`` of them in each run; return self."""
+        """Keep entries in run order, ``per_run[j*R + r]`` of them in each run; return self."""
         p_background = np.asarray(p_background, dtype=np.float64)
         if p_background.shape != (record.N,):
             raise ValueError("p_background must have one entry per event")
@@ -188,13 +188,12 @@ class BranchingStructure:
     @property
     def j_idx(self) -> np.ndarray:
         """Each entry's receiving event, rebuilt from ``starts``."""
-        return np.repeat(np.tile(np.arange(self.record.N), self.R), np.diff(self.starts))
+        return np.repeat(np.arange(self.record.N), np.diff(self.starts[::self.R]))
 
     @property
     def r_idx(self) -> np.ndarray:
         """Each entry's basis, rebuilt from ``starts``."""
-        bounds = self.starts[np.arange(self.R + 1) * self.record.N]
-        return np.repeat(np.arange(self.R), np.diff(bounds))
+        return np.repeat(np.tile(np.arange(self.R), self.record.N), np.diff(self.starts))
 
     def row_sums(self) -> np.ndarray:
         sums = self.p_background.copy()
@@ -364,40 +363,39 @@ def _attribute(record, params, H, lam, floor, start, ws):
 
 
 class _Columns:
-    """The entries ``_attribute`` keeps, added block by block to per-basis columns
-    that ``resize`` grows in place: basis ``r``'s triggers ``i[r]``, in ``_store``'s
-    narrow type, probabilities ``p[r]`` and per-event counts ``runs[r]``.  A full
-    column grows to its kept share of the pairs walked so far times all pairs, at
-    most doubling; no view of a column outlives a resize, which may move it."""
+    """The entries ``_attribute`` keeps, added block by block to one trigger column ``i`` (in
+    ``_store``'s narrow type) and one probability column ``p`` that ``resize`` grows in place,
+    with per-(event, basis) counts ``runs``.  At R >= 2 a stable sort on the receiving row puts a
+    block's basis-major entries in run order.  A column grows to its kept share of the pairs
+    walked so far times all pairs, at most doubling; no view of a column outlives a resize."""
 
     def __init__(self, record, R):
         n_earlier = np.searchsorted(record.times, record.times, "left")
         self.first = np.concatenate(([0], np.cumsum(n_earlier)))  # where each event's pairs start
-        itype = np.min_scalar_type(max(record.N - 1, 0))
-        self.i, self.p = [np.empty(0, itype) for _ in range(R)], [np.empty(0) for _ in range(R)]
-        self.used, self.runs = [0] * R, np.zeros((R, record.N), np.int64)
+        self.i, self.p = np.empty(0, np.min_scalar_type(max(record.N - 1, 0))), np.empty(0)
+        self.used, self.runs = 0, np.zeros((record.N, R), np.int64)
 
     def add(self, events, cuts, e, rows, p):
         base = self.first[events] - self.first[events.start]
         walked, pairs = int(self.first[events.stop]), int(self.first[-1])
         for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            u, v = self.used[r], self.used[r] + int(b - a)
-            if v > self.i[r].size:
-                size = max(v, min(2 * v, -(-v * pairs // walked)))
-                self.i[r].resize(size, refcheck=False)
-                self.p[r].resize(size, refcheck=False)
-            np.subtract(e[a:b], base[rows[a:b]], out=self.i[r][u:v], casting="unsafe")
-            self.p[r][u:v], self.used[r] = p[a:b], v
-            self.runs[r, events] = np.bincount(rows[a:b], minlength=events.stop - events.start)
+            self.runs[events, r] = np.bincount(rows[a:b], minlength=events.stop - events.start)
+        u, v = self.used, self.used + e.size
+        if v > self.i.size:
+            size = max(v, min(2 * v, -(-v * pairs // walked)))
+            self.i.resize(size, refcheck=False)
+            self.p.resize(size, refcheck=False)
+        np.subtract(e, base[rows], out=self.i[u:v], casting="unsafe")
+        self.p[u:v], self.used = p, v
+        if len(cuts) > 2:
+            order = np.argsort(rows, kind="stable")
+            self.i[u:v], self.p[u:v] = self.i[u:v][order], self.p[u:v][order]
 
     def branching(self, record, p_background) -> BranchingStructure:
-        for columns in (self.i, self.p):  # basis 0's grow to hold all, the others moved in
-            columns[0].resize(sum(self.used), refcheck=False)
-            for r in range(1, len(columns)):
-                columns[0][sum(self.used[:r]):sum(self.used[:r + 1])] = columns[r][:self.used[r]]
-                columns[r] = None
+        self.i.resize(self.used, refcheck=False)
+        self.p.resize(self.used, refcheck=False)
         return BranchingStructure.__new__(BranchingStructure)._store(
-            record, self.i[0], self.p[0], self.runs.ravel(), p_background, len(self.used))
+            record, self.i, self.p, self.runs.ravel(), p_background, self.runs.shape[1])
 
 
 def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> BranchingStructure:
@@ -407,7 +405,7 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     renormalized to sum to one exactly; ``floor=0`` keeps every pair.  Events are attributed
     in blocks of about ``model.PAIR_BLOCK`` pairs, each built when reached and its kept entries
     written into the output's columns, so the time is ``O(N^2 R)`` but the memory beyond the
-    returned entries is one block's.  A non-finite intensity raises ``NumericalError``.
+    returned entries is one block's, at any R.  A non-finite intensity raises ``NumericalError``.
     """
     p_bg, ws, columns = np.empty(record.N), _Workspace(params.R), _Columns(record, params.R)
     for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):

@@ -173,9 +173,10 @@ def brute_loglik(record, params, quad_order=50):
 def brute_branching(record, params, floor):
     """E-step attribution by loops, as ``(i, j, r, p)`` tuples and ``p_background``.
 
-    Entries come basis-major, then pair by pair in ``strict_pairs`` order;
-    those below ``floor`` (relative to the full intensity) are dropped and
-    each event's remaining probabilities renormalized to sum to one.
+    Entries come event by event, then basis by basis, then trigger by trigger
+    in ``strict_pairs`` order; those below ``floor`` (relative to the full
+    intensity) are dropped and each event's remaining probabilities
+    renormalized to sum to one.
     """
     pairs = strict_pairs(record)
     h = [[brute_response(params, record.types[j], record.types[i],
@@ -185,8 +186,9 @@ def brute_branching(record, params, floor):
     for r in range(params.R):
         for (i, j), v in zip(pairs, h[r]):
             lam[j] += v
-    entries = [(i, j, r, v / lam[j]) for r in range(params.R)
-               for (i, j), v in zip(pairs, h[r]) if v / lam[j] >= floor]
+    entries = sorted([(i, j, r, v / lam[j]) for r in range(params.R)
+                      for (i, j), v in zip(pairs, h[r]) if v / lam[j] >= floor],
+                     key=lambda e: (e[1], e[2]))  # stable: triggers stay in order
     row = [params.mu[record.types[j]] / lam[j] for j in range(record.N)]
     p_background = list(row)
     for (_, j, _, p) in entries:

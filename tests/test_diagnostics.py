@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -111,17 +112,40 @@ def brute_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
 
 def event_distances(a: BranchingStructure, b: BranchingStructure) -> np.ndarray:
     """Each event's Hellinger distance, from one ``np.intersect1d`` over every
-    ``(j, i, r)`` key."""
+    ``(j, i, r)`` key: half the sum of ``(sqrt(p_a) - sqrt(p_b))**2`` over the
+    background and the common keys, plus each entry only one side holds, summed
+    per event in a's entry order and then b's."""
     N, R = a.record.N, max(a.R, b.R)
 
     def keys(x):
         return (x.j_idx * N + x.i_idx) * R + x.r_idx
 
-    common, ia, ib = np.intersect1d(keys(a), keys(b), assume_unique=True, return_indices=True)
-    bc = np.sqrt(a.p_background * b.p_background)
-    if common.size:
-        bc += np.bincount(common // (N * R), weights=np.sqrt(a.p[ia] * b.p[ib]), minlength=N)
-    return np.sqrt(np.maximum(0.0, 1.0 - bc))
+    ka, kb = keys(a), keys(b)
+    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+    terms = np.concatenate((a.p, b.p))
+    terms[ia], terms[a.p.size + ib] = (np.sqrt(a.p[ia]) - np.sqrt(b.p[ib])) ** 2, 0.0
+    sq = (np.sqrt(a.p_background) - np.sqrt(b.p_background)) ** 2
+    sq += np.bincount(np.concatenate((ka, kb)) // (N * R), weights=terms, minlength=N)
+    return np.sqrt(0.5 * sq)
+
+
+def decimal_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
+    """The divergence in 50-digit decimals: each event's distance is
+    ``sqrt(sum((sqrt(p_a) - sqrt(p_b))**2) / 2)`` over the union of its keys."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rows = [[{"bg": Decimal(float(x.p_background[j]))} for j in range(a.record.N)]
+                for x in (a, b)]
+        for row, x in zip(rows, (a, b)):
+            for i, j, r, p in zip(x.i_idx.tolist(), x.j_idx.tolist(), x.r_idx.tolist(),
+                                  x.p.tolist()):
+                row[j][(i, r)] = Decimal(p)
+        total = Decimal(0)
+        for da, db in zip(*rows):
+            sq = sum((da.get(k, Decimal(0)).sqrt() - db.get(k, Decimal(0)).sqrt()) ** 2
+                     for k in da.keys() | db.keys())
+            total += (sq / 2).sqrt()
+        return float(total / a.record.N)
 
 
 def intersect_hellinger(a: BranchingStructure, b: BranchingStructure) -> float:
@@ -146,9 +170,18 @@ class TestHellinger:
     def test_identical_attributions_score_zero(self, rng):
         record = make_record(rng, n=2, N=8)
         b = make_branching(rng, record, R=2)
-        # rounded row sums put each Bhattacharyya coefficient at 1 +- eps,
-        # which the sqrt inflates to ~1e-8
-        assert hellinger_divergence(b, b) < 1e-7
+        # each term (sqrt(p) - sqrt(p))^2 is 0; 1 - BC read ~1e-8 here, since
+        # rounded row sums put BC at 1 +- eps and the sqrt inflates that
+        assert hellinger_divergence(b, b) == 0.0
+
+    def test_nearly_equal_attributions_match_decimals(self, rng):
+        # mu scaled by 1 + 1e-6 puts each event's squared distance near 1e-14,
+        # so 1 - BC, whose terms round at 1e-16, reads about 2e-3 relative off
+        record = make_record(rng, n=6, N=150)
+        params = make_model(rng, n=6, R=2)
+        a = e_step(record, params)
+        b = e_step(record, with_mu(params, params.mu * (1.0 + 1e-6)))
+        assert_allclose(hellinger_divergence(a, b), decimal_hellinger(a, b), rtol=1e-9)
 
     def test_disjoint_support_scores_one(self, rng):
         record = make_record(rng, n=2, N=6)
@@ -313,7 +346,7 @@ class TestAttributionHellinger:
         a, b = make_model(rng, 3, R=2), make_model(rng, 3, R=1)
         assert_allclose(attribution_hellinger(record, a, b),
                         attribution_hellinger(record, b, a), rtol=1e-14)
-        # as for the pairwise divergence, rounding puts BC at 1 +- eps
+        # unlike the pairwise divergence it forms 1 - BC, which rounding puts at 0 +- eps
         assert attribution_hellinger(record, a, a) < 1e-7
 
     @given(hellinger_problems())
@@ -321,7 +354,7 @@ class TestAttributionHellinger:
         # Where event j's two attributions nearly agree, 1 - BC_j sits a few
         # ulps from zero, and rounding BC_j by those ulps moves the distance
         # H_j = sqrt(1 - BC_j) by eps / (2 H_j), at most sqrt(eps): the
-        # pairwise sum carries that error too, so the mean is held to it.
+        # pair-free form carries that error, so the mean is held to it.
         record, a, b = problem
         h = event_distances(e_step(record, a, floor=0.0), e_step(record, b, floor=0.0))
         eps = 8 * np.finfo(np.float64).eps

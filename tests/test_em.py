@@ -182,7 +182,7 @@ def clustered_record(rng, n):
 
 class TestRunLayout:
     """A ``BranchingStructure`` stores ``i_idx``, ``p`` and ``starts`` in
-    (basis, event, trigger) order; ``j_idx`` and ``r_idx`` derive from ``starts``."""
+    (event, basis, trigger) order; ``j_idx`` and ``r_idx`` derive from ``starts``."""
 
     @pytest.mark.parametrize("R", [1, 2])
     def test_indices_round_trip(self, rng, R):
@@ -192,25 +192,28 @@ class TestRunLayout:
                    for r in range(R)]
         b = BranchingStructure(record, *(np.array(c) for c in zip(*entries)),
                                rng.uniform(0.0, 0.1, size=record.N), R)
-        want = sorted(entries, key=lambda e: (e[2], e[1], e[0]))
+        want = sorted(entries, key=lambda e: (e[1], e[2], e[0]))
         dtypes = {"i_idx": np.uint8, "j_idx": np.int64, "r_idx": np.int64, "p": np.float64}
         for name, f in (("i_idx", 0), ("j_idx", 1), ("r_idx", 2), ("p", 3)):
             got = getattr(b, name)
             assert got.dtype == dtypes[name]
             assert got.tolist() == [e[f] for e in want], name
-        runs = np.bincount([e[2] * record.N + e[1] for e in entries], minlength=R * record.N)
+        runs = np.bincount([e[1] * R + e[2] for e in entries], minlength=R * record.N)
         assert_same_array(b.starts, np.concatenate([[0], np.cumsum(runs)]))
         again = BranchingStructure(record, b.i_idx, b.j_idx, b.r_idx, b.p, b.p_background, R)
         assert_same_branching(again, b)
 
-    def test_make_branching_comes_out_basis_major(self, rng):
+    def test_make_branching_comes_out_event_major(self, rng):
         record = make_record(rng, 3, N=10)
         b = make_branching(rng, record, R=2)
-        key = (b.r_idx * record.N + b.j_idx) * record.N + b.i_idx
+        key = (b.j_idx * 2 + b.r_idx) * record.N + b.i_idx
         assert np.all(np.diff(key) > 0)
         assert b.p.size == 2 * len(strict_pairs(record))
-        half = b.p.size // 2
-        assert b.starts[record.N] == half and np.all(b.r_idx[:half] == 0)
+        # each event's two runs, one per basis, hold all its strictly earlier events
+        earlier = np.bincount([j for _, j in strict_pairs(record)], minlength=record.N)
+        assert_same_array(np.diff(b.starts), np.repeat(earlier, 2))
+        assert np.all(b.r_idx == np.repeat(np.tile([0, 1], record.N), np.repeat(earlier, 2)))
+        assert_allclose(b.row_sums(), np.ones(record.N), rtol=1e-12)
         assert_allclose(b.row_sums(), np.ones(record.N), rtol=1e-12)
 
     def test_shuffled_copy_is_the_original(self, rng):
@@ -508,11 +511,12 @@ class TestBlockedAttribution:
             br = e_step(record, params, floor=floor)
         assert_same_branching(br, unblocked_attribution(record, params, floor))
 
-    def test_memory_beyond_the_output_is_one_block(self, rng, monkeypatch):
-        # 180k pairs, every one kept at floor 0, against blocks of 4,096
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_memory_beyond_the_output_is_one_block(self, rng, monkeypatch, R):
+        # 180k pairs, every one kept at floor 0 for each basis, against blocks of 4,096
         monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
         record = make_record(rng, 3, N=600, T=5.0)
-        params = make_model(rng, 3)
+        params = make_model(rng, 3, R=R)
         params.amplitudes()
         tracemalloc.start()
         try:
@@ -521,12 +525,13 @@ class TestBlockedAttribution:
         finally:
             tracemalloc.stop()
         out = sum(getattr(br, name).nbytes for name in BRANCHING_FIELDS)
-        # the output fills 55 blocks of float64 at 10 bytes an entry, which an
-        # unblocked pass adds 225 more to; the blocked pass writes the entries
-        # straight into the output, and adds its workspace (7 blocks) and the
-        # block's temporaries
-        assert out > 50 * 8 * model.PAIR_BLOCK
-        assert peak - out < 20 * 8 * model.PAIR_BLOCK
+        # the output fills 55 blocks of float64 per basis at 10 bytes an entry,
+        # which an unblocked pass adds 225 more to; the blocked pass writes every
+        # basis' entries straight into one pair of output columns, and adds its
+        # workspace (7 blocks per basis) and the block's temporaries.  Growing a
+        # column per basis and joining them at the end added 57 blocks at R = 2.
+        assert out > R * 50 * 8 * model.PAIR_BLOCK
+        assert peak - out < (12 + 8 * R) * 8 * model.PAIR_BLOCK
 
     @pytest.mark.parametrize("R", [1, 2])
     def test_output_holds_10_bytes_per_entry(self, rng, R):
