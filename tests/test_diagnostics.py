@@ -170,8 +170,8 @@ class TestHellinger:
     def test_identical_attributions_score_zero(self, rng):
         record = make_record(rng, n=2, N=8)
         b = make_branching(rng, record, R=2)
-        # each term (sqrt(p) - sqrt(p))^2 is 0; 1 - BC read ~1e-8 here, since
-        # rounded row sums put BC at 1 +- eps and the sqrt inflates that
+        # each term (sqrt(p) - sqrt(p))^2 is 0; 1 - BC would keep each row sum's
+        # rounding, ~1e-8 after the sqrt
         assert hellinger_divergence(b, b) == 0.0
 
     def test_nearly_equal_attributions_match_decimals(self, rng):

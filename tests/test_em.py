@@ -528,8 +528,7 @@ class TestBlockedAttribution:
         # the output fills 55 blocks of float64 per basis at 10 bytes an entry,
         # which an unblocked pass adds 225 more to; the blocked pass writes every
         # basis' entries straight into one pair of output columns, and adds its
-        # workspace (7 blocks per basis) and the block's temporaries.  Growing a
-        # column per basis and joining them at the end added 57 blocks at R = 2.
+        # workspace (7 blocks per basis) and the block's temporaries
         assert out > R * 50 * 8 * model.PAIR_BLOCK
         assert peak - out < (12 + 8 * R) * 8 * model.PAIR_BLOCK
 
