@@ -37,6 +37,9 @@ MODES = ("hhg-a", "hhg-b", "hhg-dm", "frb", "geo")
 # Attribution entries below this probability are dropped and each event's row
 # renormalized, so the stored attribution keeps only pairs that carry mass.
 BRANCHING_FLOOR = 1e-12
+# fit keeps a record's pair blocks across epochs up to this many pairs (about 46 MB at
+# 11 bytes a pair) and builds them afresh each epoch past it
+PAIR_CACHE = 1 << 22
 
 
 class NumericalError(RuntimeError):
@@ -365,8 +368,8 @@ def _attribute(record, params, H, lam, floor, start, ws):
 class _Columns:
     """The entries ``_attribute`` keeps, added block by block to one trigger column ``i`` (in
     ``_store``'s narrow type) and one probability column ``p`` that ``resize`` grows in place,
-    with per-(event, basis) counts ``runs``.  At R >= 2 a stable sort on the receiving row puts a
-    block's basis-major entries in run order.  A column grows to its kept share of the pairs
+    with per-(event, basis) counts ``runs``.  At R >= 2 each of a block's basis-major entries is
+    written straight to its slot in run order.  A column grows to its kept share of the pairs
     walked so far times all pairs, at most doubling; no view of a column outlives a resize."""
 
     def __init__(self, record, R):
@@ -378,18 +381,22 @@ class _Columns:
     def add(self, events, cuts, e, rows, p):
         base = self.first[events] - self.first[events.start]
         walked, pairs = int(self.first[events.stop]), int(self.first[-1])
+        runs = self.runs[events]
         for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            self.runs[events, r] = np.bincount(rows[a:b], minlength=events.stop - events.start)
+            runs[:, r] = np.bincount(rows[a:b], minlength=events.stop - events.start)
         u, v = self.used, self.used + e.size
         if v > self.i.size:
             size = max(v, min(2 * v, -(-v * pairs // walked)))
             self.i.resize(size, refcheck=False)
             self.p.resize(size, refcheck=False)
-        np.subtract(e, base[rows], out=self.i[u:v], casting="unsafe")
-        self.p[u:v], self.used = p, v
+        slot = slice(u, v)
         if len(cuts) > 2:
-            order = np.argsort(rows, kind="stable")
-            self.i[u:v], self.p[u:v] = self.i[u:v][order], self.p[u:v][order]
+            # an entry of basis r at row w moves from its basis-major place to its run-order
+            # one: by the entries up to the end of its run in run order less in basis-major order
+            shift = runs.cumsum().reshape(runs.shape) - runs.T.cumsum().reshape(runs.T.shape).T
+            slot = np.repeat(shift.T.ravel(), runs.T.ravel()) + np.arange(u, v)
+        self.i[slot] = np.subtract(e, base[rows], out=e)
+        self.p[slot], self.used = p, v
 
     def branching(self, record, p_background) -> BranchingStructure:
         self.i.resize(self.used, refcheck=False)
@@ -676,7 +683,9 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     coordinates.  The exact train log-likelihood of the parameters entering
     each epoch is recorded, and the best-scoring snapshot is kept.  If the
     objective turns non-finite the loop stops and reports the last finite
-    state (``aborted_epoch`` set).
+    state (``aborted_epoch`` set).  The event pairs are built once and kept
+    when there are at most ``PAIR_CACHE`` of them, else built afresh block by
+    block each epoch; either way the fit is the same to the bit.
     """
     from .diagnostics import background_probabilities
     from .spectral import init_params
@@ -698,7 +707,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
 
-    blocks, ws = list(_pair_blocks(record)), _Workspace(params.R)
+    cached = int(np.searchsorted(record.times, record.times, "left").sum()) <= PAIR_CACHE
+    blocks, ws = list(_pair_blocks(record)) if cached else None, _Workspace(params.R)
     curve = np.empty(config.epochs)
     best_ll = -np.inf
     best_params = params
@@ -707,7 +717,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     prev_params = params
 
     for epoch in range(config.epochs):
-        lam, stats = _fit_e_step(record, params, blocks, ws)
+        lam, stats = _fit_e_step(record, params, blocks if cached else _pair_blocks(record), ws)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf aborts below
             ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):

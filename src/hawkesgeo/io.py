@@ -256,12 +256,12 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
     """Turn cumulative count curves into threshold-crossing events.
 
     Counts are interpolated log-linearly between observation days (linearly
-    while still at zero, or where the two counts' logs round to one float),
-    and an event fires at each exact crossing of the levels ``threshold,
-    2*threshold, ...``.  Locations never reaching the threshold contribute
-    no events (with a warning).  More than ``MAX_DISCRETIZED_EVENTS``
-    crossings, or a count of ``2**53`` thresholds or more (where adjacent
-    levels round to the same float), raise ``ValueError``.
+    while still at zero), and an event fires at each exact crossing of the
+    levels ``threshold, 2*threshold, ...``.  Locations never reaching the
+    threshold contribute no events (with a warning).  More than
+    ``MAX_DISCRETIZED_EVENTS`` crossings, or a count of ``2**53`` thresholds
+    or more (where adjacent levels round to the same float), raise
+    ``ValueError``.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -287,13 +287,16 @@ def discretize_counts(series: CountSeries, threshold: float = 10.0) -> EventReco
         s = np.searchsorted(cum, levels, side="left") - 1
         c0, c1 = cum[s], cum[s + 1]  # c0 < level <= c1
         frac = (levels - c0) / (c1 - c0)
-        # log-linear where the count has left zero and the logs separate;
-        # where they round together, linear is the log-linear form's limit
-        grown = np.flatnonzero(c0 > 0.0)
-        log0, log1 = np.log(c0[grown]), np.log(c1[grown])
-        apart = log1 > log0
-        curved = grown[apart]
-        frac[curved] = (np.log(levels[curved]) - log0[apart]) / (log1[apart] - log0[apart])
+        # log-linear once the count has left zero.  Within a factor of two, where the logs can
+        # round to one float, as log1p of the relative rises: their differences are exact and
+        # the denominator is positive.  Further apart, where a relative rise can overflow, as
+        # differences of logs.
+        near = np.flatnonzero((c0 > 0.0) & (c1 <= 2.0 * c0))
+        far = np.flatnonzero((c0 > 0.0) & (c1 > 2.0 * c0))
+        b0 = c0[near]
+        frac[near] = np.log1p((levels[near] - b0) / b0) / np.log1p((c1[near] - b0) / b0)
+        log0 = np.log(c0[far])
+        frac[far] = (np.log(levels[far]) - log0) / (np.log(c1[far]) - log0)
         ev_times.append(days[s] + (days[s + 1] - days[s]) * frac)
         if levels.size == 0:
             warnings.warn(

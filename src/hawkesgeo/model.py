@@ -158,8 +158,10 @@ def _pair_block(record: EventRecord, n_earlier, s: int, e: int, dyad_type):
     both come from concatenated prefixes without index arrays or gathers."""
     times, types, c = record.times, record.types, n_earlier[s:e]
     prefixes = c.tolist()
-    dt = np.repeat(times[s:e], c) - np.concatenate([times[:k] for k in prefixes])
-    dyad = np.repeat(types[s:e] * record.n, c) + np.concatenate([types[:k] for k in prefixes])
+    dt = np.repeat(times[s:e], c)
+    dt -= np.concatenate([times[:k] for k in prefixes])
+    dyad = np.concatenate([types[:k] for k in prefixes])
+    dyad += np.repeat(types[s:e] * record.n, c)
     return dt, dyad.astype(dyad_type, copy=False)
 
 
@@ -173,7 +175,8 @@ def _pair_blocks(record: EventRecord):
     unsigned type that holds the block's last row and ``n * n - 1``, so at
     ``n <= 256`` with at most 256 events in a block a pair takes 11 bytes.
     Each block is built when reached, so a caller that walks the generator
-    holds one block, and one that keeps the list (``fit``) all of them.
+    holds one block, and one that keeps the list all of them: ``fit`` keeps
+    it up to ``em.PAIR_CACHE`` pairs and walks the generator each epoch past.
     """
     n_earlier = np.searchsorted(record.times, record.times, "left")
     dyad_type = np.min_scalar_type(record.n * record.n - 1)

@@ -275,7 +275,9 @@ def reference_discretize(series, threshold):
                 if level <= c0:
                     q += 1
                     continue
-                if c0 > 0.0:
+                if 0.0 < c0 and c1 <= 2.0 * c0:
+                    frac = np.log1p((level - c0) / c0) / np.log1p((c1 - c0) / c0)
+                elif c0 > 0.0:
                     frac = (np.log(level) - np.log(c0)) / (np.log(c1) - np.log(c0))
                 else:
                     frac = (level - c0) / (c1 - c0)

@@ -671,7 +671,10 @@ class TestDiscretize:
         assert cli_dispatch(["discretize", "--counts", str(counts), "--threshold", "1",
                              "--out", str(tmp_path / "ev.csv")]) == 0
         assert capsys.readouterr().err == ""
-        assert load_events_csv(tmp_path / "ev.csv").times.tolist() == [1 / 3, 2 / 3, 1.0]
+        # the log-linear times, 1/3 + 3.7e-17 and 2/3 + 3.7e-17, each round to
+        # the float just above the one nearest 1/3 or 2/3
+        assert load_events_csv(tmp_path / "ev.csv").times.tolist() == [0.33333333333333337,
+                                                                       0.6666666666666667, 1.0]
 
 
 class TestExport:

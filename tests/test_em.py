@@ -405,10 +405,10 @@ def receivers(blocks):
 
 def blocked_cases(rng):
     """Records and parameters for the blocked attribution: tie runs that
-    cross block edges, silent and ``mu = 0`` types, R = 2, full-rank
+    cross block edges, silent and ``mu = 0`` types, R = 2 and 3, full-rank
     parameters and an empty record."""
     cases = []
-    for R in (1, 2):
+    for R in (1, 2, 3):
         n = 4
         cases.append((tied_record(rng, n, N=40), make_model(rng, n, R=R)))
         cases.append((make_record(rng, n, N=30), random_full_rank(rng, n, R)))
@@ -570,6 +570,41 @@ class TestBlockedAttribution:
             tracemalloc.stop()
         assert peak <= 10 * pairs + 32 * 8 * model.PAIR_BLOCK
 
+    def test_streamed_fit_holds_one_block_of_pairs(self, rng, monkeypatch):
+        # test_fit_keeps_10_bytes_per_pair's record with a budget of 0: fit builds
+        # its pairs block by block each epoch, so its peak is the workspace and
+        # one block's temporaries, not the 3.2 MB its kept pairs would take
+        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        record = make_record(rng, 3, N=800, T=5.0)
+        bound = 32 * 8 * model.PAIR_BLOCK
+        assert 10 * model.pair_indices(record)[0].size > 3 * bound
+        init = init_params(record, R=1, m=2)
+        init.amplitudes()
+        tracemalloc.start()
+        try:
+            fit(record, FitConfig(mode="geo", epochs=2), init=init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_fit_builds_its_pairs_once_under_the_budget_and_each_epoch_above(
+            self, rng, monkeypatch):
+        builds = []
+
+        def counted(record):
+            builds.append(record.N)
+            return _pair_blocks(record)
+        monkeypatch.setattr(em, "_pair_blocks", counted)
+        record = make_record(rng, 3, N=100, T=5.0)
+        pairs = model.pair_indices(record)[0].size
+        for budget, calls in ((pairs, 1), (pairs - 1, 4)):
+            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+            builds.clear()
+            report = fit(record, FitConfig(mode="frb", epochs=4))
+            assert report.curve.size == 4 and builds == [record.N] * calls
+
     @pytest.mark.parametrize("mode", ["geo", "frb"])
     def test_fit_holds_nothing_but_its_report(self, rng, monkeypatch, mode):
         # the workspace is the fit's own: one kept past the call would hold
@@ -628,23 +663,29 @@ def unblocked_fit(record, config, init=None):
 
 
 def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None):
-    """``fit`` and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each.
+    """``fit``, with its pairs kept (the default budget) and built afresh each epoch (a
+    budget of 0), and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each.
     The reported background probabilities are ``params_best``'s."""
+    reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        arm()
-        report = fit(record, config, init=init)
+        for budget in (em.PAIR_CACHE, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(em, "PAIR_CACHE", budget)
+                arm()
+                reports.append(fit(record, config, init=init))
         arm()
         curve, final, best_epoch, best, aborted = unblocked_fit(record, config, init)
-    assert np.array_equal(report.curve, curve)
-    assert_same_params(report.params_final, final)
-    assert_same_params(report.params_best, best)
-    assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
-    if best_epoch < 0:
-        assert report.p_background is None
-    else:
-        assert_same_array(report.p_background, background_probabilities(record, best))
-    return report
+    for report in reports:
+        assert np.array_equal(report.curve, curve)
+        assert_same_params(report.params_final, final)
+        assert_same_params(report.params_best, best)
+        assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
+        if best_epoch < 0:
+            assert report.p_background is None
+        else:
+            assert_same_array(report.p_background, background_probabilities(record, best))
+    return reports[0]
 
 
 def exploding_frb_step(at_call, step=em._m_step_frb):

@@ -1,6 +1,7 @@
 """File formats: event and count CSVs, model documents, exports."""
 
 import csv
+import decimal
 import json
 import os
 import pickle
@@ -427,17 +428,32 @@ class TestDiscretize:
             with pytest.raises(ValueError, match="2\\^53"):
                 discretize_counts(series, threshold=1.0)
 
-    def test_counts_whose_logs_round_together_interpolate_linearly(self):
-        # log(2^53 - 4) and log(2^53 - 1) are one float, so the log-linear
-        # fraction would divide by zero; linear is its limit
-        top = 2.0**53
-        series = CountSeries(("a",), (np.array([0.0, 1.0]),), (np.array([top - 4.0, top - 1.0]),))
-        assert np.log(top - 4.0) == np.log(top - 1.0)
+    @pytest.mark.parametrize("low", [1e15, 2.0**53 - 4.0])
+    def test_counts_whose_logs_round_together_interpolate_log_linearly(self, low):
+        # log(2^53 - 4) and log(2^53 - 1) are one float, and a difference of
+        # logs put all three crossings from 1e15 to 1e15 + 3 at 0, 0 and 1;
+        # log1p of the relative rises gives the log-linear times to an ulp
+        series = CountSeries(("a",), (np.array([0.0, 1.0]),), (np.array([low, low + 3.0]),))
+        assert np.log(low + 3.0) - np.log(low) <= np.spacing(np.log(low))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             record = discretize_counts(series, threshold=1.0)
-        assert record.times.tolist() == [1.0 / 3.0, 2.0 / 3.0, 1.0]
+        with decimal.localcontext(prec=50):
+            rise = [(decimal.Decimal(low + k) / decimal.Decimal(low)).ln() for k in (1, 2, 3)]
+            exact = [float(r / rise[-1]) for r in rise]
+        assert_allclose(record.times, exact, rtol=2 * np.finfo(float).eps, atol=0)
+        assert_allclose(record.times, [1.0 / 3.0, 2.0 / 3.0, 1.0], rtol=1e-14)
         assert record.types.tolist() == [0, 0, 0]
+
+    def test_a_tiny_first_count_interpolates_log_linearly(self):
+        # the relative rise from 5e-324 to 300 overflows; the logs lie far apart
+        series = CountSeries(("a",), (np.array([0.0, 1.0]),), (np.array([5e-324, 300.0]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = discretize_counts(series, threshold=100.0)
+        log0 = np.log(5e-324)
+        assert_allclose(record.times, (np.log([100.0, 200.0, 300.0]) - log0)
+                        / (np.log(300.0) - log0), rtol=1e-15)
 
     @given(st.data())
     def test_crossings_are_the_loops_to_the_bit(self, data):
