@@ -28,6 +28,8 @@ from .model import (
     _pair_response,
     _sq_distances,
     _Workspace,
+    _decayed_counts,
+    _rates,
     compensator,
     influence_matrix,
 )
@@ -37,8 +39,8 @@ MODES = ("hhg-a", "hhg-b", "hhg-dm", "frb", "geo")
 # Attribution entries below this probability are dropped and each event's row
 # renormalized, so the stored attribution keeps only pairs that carry mass.
 BRANCHING_FLOOR = 1e-12
-# fit keeps a record's pair blocks across epochs up to this many pairs (about 46 MB at
-# 11 bytes a pair) and builds them afresh each epoch past it
+# fit and its initial guess sum over a record's event pairs, kept across epochs, up to
+# this many pairs (about 46 MB at 11 bytes a pair) and over its decayed counts past it
 PAIR_CACHE = 1 << 22
 
 
@@ -316,6 +318,13 @@ class FitReport:
 # E-step
 
 
+def _within_pair_cache(record: EventRecord) -> bool:
+    """Whether ``record`` has at most ``PAIR_CACHE`` event pairs, read at call time: up
+    to there ``fit`` and ``spectral.init_influence_guess`` sum over the pairs, past it
+    over the decayed counts."""
+    return int(np.searchsorted(record.times, record.times, "left").sum()) <= PAIR_CACHE
+
+
 def _require_positive(lam, start=0) -> None:
     """Raise ``DegenerateEventError`` for the first event with zero intensity
     among the intensities ``lam`` of events ``start``, ``start + 1``, ..."""
@@ -459,6 +468,40 @@ def _fit_e_step(record, params, blocks, ws):
         return lam_all, None
     return lam_all, AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
                                      np.bincount(record.types, weights=p_bg, minlength=n), R)
+
+
+def _scan_stats(record, params):
+    """``_fit_e_step``'s ``(lam, AttributionStats)`` from one decayed-count walk, with
+    no event pairs and ``O(SCAN_BLOCK n R)`` memory.  Event ``j`` reads the counts
+    ``S_r(t_j)`` and lag moments ``D_r(t_j)`` of the events strictly before it;
+    ``lam`` is ``_realized_rates``', and the statistics are those of the unfloored
+    attribution: ``dyad_mass[r] = kappa_r A_r * sum_j onehot(k_j) S_r(t_j) / lam_j``,
+    ``lag_mass_by_r[r] = kappa_r sum_j A_r[k_j] . D_r(t_j) / lam_j`` and the
+    background ``mu[k_j] / lam_j``.  A zero intensity raises ``DegenerateEventError``;
+    after a non-finite one the statistics are None.  Nothing divides by either.
+    """
+    n, R, types = record.n, params.R, record.types
+    A, kappa, mu = params.amplitudes(), params.kappa, params.mu
+    lam, usable = mu[types], True
+    W, V = np.zeros((R, n * n)), np.zeros((R, n * n))  # sums of S / lam and D / lam
+    for rows, S, D in _decayed_counts(record, kappa, record.times, lagged=True):
+        k = types[rows]
+        with np.errstate(over="ignore"):  # fit reports an infinite intensity
+            lam[rows] = _rates(mu, kappa, A, S)[np.arange(k.size), k]
+        own = lam[rows, None]
+        usable = usable and bool(np.all(np.isfinite(own) & (own > 0.0)))
+        if usable:
+            cell = ((k * n)[:, None] + np.arange(n)).ravel()
+            for r in range(R):
+                W[r] += np.bincount(cell, (S[:, r] / own).ravel(), n * n)
+                V[r] += np.bincount(cell, (D[:, r] / own).ravel(), n * n)
+    _require_positive(lam)
+    if not usable:
+        return lam, None
+    dyad = kappa[:, None, None] * (A * W.reshape(R, n, n))
+    lag = kappa * np.sum(A * V.reshape(R, n, n), axis=(1, 2))
+    return lam, AttributionStats(dyad.sum(axis=(1, 2)), lag, dyad,
+                                 _weighted_counts(types, mu[types] / lam, n), R)
 
 
 def complete_data_loglik(record: EventRecord, params, branching: BranchingStructure) -> float:
@@ -683,9 +726,11 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     coordinates.  The exact train log-likelihood of the parameters entering
     each epoch is recorded, and the best-scoring snapshot is kept.  If the
     objective turns non-finite the loop stops and reports the last finite
-    state (``aborted_epoch`` set).  The event pairs are built once and kept
-    when there are at most ``PAIR_CACHE`` of them, else built afresh block by
-    block each epoch; either way the fit is the same to the bit.
+    state (``aborted_epoch`` set).  A record with at most ``PAIR_CACHE`` event
+    pairs keeps them across epochs, and each E-step attributes pair by pair at
+    ``BRANCHING_FLOOR``.  Past the budget no pair is built: each E-step reads the
+    unfloored statistics off ``_scan_stats``, which differ in rounding and by the
+    floor's truncation, and ``curve`` is ``log_likelihood`` to the bit.
     """
     from .diagnostics import background_probabilities
     from .spectral import init_params
@@ -707,8 +752,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
 
-    cached = int(np.searchsorted(record.times, record.times, "left").sum()) <= PAIR_CACHE
-    blocks, ws = list(_pair_blocks(record)) if cached else None, _Workspace(params.R)
+    pairwise = _within_pair_cache(record)
+    blocks, ws = (list(_pair_blocks(record)), _Workspace(params.R)) if pairwise else (None, None)
     curve = np.empty(config.epochs)
     best_ll = -np.inf
     best_params = params
@@ -717,7 +762,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     prev_params = params
 
     for epoch in range(config.epochs):
-        lam, stats = _fit_e_step(record, params, blocks if cached else _pair_blocks(record), ws)
+        lam, stats = (_fit_e_step(record, params, blocks, ws) if pairwise
+                      else _scan_stats(record, params))
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf aborts below
             ll = float(np.sum(np.log(lam)) - compensator(record, params))
         if not np.isfinite(ll):

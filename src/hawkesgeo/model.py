@@ -175,8 +175,8 @@ def _pair_blocks(record: EventRecord):
     unsigned type that holds the block's last row and ``n * n - 1``, so at
     ``n <= 256`` with at most 256 events in a block a pair takes 11 bytes.
     Each block is built when reached, so a caller that walks the generator
-    holds one block, and one that keeps the list all of them: ``fit`` keeps
-    it up to ``em.PAIR_CACHE`` pairs and walks the generator each epoch past.
+    holds one block, and one that keeps the list all of them: ``e_step`` walks
+    it, and ``fit`` keeps it up to ``em.PAIR_CACHE`` pairs and builds none past.
     """
     n_earlier = np.searchsorted(record.times, record.times, "left")
     dyad_type = np.min_scalar_type(record.n * record.n - 1)
@@ -395,31 +395,52 @@ def _rates(mu, kappa, A, S) -> np.ndarray:
     return lam
 
 
-def _decayed_counts(record: EventRecord, kappa, ts):
+def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
     """Yield ``(rows, S)`` over the sorted queries ``ts`` that follow an event:
     ``S[q, r, l]`` sums ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events
     before ``t_q``.  This is the Ozaki (1979) recursion as cumsums of
     ``exp(kappa (t_i - t_s))`` over chunks that start at ``t_s`` and span at
     most ``SCAN_SPAN / max(kappa)``, so none overflows.  With the carried state
     added and scaled by ``exp(-kappa (t_j - t_s))``, row ``j`` holds the counts
-    just after event ``j``; a query scales the row of its last earlier event."""
+    just after event ``j``; a query scales the row of its last earlier event.
+
+    With ``lagged`` it yields ``(rows, S, D)``, where ``D`` sums ``(t_q - t_i)
+    exp(-kappa_r (t_q - t_i))`` alike.  With ``u = t - t_s``, row ``j`` is
+    ``u_j S_j - exp(-kappa u_j) (C1_j - D_c)``, where ``C1`` is the cumsum of
+    ``u_i exp(kappa u_i)`` and ``D_c`` the carried ``D``; a gap ``d`` takes
+    ``D`` to ``D exp(-kappa d) + d S``."""
     times, types, R, n = record.times, record.types, kappa.size, record.n
     g = np.searchsorted(times, ts, side="left")  # events strictly before each query
     stop = int(g[-1]) if g.size else 0  # later events precede no query
-    carry, a = np.zeros((R, n)), 0
+    carry, lag_carry, a = np.zeros((R, n)), np.zeros((R, n)), 0
     while a < stop:
         t_s = times[a]
         b = min(a + SCAN_BLOCK, stop, times.searchsorted(t_s + SCAN_SPAN / kappa.max(), "right"))
+        u = times[a:b] - t_s
+        grow = np.exp(np.outer(u, kappa))
         C = np.zeros((b - a, R, n))
-        C[np.arange(b - a), :, types[a:b]] = np.exp(np.outer(times[a:b] - t_s, kappa))
-        C = (np.cumsum(C, axis=0) + carry) * np.exp(np.outer(t_s - times[a:b], kappa))[..., None]
+        C[np.arange(b - a), :, types[a:b]] = grow
+        fall = np.exp(np.outer(-u, kappa))[..., None]
+        C = (np.cumsum(C, axis=0) + carry) * fall
+        if lagged:
+            L = np.zeros((b - a, R, n))
+            L[np.arange(b - a), :, types[a:b]] = u[:, None] * grow
+            L = u[:, None, None] * C - (np.cumsum(L, axis=0) - lag_carry) * fall
         q0, q1 = np.searchsorted(g, [a + 1, b + 1], side="left")
         for lo in range(q0, q1, SCAN_BLOCK):
             rows = slice(lo, min(lo + SCAN_BLOCK, q1))
             last = g[rows] - 1
-            yield rows, C[last - a] * np.exp(np.outer(times[last] - ts[rows], kappa))[..., None]
+            decay = np.exp(np.outer(times[last] - ts[rows], kappa))[..., None]
+            S = C[last - a] * decay
+            if not lagged:
+                yield rows, S
+            else:
+                yield rows, S, L[last - a] * decay + (ts[rows] - times[last])[:, None, None] * S
         if b < stop:
-            carry = C[-1] * np.exp(kappa * (times[b - 1] - times[b]))[:, None]
+            decay = np.exp(kappa * (times[b - 1] - times[b]))[:, None]
+            carry = C[-1] * decay
+            if lagged:
+                lag_carry = L[-1] * decay + (times[b] - times[b - 1]) * carry
         a = b
 
 

@@ -33,7 +33,9 @@ def sample_ground_truth(n: int, m: int = 2, R: int = 1, seed: int = 0) -> Ground
     shape 1/sqrt(n); decay rates and background rates are log-normal (the
     latter divided by n); exertion is uniform; the amplitude starts at
     1/sqrt(n) and is rescaled so the influence matrix has unit Frobenius
-    norm, which keeps the process subcritical.
+    norm.  That bounds its spectral radius (``stability_radius``) by 1 only:
+    where the spatial weights are flattened to uniform, the matrix is rank one
+    and its radius rounds to 1 - 4e-16, a critical process.
     """
     if n < 1 or m < 1 or R < 1:
         raise ValueError("n, m, R must be positive")

@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 
+from .em import _within_pair_cache
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
-    _event_blocks, _pair_block, _sq_distances
+    _decayed_counts, _event_blocks, _pair_block, _sq_distances
 
 _SMOOTHING = 1e-12
 
@@ -110,15 +111,23 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
     """Crude pairwise influence counts with a single exponential clock.
 
     Each ordered pair of types accumulates the clock value at its observed
-    lags, with the clock's rate set from the mean interarrival time.  It is a
-    pair sum over 512 receiving events at a time, since fits depend on its
-    rounding; a chunk's pairs are built from the record's prefixes by
-    ``_pair_block`` in blocks of about ``PAIR_BLOCK``, and ``np.add.at``
-    continues its sums from block to block in pair order, as its ``bincount``.
+    lags, with the clock's rate set from the mean interarrival time.  Up to
+    ``em.PAIR_CACHE`` pairs it is a pair sum over 512 receiving events at a time,
+    since fits under that budget depend on its rounding; a chunk's pairs are built
+    from the record's prefixes by ``_pair_block`` in blocks of about ``PAIR_BLOCK``,
+    and ``np.add.at`` continues its sums from block to block in pair order, as its
+    ``bincount``.  Past the budget, as ``fit`` does, it builds no pairs: it sums
+    ``kappa S(t_j)``, the decayed counts at each event, by the event's type.
     """
     t_hat = event_time_scale(record)
     kap = 1.0 / t_hat
     n = record.n
+    if not _within_pair_cache(record):
+        phi = np.zeros(n * n)
+        for rows, S in _decayed_counts(record, np.array([kap]), record.times):
+            phi += np.bincount(((record.types[rows] * n)[:, None] + np.arange(n)).ravel(),
+                               S.ravel(), n * n)
+        return kap * phi.reshape(n, n)
     n_earlier = np.searchsorted(record.times, record.times, "left")
     first = np.concatenate(([0], np.cumsum(n_earlier)))
     phi, part = np.zeros(n * n), np.empty(n * n)

@@ -151,6 +151,22 @@ def brute_intensity(record, params, k, t):
     return lam
 
 
+def brute_decayed_moments(record, kappa, ts):
+    """``(S, D)``, each ``(q, R, n)``: at each query ``t``, the sums over earlier
+    type-``l`` events of ``exp(-kappa_r (t - t_i))`` and of ``(t - t_i)`` times it,
+    by loops."""
+    S = np.zeros((len(ts), len(kappa), record.n))
+    D = np.zeros_like(S)
+    for q, t in enumerate(ts):
+        for i in range(record.N):
+            if record.times[i] < t:
+                lag = t - record.times[i]
+                for r, kap in enumerate(kappa):
+                    S[q, r, record.types[i]] += np.exp(-kap * lag)
+                    D[q, r, record.types[i]] += lag * np.exp(-kap * lag)
+    return S, D
+
+
 def brute_loglik(record, params, quad_order=50):
     """Event terms by loops, compensator by Gauss-Legendre between events."""
     ll = 0.0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hawkesgeo
+from hawkesgeo import em
 from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
 from hawkesgeo.diagnostics import background_probabilities, background_qq
 from hawkesgeo.em import FitConfig, FullRankParams, e_step
@@ -391,16 +392,18 @@ class TestFit:
                                                                 np.full(record.n, 0.1)))
 
         monkeypatch.setattr(cli, "fit", overflowing_fit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NumericsWarning)
-            rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
-                               "--mode", "frb", "--epochs", "3",
-                               "--out", str(tmp_path / "m.json"),
-                               "--report", str(tmp_path / "r.json")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "aborted at epoch 0 with no finite epoch" in err
-        assert list(tmp_path.iterdir()) == []
+        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericsWarning)
+                rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                                   "--mode", "frb", "--epochs", "3",
+                                   "--out", str(tmp_path / "m.json"),
+                                   "--report", str(tmp_path / "r.json")])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "aborted at epoch 0 with no finite epoch" in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_invalid_hyperparameter_is_a_usage_error(self, workdir, capsys):
         for flags in (["--epochs", "0"], ["--eps2", "0.1", "--prior-alpha", "0"]):
@@ -560,12 +563,24 @@ class TestDiagnose:
         assert any(note.startswith("kendall_tau is null") for note in doc["notes"])
 
     @pytest.mark.parametrize("with_truth", [False, True])
-    def test_builds_no_event_pairs(self, workdir, capsys, no_pairs, with_truth):
+    def test_builds_no_event_pairs(self, workdir, tmp_path, capsys, monkeypatch, no_pairs,
+                                   with_truth):
         truth = ["--truth-model", str(workdir / "truth.json")] if with_truth else []
         assert cli_dispatch(["diagnose", "--events", str(workdir / "events.csv"),
                              "--model", str(workdir / "model.json"), *truth]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["hellinger"] is not None) == with_truth
+        # past the pair budget, fit in every mode and its initial guess scan instead
+        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        emb = tmp_path / "emb.csv"
+        assert cli_dispatch(["export", "--what", "embedding", "--model",
+                             str(workdir / "truth.json"), "--out", str(emb)]) == 0
+        for mode, extra in (("hhg-a", []), ("hhg-b", ["--eps2", "0.1"]), ("hhg-dm", []),
+                            ("frb", ["--R", "2"]), ("geo", ["--frozen-embedding", str(emb)])):
+            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"), "--mode", mode,
+                                 "--epochs", "3", *extra, "--out", str(tmp_path / "m.json"),
+                                 "--report", str(tmp_path / "r.json")]) == 0, mode
+            assert len(load_report(tmp_path / "r.json")["curve"]) == 3
         # the fixture does catch the pairwise attribution
         with pytest.raises(AssertionError, match="pairs were built"):
             e_step(load_events_csv(workdir / "events.csv"), load_model(workdir / "model.json"))

@@ -28,6 +28,7 @@ from hawkesgeo.em import (
     _attribute,
     _fit_e_step,
     _initial_frb,
+    _scan_stats,
     complete_data_loglik,
     e_step,
     fit,
@@ -47,6 +48,7 @@ from hawkesgeo.model import (
     ModelParams,
     NumericsWarning,
     _pair_blocks,
+    _realized_rates,
     compensator,
     influence_matrix,
     log_likelihood,
@@ -481,8 +483,13 @@ class TestBlockedAttribution:
         dead = ModelParams(params.embedding,
                            KernelBank(params.kernels.beta_sq, params.kernels.kappa, [0.0]),
                            params.xi, np.array([0.3, 0.0]))
+
+        def scan_fit():
+            monkeypatch.setattr(em, "PAIR_CACHE", 0)
+            return fit(record, FitConfig(mode="geo", epochs=2), init=dead)
+
         for run in (lambda: e_step(record, dead),
-                    lambda: fit(record, FitConfig(mode="geo", epochs=2), init=dead)):
+                    lambda: fit(record, FitConfig(mode="geo", epochs=2), init=dead), scan_fit):
             with pytest.raises(DegenerateEventError) as exc:
                 run()
             assert exc.value.index == 9
@@ -570,27 +577,31 @@ class TestBlockedAttribution:
             tracemalloc.stop()
         assert peak <= 10 * pairs + 32 * 8 * model.PAIR_BLOCK
 
-    def test_streamed_fit_holds_one_block_of_pairs(self, rng, monkeypatch):
-        # test_fit_keeps_10_bytes_per_pair's record with a budget of 0: fit builds
-        # its pairs block by block each epoch, so its peak is the workspace and
-        # one block's temporaries, not the 3.2 MB its kept pairs would take
-        monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
+    def test_fit_past_the_budget_holds_one_scan_block(self, rng, monkeypatch):
+        # past the budget fit walks the decayed counts SCAN_BLOCK events at a time, so
+        # its peak is about 12 (block, R, n) arrays and 8 of the record's (N,) ones;
+        # one whole-record (N, R, n) array alone takes 1.3 MB here, and the pairs 64 MB
         monkeypatch.setattr(em, "PAIR_CACHE", 0)
-        record = make_record(rng, 3, N=800, T=5.0)
-        bound = 32 * 8 * model.PAIR_BLOCK
-        assert 10 * model.pair_indices(record)[0].size > 3 * bound
-        init = init_params(record, R=1, m=2)
+        monkeypatch.setattr(model, "SCAN_BLOCK", 64)
+        n, R = 20, 2
+        record = make_record(rng, n, N=4000, T=50.0)
+        block = 8 * model.SCAN_BLOCK * n * R
+        bound = 16 * block + 12 * 8 * record.N
+        assert 8 * record.N * n * R > 1.5 * bound
+        init = init_params(record, R=R, m=2)
         init.amplitudes()
-        tracemalloc.start()
-        try:
-            fit(record, FitConfig(mode="geo", epochs=2), init=init)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        for mode in ("geo", "frb"):  # frb's initial guess walks the counts too
+            tracemalloc.start()
+            try:
+                fit(record, FitConfig(mode=mode, epochs=2, R=R),
+                    init=init if mode == "geo" else None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, mode
 
-    def test_fit_builds_its_pairs_once_under_the_budget_and_each_epoch_above(
-            self, rng, monkeypatch):
+    def test_fit_builds_pairs_once_under_the_budget_and_never_above(
+            self, rng, monkeypatch, request):
         builds = []
 
         def counted(record):
@@ -599,11 +610,16 @@ class TestBlockedAttribution:
         monkeypatch.setattr(em, "_pair_blocks", counted)
         record = make_record(rng, 3, N=100, T=5.0)
         pairs = model.pair_indices(record)[0].size
-        for budget, calls in ((pairs, 1), (pairs - 1, 4)):
-            monkeypatch.setattr(em, "PAIR_CACHE", budget)
-            builds.clear()
-            report = fit(record, FitConfig(mode="frb", epochs=4))
-            assert report.curve.size == 4 and builds == [record.N] * calls
+        monkeypatch.setattr(em, "PAIR_CACHE", pairs)
+        report = fit(record, FitConfig(mode="frb", epochs=4))
+        assert report.curve.size == 4 and builds == [record.N]
+        # at one pair less neither the initial guess nor any epoch builds a pair
+        request.getfixturevalue("no_pairs")
+        monkeypatch.setattr(em, "PAIR_CACHE", pairs - 1)
+        for mode, kwargs in (("hhg-a", {}), ("hhg-b", {"eps2": 0.1}), ("hhg-dm", {}),
+                             ("frb", {"R": 2})):
+            report = fit(record, FitConfig(mode=mode, epochs=4, **kwargs))
+            assert report.curve.size == 4 and builds == [record.N]
 
     @pytest.mark.parametrize("mode", ["geo", "frb"])
     def test_fit_holds_nothing_but_its_report(self, rng, monkeypatch, mode):
@@ -662,30 +678,62 @@ def unblocked_fit(record, config, init=None):
     return np.array(curve), params, best[1], best[2], aborted
 
 
+# the scan fit against the pairwise one over these tests' six-epoch fits: the curve
+# agreed to 5.5e-12 and the parameters to 4.2e-10 of each array's largest entry
+SCAN_CURVE_RTOL, SCAN_PARAMS_RTOL = 1e-10, 1e-8
+
+
+def entering_params(mp):
+    """Wrap both M-steps, as installed now, through ``mp`` so that each records the
+    parameters its epoch entered with; returns the list they fill."""
+    seen = []
+    for name in ("_m_step_frb", "_m_step_geometric"):
+        def recorded(record, params, br, config, step=getattr(em, name)):
+            seen.append(params)
+            return step(record, params, br, config)
+        mp.setattr(em, name, recorded)
+    return seen
+
+
+def assert_close_params(got, want):
+    assert type(got) is type(want)
+    for a, b in zip(param_arrays(got), param_arrays(want)):
+        assert_allclose(a, b, rtol=SCAN_PARAMS_RTOL, atol=SCAN_PARAMS_RTOL * np.abs(b).max())
+
+
 def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None):
-    """``fit``, with its pairs kept (the default budget) and built afresh each epoch (a
-    budget of 0), and ``unblocked_fit`` agree to the bit; ``arm()`` runs before each.
-    The reported background probabilities are ``params_best``'s."""
-    reports = []
+    """``fit`` with its pairs kept (the default budget) and ``unblocked_fit`` agree to
+    the bit.  Past the budget (0) the scan fit ends alike (``best_epoch``,
+    ``aborted_epoch``, background probabilities or None), holds the curve and the
+    parameters to ``SCAN_CURVE_RTOL`` and ``SCAN_PARAMS_RTOL``, and its curve is the
+    ``log_likelihood`` of each epoch's parameters to the bit.  ``arm()`` runs before
+    each fit.  The reported background probabilities are ``params_best``'s."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for budget in (em.PAIR_CACHE, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(em, "PAIR_CACHE", budget)
-                arm()
-                reports.append(fit(record, config, init=init))
+        arm()
+        report = fit(record, config, init=init)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "PAIR_CACHE", 0)
+            arm()
+            entered = entering_params(mp)
+            scan = fit(record, config, init=init)
         arm()
         curve, final, best_epoch, best, aborted = unblocked_fit(record, config, init)
-    for report in reports:
-        assert np.array_equal(report.curve, curve)
-        assert_same_params(report.params_final, final)
-        assert_same_params(report.params_best, best)
-        assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
+        scores = [log_likelihood(record, params) for params in entered[:scan.curve.size]]
+    assert np.array_equal(report.curve, curve)
+    assert_same_params(report.params_final, final)
+    assert_same_params(report.params_best, best)
+    assert np.array_equal(scan.curve, scores)
+    assert_allclose(scan.curve, curve, rtol=SCAN_CURVE_RTOL, atol=0.0)
+    assert_close_params(scan.params_final, final)
+    assert_close_params(scan.params_best, best)
+    for got in (report, scan):
+        assert (got.best_epoch, got.aborted_epoch) == (best_epoch, aborted)
         if best_epoch < 0:
-            assert report.p_background is None
+            assert got.p_background is None
         else:
-            assert_same_array(report.p_background, background_probabilities(record, best))
-    return reports[0]
+            assert_same_array(got.p_background, background_probabilities(record, got.params_best))
+    return report
 
 
 def exploding_frb_step(at_call, step=em._m_step_frb):
@@ -716,6 +764,9 @@ def per_entry_bound(record, params, br):
     return total - compensator(record, params)
 
 
+STATISTICS = ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type")
+
+
 def assert_streamed_statistics_are_e_steps(record, params):
     """``_fit_e_step``'s ``lam`` and four statistics equal, to the bit, the
     unblocked pass's intensities and those of ``e_step``'s entries."""
@@ -724,13 +775,86 @@ def assert_streamed_statistics_are_e_steps(record, params):
     assert_same_array(lam, unblocked_response(record, params)[1])
     br = e_step(record, params)
     assert stats.R == br.R
-    for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass", "background_mass_by_type"):
+    for name in STATISTICS:
         assert_same_array(getattr(stats, name), getattr(br, name), name)
 
 
 def random_full_rank(rng, n, R):
     return FullRankParams(rng.uniform(0.0, 0.5, size=(n, n)), rng.uniform(0.3, 3.0, size=R),
                           np.full(R, 1.0 / R), rng.uniform(0.05, 0.5, size=n))
+
+
+def brute_statistics(record, params):
+    """The four statistics of ``brute_branching``'s unfloored attribution, by loops."""
+    entries, p_background = brute_branching(record, params, 0.0)
+    n, R = record.n, params.R
+    mass, lag, dyad = np.zeros(R), np.zeros(R), np.zeros((R, n, n))
+    for i, j, r, p in entries:
+        mass[r] += p
+        lag[r] += p * (record.times[j] - record.times[i])
+        dyad[r, record.types[j], record.types[i]] += p
+    background = np.bincount(record.types, weights=p_background, minlength=n).astype(float)
+    return dict(zip(STATISTICS, (mass, lag, dyad, background)))
+
+
+def assert_scan_stats_hold(record, params):
+    """``_scan_stats``' intensities are ``_realized_rates``' to the bit, and its
+    statistics those of the floor-0 ``e_step`` and of ``brute_statistics``, to 1e-10
+    of each entry (or of the statistic's largest, where an entry rounds to zero)."""
+    lam, stats = _scan_stats(record, params)
+    assert_same_array(lam, _realized_rates(record, params, slice(None))[0])
+    if record.N:
+        assert_allclose(lam, unblocked_response(record, params)[1], rtol=1e-12)
+    br, brute = e_step(record, params, floor=0.0), brute_statistics(record, params)
+    assert stats.R == params.R
+    for name in STATISTICS:
+        got = getattr(stats, name)
+        for want in (getattr(br, name), brute[name]):
+            assert got.shape == want.shape and got.dtype == np.float64, name
+            assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(initial=0.0),
+                            err_msg=name)
+
+
+class TestScanStatistics:
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    def test_matches_the_unfloored_attribution_and_oracle(self, rng, monkeypatch, block):
+        # blocked_cases: tie runs across chunk edges, silent and mu = 0 types, R = 2
+        # and 3, full-rank parameters, kappa T = 1800, and an empty record
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        for record, params in blocked_cases(rng):
+            assert_scan_stats_hold(record, params)
+        # kappa T of 2,000 and 5,000 over chunks that their span cuts short
+        times = np.cumsum(rng.exponential(20.0, 100))
+        record = EventRecord(rng.integers(0, 3, size=100), times, 3, times[-1] + 1.0)
+        assert_scan_stats_hold(record, with_kernels(make_model(rng, 3, R=2), kappa=[1.0, 2.5]))
+
+    @given(small_problems(), st.sampled_from([1, 2, 7, 4096]), st.booleans())
+    def test_property_matches_the_unfloored_attribution(self, problem, block, full_rank):
+        record, params, _ = problem
+        if full_rank:
+            params = random_full_rank(np.random.default_rng(record.N), record.n, params.R)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "SCAN_BLOCK", block)
+            assert_scan_stats_hold(record, params)
+
+    def test_infinite_and_zero_intensities_are_checked_before_dividing(self):
+        # event 3's predecessors excite it past the float range, and the type-2
+        # event has neither a background rate nor an excitation
+        record = EventRecord([0, 1, 0, 1, 0, 2], [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 3, 1.0)
+        phi = np.full((3, 3), 1e308)
+        phi[2] = 0.0
+        params = FullRankParams(phi, [1.0], [1.0], [0.5, 0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, stats = _scan_stats(record, params)
+            assert stats is None and np.isinf(lam[3]) and np.all(lam[4:] > 0.0)
+            dead = FullRankParams(phi, [1.0], [1.0], [0.5, 0.5, 0.0])
+            for run in (lambda: _scan_stats(record, dead),
+                        lambda: _fit_e_step(record, dead, list(_pair_blocks(record)),
+                                            model._Workspace(1))):
+                with pytest.raises(DegenerateEventError) as exc:
+                    run()
+                assert exc.value.index == 5
 
 
 class TestObjectiveBounds:
@@ -1349,26 +1473,30 @@ class TestFit:
         assert np.all(report.p_background[record.types != 0] == 0.0)
 
     def test_infinite_objective_warns_only_numerics(self, sim_record, monkeypatch):
-        monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.warns(NumericsWarning, match="objective left the finite regime"):
-                report = fit(sim_record, FitConfig(mode="frb", epochs=8))
-        assert report.aborted_epoch == 3
+        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+            monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.warns(NumericsWarning, match="objective left the finite regime"):
+                    report = fit(sim_record, FitConfig(mode="frb", epochs=8))
+            assert report.aborted_epoch == 3
 
-    def test_overflow_at_two_bases_warns_only_numerics(self, sim_record):
+    def test_overflow_at_two_bases_warns_only_numerics(self, sim_record, monkeypatch):
         # the second basis' responses added to an intensity already past half
         # the float range raised a raw "overflow encountered in add"
         n = sim_record.n
         start = FullRankParams(np.full((n, n), 1e308), [1.0, 1.0], [0.5, 0.5], np.full(n, 0.1))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warnings.simplefilter("error", RuntimeWarning)
-            report = fit(sim_record, FitConfig(mode="frb", epochs=3, R=2), init=start)
-            with pytest.raises(NumericalError, match="non-finite intensity"):
-                e_step(sim_record, start)
-        assert report.aborted_epoch == 0 and report.curve.size == 0
-        assert [w.category for w in caught] == [NumericsWarning]
+        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.simplefilter("error", RuntimeWarning)
+                report = fit(sim_record, FitConfig(mode="frb", epochs=3, R=2), init=start)
+                with pytest.raises(NumericalError, match="non-finite intensity"):
+                    e_step(sim_record, start)
+            assert report.aborted_epoch == 0 and report.curve.size == 0
+            assert [w.category for w in caught] == [NumericsWarning]
 
     def test_fit_keeps_no_attribution_entries(self, sim_record, rng, monkeypatch):
         def no_entries(*args, **kwargs):

@@ -40,8 +40,8 @@ from hawkesgeo.model import (
     response,
 )
 
-from conftest import brute_intensity, brute_loglik, brute_response, make_model, make_record, \
-    unblocked_response
+from conftest import brute_decayed_moments, brute_intensity, brute_loglik, brute_response, \
+    make_model, make_record, unblocked_response
 
 
 def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
@@ -315,6 +315,26 @@ class TestIntensity:
             table = intensities_at(record, params, qs)
         brute = [[brute_intensity(record, params, k, t) for k in range(n)] for t in qs]
         assert_allclose(table, np.reshape(brute, (len(qs), n)), rtol=1e-10)
+
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    def test_lag_moments_match_brute_force(self, rng, monkeypatch, block):
+        # the lagged walk yields the plain walk's counts S to the bit; its lag moments
+        # D cancel within a chunk, so they hold to 1e-12 of D + S / kappa, the lag scale
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        for record, params in scan_cases(rng):
+            kappa = np.asarray(params.kappa)
+            for qs in (record.times, np.sort(scan_queries(rng, record))):
+                S_want, D_want = brute_decayed_moments(record, kappa, qs)
+                S_got, D_got = np.zeros_like(S_want), np.zeros_like(D_want)
+                plain = list(model._decayed_counts(record, kappa, qs))
+                lagged = list(model._decayed_counts(record, kappa, qs, lagged=True))
+                assert [out[0] for out in plain] == [out[0] for out in lagged]
+                for (rows, S), (_, S_lagged, D) in zip(plain, lagged):
+                    assert S.tobytes() == S_lagged.tobytes()
+                    S_got[rows], D_got[rows] = S, D
+                assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
+                scale = D_want + S_want / kappa[:, None]
+                assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
 
     def test_single_state_rates_are_the_simulators(self, rng):
         # simulate_thinning's records depend on these rates to the last bit;

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawkesgeo import model
+from hawkesgeo import em, model
 from hawkesgeo.model import EmbeddingPair, EventRecord, NumericsWarning
 from hawkesgeo.spectral import (
     density_normalize,
@@ -170,6 +170,42 @@ class TestInfluenceGuess:
             tracemalloc.stop()
         assert np.array_equal(guess, chunked_bincount_guess(record))
         assert peak - guess.nbytes < 32 * 8 * model.PAIR_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_guess_past_the_budget_is_the_chunked_bincount(self, rng, monkeypatch, request,
+                                                           block):
+        # past the budget the guess sums decayed counts: no pairs, the same sums to
+        # rounding; tie runs cross chunk edges, and kappa T is 1,500 on the last record
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        tied = np.sort(rng.integers(0, 300, size=1100)) * 0.5
+        records = (make_record(rng, 4, N=1100, T=5.0),
+                   EventRecord(rng.integers(0, 3, size=tied.size), tied, 4, 200.0),
+                   make_record(rng, 1, N=1501, T=5.0))
+        wants = [chunked_bincount_guess(record) for record in records]
+        request.getfixturevalue("no_pairs")
+        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        for record, want in zip(records, wants):
+            got = init_influence_guess(record)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_memory_past_the_budget_is_one_scan_block(self, rng, monkeypatch):
+        # a few (SCAN_BLOCK, n) arrays and the record's (N,) ones: 94 KB measured, where
+        # one whole-record (N, n) array takes 640 KB
+        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "SCAN_BLOCK", 64)
+        record = make_record(rng, 20, N=4000, T=50.0)
+        bound = 6 * 8 * model.SCAN_BLOCK * record.n + 4 * 8 * record.N
+        assert 8 * record.N * record.n > 2.5 * bound
+        tracemalloc.start()
+        try:
+            guess = init_influence_guess(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_allclose(guess, chunked_bincount_guess(record), rtol=1e-12, atol=0.0)
+        assert peak <= bound
 
 
 class TestInitParams:
