@@ -18,6 +18,7 @@ from .model import (
     _realized_rates,
     _scored_events,
     _sq_distances,
+    _window,
     log_likelihood,
 )
 
@@ -103,7 +104,8 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     ``O(N n R + N n^2 R)`` time.  Equals, up to rounding,
     ``hellinger_divergence`` of the two unfloored ``e_step`` attributions, whose sum of
     squares it cannot form without per-pair terms: its ``1 - BC`` cancels where the two
-    nearly agree.  An event with zero intensity under either set raises ``DegenerateEventError``.
+    nearly agree.  An event with zero intensity under either set raises ``DegenerateEventError``;
+    where either set's intensities overflow, the distance is nan, with a ``NumericsWarning``.
     """
     if record.N == 0:
         raise ValueError("empty record")
@@ -112,17 +114,22 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     Ra, Rb, c = estimated.R, truth.R, min(estimated.R, truth.R)
     ka, kb = estimated.kappa, truth.kappa
     Aa, Ab = estimated.amplitudes(), truth.amplitudes()
-    A_bar = np.sqrt((ka[:c] * kb[:c])[:, None, None] * Aa[:c] * Ab[:c])
+    with np.errstate(over="ignore"):  # a sum that overflows makes the distance nan, below
+        A_bar = np.sqrt((ka[:c] * kb[:c])[:, None, None] * Aa[:c] * Ab[:c])
     clocks = np.concatenate([ka, kb, 0.5 * (ka[:c] + kb[:c])])
     types = record.types
     lam_a, lam_b, common = estimated.mu[types], truth.mu[types], np.zeros(record.N)
     for rows, S in _decayed_counts(record, clocks, record.times):
         realized = (np.arange(S.shape[0]), types[rows])
-        lam_a[rows] = _rates(estimated.mu, ka, Aa, S[:, :Ra])[realized]
-        lam_b[rows] = _rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb])[realized]
-        common[rows] = _rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:])[realized]
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 inf in an A_bar that overflows
+            lam_a[rows] = _rates(estimated.mu, ka, Aa, S[:, :Ra])[realized]
+            lam_b[rows] = _rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb])[realized]
+            common[rows] = _rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:])[realized]
     _require_positive(lam_a)
     _require_positive(lam_b)
+    if not all(np.all(np.isfinite(v)) for v in (lam_a, lam_b, common)):
+        warnings.warn("intensities overflow; the Hellinger distance is nan", NumericsWarning)
+        return float("nan")
     # the background term as the pairwise divergence forms it, exactly 1 for
     # an event that nothing precedes under both sets
     bc = np.sqrt(estimated.mu[types] / lam_a * (truth.mu[types] / lam_b))
@@ -133,7 +140,8 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
 def background_probabilities(record: EventRecord, params) -> np.ndarray:
     """Each event's probability of being background, ``mu[k_j] / lam_j``, from
     the decayed-count scan; an event with zero intensity raises
-    ``DegenerateEventError``, as in ``e_step``."""
+    ``DegenerateEventError``, as in ``e_step``, and one whose intensity
+    overflows gets 0, the limit."""
     lam, _ = _realized_rates(record, params, slice(None))
     _require_positive(lam)
     return params.mu[record.types] / lam
@@ -174,16 +182,21 @@ def categorical_accuracy(record: EventRecord, params, window):
     Returns ``(score, naive)`` where the naive reference replaces the model
     intensity by the empirical per-type rates of the pre-window history (or of
     the window itself when nothing precedes it).  A realized type with zero
-    share drives the geometric mean to zero.
+    share drives the geometric mean to zero.  The window is checked as
+    ``compensator`` checks it; where the model's intensities overflow, the
+    score is nan, with a ``NumericsWarning``.
     """
-    t_a, t_b = window
+    t_a, t_b = _window(record, window)
     events = _scored_events(record, (t_a, t_b))
     realized = record.types[events]
     if realized.size == 0:
         warnings.warn("no events in the scored window", NumericsWarning)
         return float("nan"), float("nan")
     lam, total = _realized_rates(record, params, events, totals=True)
-    shares = lam / total
+    finite = bool(np.all(np.isfinite(total)))
+    if not finite:
+        warnings.warn("intensities overflow; accuracy is nan", NumericsWarning)
+    shares = lam / total if finite else np.full(lam.size, np.nan)
 
     ref = record.types[record.times < t_a]
     if ref.size == 0:
@@ -267,9 +280,14 @@ def kendall_distance_correlation(learned: EmbeddingPair, truth: EmbeddingPair) -
 
 
 def phi_rmse(estimated: np.ndarray, truth: np.ndarray) -> float:
-    """Root-mean-square entrywise error between two influence matrices."""
+    """Root-mean-square entrywise error between two influence matrices; inf,
+    with a ``NumericsWarning``, where the squared errors overflow."""
     a = np.asarray(estimated, dtype=np.float64)
     b = np.asarray(truth, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("influence matrices must share a shape")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean((a - b) ** 2)))
+    if not np.isfinite(rmse):
+        warnings.warn(f"squared influence errors overflow; phi RMSE is {rmse}", NumericsWarning)
+    return rmse

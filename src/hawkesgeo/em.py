@@ -28,6 +28,7 @@ from .model import (
     _pair_response,
     _sq_distances,
     _Workspace,
+    _compensator,
     _decayed_counts,
     _rates,
     compensator,
@@ -483,23 +484,25 @@ def _scan_stats(record, params):
     n, R, types = record.n, params.R, record.types
     A, kappa, mu = params.amplitudes(), params.kappa, params.mu
     lam, usable = mu[types], True
-    W, V = np.zeros((R, n * n)), np.zeros((R, n * n))  # sums of S / lam and D / lam
+    W, lag = np.zeros((R, n, n)), np.zeros(R)  # the sums of S / lam and of A[k] . D / lam
     for rows, S, D in _decayed_counts(record, kappa, record.times, lagged=True):
         k = types[rows]
         with np.errstate(over="ignore"):  # fit reports an infinite intensity
             lam[rows] = _rates(mu, kappa, A, S)[np.arange(k.size), k]
-        own = lam[rows, None]
+        own = lam[rows]
         usable = usable and bool(np.all(np.isfinite(own) & (own > 0.0)))
         if usable:
-            cell = ((k * n)[:, None] + np.arange(n)).ravel()
+            inv = 1.0 / own
+            P = np.zeros((k.size, n))  # row j holds 1 / lam_j at column k_j
+            P[np.arange(k.size), k] = inv
             for r in range(R):
-                W[r] += np.bincount(cell, (S[:, r] / own).ravel(), n * n)
-                V[r] += np.bincount(cell, (D[:, r] / own).ravel(), n * n)
+                W[r] += P.T @ S[:, r]
+                lag[r] += np.einsum("jl,jl->j", A[r][k], D[:, r]) @ inv
     _require_positive(lam)
     if not usable:
         return lam, None
-    dyad = kappa[:, None, None] * (A * W.reshape(R, n, n))
-    lag = kappa * np.sum(A * V.reshape(R, n, n), axis=(1, 2))
+    dyad = kappa[:, None, None] * (A * W)
+    lag *= kappa
     return lam, AttributionStats(dyad.sum(axis=(1, 2)), lag, dyad,
                                  _weighted_counts(types, mu[types] / lam, n), R)
 
@@ -730,7 +733,10 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     pairs keeps them across epochs, and each E-step attributes pair by pair at
     ``BRANCHING_FLOOR``.  Past the budget no pair is built: each E-step reads the
     unfloored statistics off ``_scan_stats``, which differ in rounding and by the
-    floor's truncation, and ``curve`` is ``log_likelihood`` to the bit.
+    floor's truncation, and ``curve`` is ``log_likelihood`` to the bit; the report's
+    ``p_background`` is ``mu[k_j] / lam_j`` of the best epoch's scan, which is
+    ``background_probabilities`` to the bit, so the record is walked once an epoch
+    and once for the initial guess.
     """
     from .diagnostics import background_probabilities
     from .spectral import init_params
@@ -758,6 +764,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     best_ll = -np.inf
     best_params = params
     best_epoch = -1
+    best_lam = None
     aborted = None
     prev_params = params
 
@@ -765,7 +772,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         lam, stats = (_fit_e_step(record, params, blocks, ws) if pairwise
                       else _scan_stats(record, params))
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf aborts below
-            ll = float(np.sum(np.log(lam)) - compensator(record, params))
+            ll = float(np.sum(np.log(lam)) - _compensator(record, params, 0.0, record.horizon))
         if not np.isfinite(ll):
             warnings.warn(f"objective left the finite regime at epoch {epoch}; aborting",
                           NumericsWarning)
@@ -775,7 +782,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             break
         curve[epoch] = ll
         if ll > best_ll:
-            best_ll, best_params, best_epoch = ll, params, epoch
+            best_ll, best_params, best_epoch, best_lam = ll, params, epoch, lam
         prev_params = params
         try:
             if config.mode == "frb":
@@ -799,7 +806,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         params_best=best_params,
         best_epoch=best_epoch,
         p_background=(None if best_epoch < 0
-                      else background_probabilities(record, best_params)),
+                      else background_probabilities(record, best_params) if pairwise
+                      else best_params.mu[record.types] / best_lam),
         wall_time=time.perf_counter() - t0,
         aborted_epoch=aborted,
     )

@@ -342,8 +342,10 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
     """Excitation of a type ``k_from`` occurrence on type ``k_to`` at lag tau.
 
     Zero at and before lag zero.  With ``r`` given, only that basis kernel's
-    term is returned.
+    term is returned.  A type outside ``[0, n)`` raises ``ValueError``.
     """
+    _check_type(k_to, params.n)
+    _check_type(k_from, params.n)
     if tau <= 0.0:
         return 0.0
     A = params.amplitudes()
@@ -353,6 +355,11 @@ def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -
     for rr in rs:
         val += A[rr, k_to, k_from] * kappa[rr] * np.exp(-kappa[rr] * tau)
     return float(val)
+
+
+def _check_type(k, n: int) -> None:
+    if not 0 <= k < n:
+        raise ValueError(f"type {k} lies outside [0, {n})")
 
 
 # ---------------------------------------------------------------------------
@@ -398,59 +405,77 @@ def _rates(mu, kappa, A, S) -> np.ndarray:
 def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
     """Yield ``(rows, S)`` over the sorted queries ``ts`` that follow an event:
     ``S[q, r, l]`` sums ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events
-    before ``t_q``.  This is the Ozaki (1979) recursion as cumsums of
-    ``exp(kappa (t_i - t_s))`` over chunks that start at ``t_s`` and span at
-    most ``SCAN_SPAN / max(kappa)``, so none overflows.  With the carried state
-    added and scaled by ``exp(-kappa (t_j - t_s))``, row ``j`` holds the counts
-    just after event ``j``; a query scales the row of its last earlier event.
+    before ``t_q``.  This is the Ozaki (1979) recursion as cumsums over chunks
+    ``[a, b)`` of at most ``SCAN_BLOCK`` events spanning at most ``SCAN_SPAN /
+    max(kappa)``, so no ``exp(kappa u)``, ``u = t - t_a``, overflows.  A chunk
+    keeps the exclusive cumsums ``X[i] = S_c + sum_{a <= e < a + i} onehot(k_e)
+    exp(kappa u_e)``, ``S_c`` the state carried to ``t_a``.  A query with ``g``
+    events strictly before it and ``a <= g < b`` reads ``S = X[g - a] exp(-kappa
+    u_q)``: one decay, and a slice of ``X`` at untied events.  One after the
+    chunk's last event (in a gap, or at the horizon) decays the chunk's end state.
+    As each query is read by the chunk of its last earlier event, a chunk edge
+    may fall inside a tie run.
 
     With ``lagged`` it yields ``(rows, S, D)``, where ``D`` sums ``(t_q - t_i)
-    exp(-kappa_r (t_q - t_i))`` alike.  With ``u = t - t_s``, row ``j`` is
-    ``u_j S_j - exp(-kappa u_j) (C1_j - D_c)``, where ``C1`` is the cumsum of
-    ``u_i exp(kappa u_i)`` and ``D_c`` the carried ``D``; a gap ``d`` takes
-    ``D`` to ``D exp(-kappa d) + d S``."""
-    times, types, R, n = record.times, record.types, kappa.size, record.n
+    exp(-kappa_r (t_q - t_i))`` alike: ``D = u_q S - exp(-kappa u_q) Y[g - a]``,
+    ``Y[i] = -D_c + sum_{a <= e < a + i} onehot(k_e) u_e exp(kappa u_e)`` with
+    ``D_c`` the carried ``D``; a gap ``d`` takes ``D`` to ``D exp(-kappa d) + d S``."""
+    times, types = record.times, record.types
     g = np.searchsorted(times, ts, side="left")  # events strictly before each query
     stop = int(g[-1]) if g.size else 0  # later events precede no query
-    carry, lag_carry, a = np.zeros((R, n)), np.zeros((R, n)), 0
+    S_c = D_c = np.zeros((kappa.size, record.n))
+    a, q = 0, int(np.searchsorted(g, 1))
     while a < stop:
-        t_s = times[a]
-        b = min(a + SCAN_BLOCK, stop, times.searchsorted(t_s + SCAN_SPAN / kappa.max(), "right"))
-        u = times[a:b] - t_s
+        t_a = times[a]
+        b = min(a + SCAN_BLOCK, stop, times.searchsorted(t_a + SCAN_SPAN / kappa.max(), "right"))
+        u = times[a:b] - t_a
         grow = np.exp(np.outer(u, kappa))
-        C = np.zeros((b - a, R, n))
-        C[np.arange(b - a), :, types[a:b]] = grow
-        fall = np.exp(np.outer(-u, kappa))[..., None]
-        C = (np.cumsum(C, axis=0) + carry) * fall
-        if lagged:
-            L = np.zeros((b - a, R, n))
-            L[np.arange(b - a), :, types[a:b]] = u[:, None] * grow
-            L = u[:, None, None] * C - (np.cumsum(L, axis=0) - lag_carry) * fall
-        q0, q1 = np.searchsorted(g, [a + 1, b + 1], side="left")
-        for lo in range(q0, q1, SCAN_BLOCK):
+        X = _exclusive_cumsums(S_c, types[a:b], grow)
+        Y = _exclusive_cumsums(-D_c, types[a:b], u[:, None] * grow) if lagged else None
+        q1 = int(np.searchsorted(g, b))
+        for lo in range(q, q1, SCAN_BLOCK):
             rows = slice(lo, min(lo + SCAN_BLOCK, q1))
-            last = g[rows] - 1
-            decay = np.exp(np.outer(times[last] - ts[rows], kappa))[..., None]
-            S = C[last - a] * decay
-            if not lagged:
-                yield rows, S
-            else:
-                yield rows, S, L[last - a] * decay + (ts[rows] - times[last])[:, None, None] * S
+            i, u_q = g[rows] - a, ts[rows] - t_a
+            fall = np.exp(np.outer(-u_q, kappa))[..., None]
+            if np.array_equal(i, np.arange(i[0], i[0] + i.size)):
+                i = slice(i[0], i[0] + i.size)
+            S = X[i] * fall
+            yield (rows, S, u_q[:, None, None] * S - Y[i] * fall) if lagged else (rows, S)
+        fall = np.exp(-kappa * u[-1])[:, None]
+        S_e = X[-1] * fall  # the state just after event b - 1
+        D_e = u[-1] * S_e - Y[-1] * fall if lagged else None
+        q2 = max(q1, int(np.searchsorted(ts, times[b]))) if b < stop else ts.size
+        for lo in range(q1, q2, SCAN_BLOCK):
+            rows = slice(lo, min(lo + SCAN_BLOCK, q2))
+            d = ts[rows] - times[b - 1]
+            decay = np.exp(np.outer(-d, kappa))[..., None]
+            S = S_e * decay
+            yield (rows, S, D_e * decay + d[:, None, None] * S) if lagged else (rows, S)
         if b < stop:
-            decay = np.exp(kappa * (times[b - 1] - times[b]))[:, None]
-            carry = C[-1] * decay
-            if lagged:
-                lag_carry = L[-1] * decay + (times[b] - times[b - 1]) * carry
-        a = b
+            d = times[b] - times[b - 1]
+            S_c = S_e * np.exp(-kappa * d)[:, None]
+            D_c = D_e * np.exp(-kappa * d)[:, None] + d * S_c if lagged else D_c
+        a, q = b, q2
+
+
+def _exclusive_cumsums(first, types, weights):
+    """``(types.size + 1, R, n)``: ``first``, then its running sums with row ``i``
+    of ``weights`` added at type ``types[i]`` of each basis."""
+    C = np.zeros((types.size + 1,) + first.shape)
+    C[0] = first
+    C[np.arange(1, types.size + 1), :, types] = weights
+    return np.cumsum(C, axis=0, out=C)
 
 
 def intensity(k: int, t: float, record: EventRecord, params) -> float:
     """Conditional intensity of type ``k`` at time ``t``.
 
     Conditions on all record events strictly before ``t``; an event exactly at
-    ``t`` contributes nothing.
+    ``t`` contributes nothing.  A type outside ``[0, n)`` raises ``ValueError``;
+    an intensity that overflows is inf, as in ``intensities_at``.
     """
-    if t < 0.0 or t > record.horizon:
+    _check_type(k, record.n)
+    if not 0.0 <= t <= record.horizon:
         raise ValueError("t must lie in [0, horizon]")
     return float(intensities_at(record, params, [t])[0, k])
 
@@ -460,21 +485,39 @@ def intensities_at(record: EventRecord, params, times) -> np.ndarray:
 
     Each query sees the events strictly before it.  Costs ``O((N + q) n R)`` for
     the counts, ``O(q n^2 R)`` for the rates and ``O(SCAN_BLOCK n R)`` extra memory.
+    A query time that is not finite raises ``ValueError``.  Where a model's
+    intensities overflow, their entries are inf, with a ``NumericsWarning``.
     """
     ts = np.asarray(times, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("query times must be finite")
     order = np.argsort(ts, kind="stable")
     out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
     for rows, rates in _rate_blocks(record, params, ts[order]):
         out[order[rows]] = rates
+    if not np.all(np.isfinite(out)):
+        warnings.warn("intensities overflow; their entries are inf", NumericsWarning)
     return out
 
 
 def _rate_blocks(record: EventRecord, params, ts):
     """Yield ``(rows, rates)``: the ``(b, n)`` intensities at the sorted queries
-    ``ts[rows]`` that follow an event, one ``_decayed_counts`` block at a time."""
+    ``ts[rows]`` that follow an event, one ``_decayed_counts`` block at a time; a
+    rate that overflows is inf, without a numpy warning."""
     A = params.amplitudes()
     for rows, S in _decayed_counts(record, params.kappa, ts):
-        yield rows, _rates(params.mu, params.kappa, A, S)
+        with np.errstate(over="ignore"):
+            rates = _rates(params.mu, params.kappa, A, S)
+        yield rows, rates
+
+
+def _window(record: EventRecord, window) -> tuple[float, float]:
+    """``window`` as ``(t_a, t_b)``, the whole record when None; ``ValueError``
+    unless ``0 <= t_a <= t_b <= horizon``."""
+    t_a, t_b = (0.0, record.horizon) if window is None else window
+    if not (0.0 <= t_a <= t_b <= record.horizon):
+        raise ValueError("window must satisfy 0 <= t_a <= t_b <= horizon")
+    return t_a, t_b
 
 
 def _scored_events(record: EventRecord, window) -> slice:
@@ -492,7 +535,8 @@ def _realized_rates(record: EventRecord, params, events: slice, totals: bool = F
     for rows, rates in _rate_blocks(record, params, record.times[events]):
         lam[rows] = rates[np.arange(rates.shape[0]), types[rows]]
         if totals:
-            total[rows] = rates.sum(axis=1)
+            with np.errstate(over="ignore"):
+                total[rows] = rates.sum(axis=1)
     return lam, total
 
 
@@ -500,25 +544,34 @@ def compensator(record: EventRecord, params, window=None) -> float:
     """Integral of the total intensity over ``[t_a, t_b]``, in closed form.
 
     Exact for this model: each occurrence's spatial mass sums to one over the
-    receptor set, so only the exponential clocks need integrating.
+    receptor set, so only the exponential clocks need integrating.  Where a
+    model's response mass overflows the result is not finite, with a
+    ``NumericsWarning``.
     """
-    t_a, t_b = (0.0, record.horizon) if window is None else window
-    if not (0.0 <= t_a <= t_b <= record.horizon):
-        raise ValueError("window must satisfy 0 <= t_a <= t_b <= horizon")
+    total = _compensator(record, params, *_window(record, window))
+    if not np.isfinite(total):
+        warnings.warn(f"compensator is {total}: the response mass overflows", NumericsWarning)
+    return total
+
+
+def _compensator(record: EventRecord, params, t_a: float, t_b: float) -> float:
+    """``compensator`` over ``[t_a, t_b]``, inf or nan where the response mass
+    overflows, without a warning."""
     A = params.amplitudes()
     total = (t_b - t_a) * float(np.sum(params.mu))
     live = int(np.searchsorted(record.times, t_b, side="left"))  # the events before t_b
     if live:
-        acol = A.sum(axis=1)  # (R, n): total mass an occurrence of each type emits
-        terms = np.empty(live)  # one event's share, filled SCAN_BLOCK events at a time
-        for r in range(A.shape[0]):
-            kap = params.kappa[r]
-            for a in range(0, live, SCAN_BLOCK):
-                t_i = record.times[a:min(a + SCAN_BLOCK, live)]
-                left = np.exp(-kap * np.maximum(0.0, t_a - t_i))
-                right = np.exp(-kap * (t_b - t_i))
-                terms[a:a + t_i.size] = acol[r, record.types[a:a + t_i.size]] * (left - right)
-            total += float(np.sum(terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            acol = A.sum(axis=1)  # (R, n): total mass an occurrence of each type emits
+            terms = np.empty(live)  # one event's share, filled SCAN_BLOCK events at a time
+            for r in range(A.shape[0]):
+                kap = params.kappa[r]
+                for a in range(0, live, SCAN_BLOCK):
+                    t_i = record.times[a:min(a + SCAN_BLOCK, live)]
+                    left = np.exp(-kap * np.maximum(0.0, t_a - t_i))
+                    right = np.exp(-kap * (t_b - t_i))
+                    terms[a:a + t_i.size] = acol[r, record.types[a:a + t_i.size]] * (left - right)
+                total += float(np.sum(terms))
     return total
 
 
@@ -529,9 +582,10 @@ def log_likelihood(record: EventRecord, params, window=None) -> float:
     it, including events outside the window; by ``intensities_at``'s scan, ``q``
     scored events cost ``O((N + q) n R + q n^2 R)``, build no event pairs and
     need ``O(q)`` memory.  A scored event with zero intensity yields ``-inf``
-    (with a warning naming the event).
+    (with a warning naming the event); where a model's intensities or its
+    compensator overflow, the result is inf or nan, with a ``NumericsWarning``.
     """
-    t_a, t_b = (0.0, record.horizon) if window is None else window
+    t_a, t_b = _window(record, window)
     events = _scored_events(record, (t_a, t_b))
     lam, _ = _realized_rates(record, params, events)
     if np.any(lam <= 0.0):
@@ -541,7 +595,12 @@ def log_likelihood(record: EventRecord, params, window=None) -> float:
             NumericsWarning,
         )
         return float("-inf")
-    return float(np.sum(np.log(lam)) - compensator(record, params, (t_a, t_b)))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        ll = float(np.sum(np.log(lam)) - _compensator(record, params, t_a, t_b))
+    if not np.isfinite(ll):
+        warnings.warn(f"log-likelihood is {ll}: the intensities or the compensator overflow",
+                      NumericsWarning)
+    return ll
 
 
 def influence_matrix(params) -> np.ndarray:

@@ -53,6 +53,13 @@ def make_model(rng, n, m=2, R=1):
     )
 
 
+def overflowing():
+    """A five-event record and a full-rank model (phi = 1e308) whose intensities
+    overflow from the third event on, and whose compensator overflows."""
+    record = EventRecord([0, 1, 2, 1, 0], [0.1, 0.1001, 0.1002, 0.1003, 0.1004], 3, 2.0)
+    return record, FullRankParams(np.full((3, 3), 1e308), [1.0], [1.0], [0.1, 0.2, 0.3])
+
+
 def strict_pairs(record):
     """All (i, j) with t_i < t_j, by plain loops (ties never pair)."""
     out = []

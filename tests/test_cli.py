@@ -530,6 +530,29 @@ class TestDiagnose:
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and err.count("\n") == 1
 
+    def test_overflowing_model_scores_null(self, tmp_path, capsys):
+        # phi = 1e308: the intensities, the compensator and the phi RMSE overflow
+        events = tmp_path / "ev.csv"
+        events.write_text("type,time\na,0.1\nb,0.1001\nc,0.1002\nb,0.1003\na,0.1004\n")
+        for name, phi in (("model.json", 1e308), ("truth.json", 0.2)):
+            save_model(FullRankParams(np.full((3, 3), phi), [1.0], [1.0], [0.1, 0.2, 0.3]),
+                       tmp_path / name, labels=["a", "b", "c"])
+        common = ["--events", str(events), "--model", str(tmp_path / "model.json"),
+                  "--split-time", "0.1002"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(NumericsWarning):
+                assert cli_dispatch(["evaluate", *common]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["train_ll_per_event"] is None and doc["test_ll_per_event"] is None
+            with pytest.warns(NumericsWarning):
+                assert cli_dispatch(["diagnose", *common, "--truth-model",
+                                     str(tmp_path / "truth.json")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("train_ll_per_event", "test_ll_per_event", "accuracy", "hellinger",
+                    "phi_rmse"):
+            assert doc[key] is None, key
+
     @pytest.mark.parametrize("phi", [5, [0.2, 0.2]])
     def test_full_rank_phi_of_the_wrong_rank_exits_2(self, tmp_path, capsys, phi):
         events = tmp_path / "ev.csv"

@@ -32,11 +32,41 @@ from hawkesgeo.model import (
     KernelBank,
     ModelParams,
     NumericsWarning,
+    compensator,
     log_likelihood,
 )
 from hawkesgeo.simulate import sample_ground_truth, simulate_thinning
 
-from conftest import make_branching, make_model, make_record, shuffled
+from conftest import make_branching, make_model, make_record, overflowing, shuffled
+
+
+class TestOverflow:
+    """Each diagnostic of a model whose intensities overflow: a non-finite score with a
+    ``NumericsWarning``, or the probabilities' limit, and no raw numpy warning."""
+
+    def test_scores_are_nan_with_a_numerics_warning(self):
+        record, params = overflowing()
+        plain = FullRankParams(np.full((3, 3), 0.2), [1.0], [1.0], [0.1, 0.2, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(NumericsWarning, match="accuracy is nan"):
+                score, naive = categorical_accuracy(record, params, (0.1002, 2.0))
+            assert np.isnan(score) and naive == 0.0  # type 2 first occurs in the window
+            for a, b in ((params, plain), (plain, params), (params, params)):
+                with pytest.warns(NumericsWarning, match="Hellinger distance is nan"):
+                    assert np.isnan(attribution_hellinger(record, a, b))
+            with pytest.warns(NumericsWarning, match="log-likelihood is"):
+                train, test = split_eval(record, params, EvalSplit(0.1002))
+            assert not np.isfinite(train) and not np.isfinite(test)
+            with pytest.warns(NumericsWarning, match="phi RMSE is inf"):
+                assert phi_rmse(params.phi, plain.phi) == np.inf
+
+    def test_background_probabilities_take_their_limit(self):
+        record, params = overflowing()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = background_probabilities(record, params)
+        assert p[0] == 1.0 and 0.0 < p[1] < 1e-300 and np.all(p[2:] == 0.0)
 
 
 class TestSplitEval:
@@ -505,6 +535,14 @@ class TestCategoricalAccuracy:
         with pytest.warns(NumericsWarning, match="no events"):
             score, naive = categorical_accuracy(record, params, (5.0, 10.0))
         assert np.isnan(score) and np.isnan(naive)
+
+    @pytest.mark.parametrize("window", [(1.5, 0.2), (-1.0, 5.0), (5.0, 11.0), (np.nan, 5.0)])
+    def test_window_is_checked_as_the_compensator_checks_it(self, rng, window):
+        record = make_record(rng, n=3, N=15, T=10.0)
+        params = make_model(rng, n=3)
+        for score in (categorical_accuracy, compensator):
+            with pytest.raises(ValueError, match="window must satisfy"):
+                score(record, params, window)
 
     def test_missing_history_warns_and_uses_window(self, rng):
         record = make_record(rng, n=3, N=15, T=10.0)

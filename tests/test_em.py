@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hawkesgeo import em, geometry, model
+from hawkesgeo import diagnostics, em, geometry, model, spectral
 from hawkesgeo.diagnostics import background_probabilities, hellinger_divergence
 from hawkesgeo.em import (
     BRANCHING_FLOOR,
@@ -620,6 +620,23 @@ class TestBlockedAttribution:
                              ("frb", {"R": 2})):
             report = fit(record, FitConfig(mode=mode, epochs=4, **kwargs))
             assert report.curve.size == 4 and builds == [record.N]
+
+    def test_scan_fit_walks_the_record_once_an_epoch_and_once_for_its_guess(
+            self, rng, monkeypatch):
+        # the background probabilities come from the best epoch's walk, not a walk of their own
+        walks, walk = [], model._decayed_counts
+
+        def counted(*args, **kwargs):
+            walks.append(args[0].N)
+            return walk(*args, **kwargs)
+        for module in (model, em, spectral, diagnostics):
+            monkeypatch.setattr(module, "_decayed_counts", counted)
+        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        record = make_record(rng, 3, N=100, T=5.0)
+        for mode, kwargs in (("hhg-b", {"eps2": 0.1}), ("frb", {"R": 2})):
+            walks.clear()
+            report = fit(record, FitConfig(mode=mode, epochs=4, **kwargs))
+            assert report.curve.size == 4 and walks == [record.N] * 5, mode
 
     @pytest.mark.parametrize("mode", ["geo", "frb"])
     def test_fit_holds_nothing_but_its_report(self, rng, monkeypatch, mode):

@@ -41,7 +41,7 @@ from hawkesgeo.model import (
 )
 
 from conftest import brute_decayed_moments, brute_intensity, brute_loglik, brute_response, \
-    make_model, make_record, unblocked_response
+    make_model, make_record, overflowing, unblocked_response
 
 
 def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
@@ -257,6 +257,11 @@ class TestResponse:
         parts = [response(1, 2, 0.7, params, r=r) for r in range(2)]
         assert_allclose(total, sum(parts), rtol=1e-12)
 
+    @pytest.mark.parametrize("k_to, k_from", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_type_outside_the_model_raises(self, rng, k_to, k_from):
+        with pytest.raises(ValueError, match="outside \\[0, 3\\)"):
+            response(k_to, k_from, 0.7, make_model(rng, n=3))
+
 
 class TestIntensity:
     def test_matches_brute_force(self, rng):
@@ -268,6 +273,20 @@ class TestIntensity:
             k = int(rng.integers(0, n))
             assert_allclose(intensity(k, t, record, params),
                             brute_intensity(record, params, k, t), rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_type_outside_the_record_raises(self, rng, k):
+        record = make_record(rng, 3, N=10)
+        with pytest.raises(ValueError, match="outside \\[0, 3\\)"):
+            intensity(k, 1.0, record, make_model(rng, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_times_raise(self, rng, bad):
+        record = make_record(rng, 3, N=10)
+        with pytest.raises(ValueError, match="finite"):
+            intensities_at(record, make_model(rng, 3), [1.0, bad])
+        with pytest.raises(ValueError, match="horizon"):
+            intensity(0, bad, record, make_model(rng, 3))
 
     def test_never_below_background(self, rng):
         record = make_record(rng, 3, N=10)
@@ -335,6 +354,36 @@ class TestIntensity:
                 assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
                 scale = D_want + S_want / kappa[:, None]
                 assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    def test_walk_edge_cases_match_brute_force(self, rng, monkeypatch, block):
+        # a tie run of three across index `block`, where chunks of `block` events
+        # end; a gap past exp's range at kappa_max = 2; a tie run longer than a
+        # chunk.  Queries before the first event, at tied times, inside the gap
+        # and at the horizon, besides a sample of the events
+        t_tie = 0.5 + 0.01 * block
+        t_long = t_tie + 400.0  # 745 / kappa_max = 372.5
+        times = np.concatenate([0.5 + 0.01 * np.arange(block - 1), np.full(3, t_tie),
+                                np.full(block + 3, t_long),
+                                t_long + np.cumsum(rng.exponential(0.3, 6))])
+        record = EventRecord(rng.integers(0, 3, size=times.size), times, 3, horizon_past(times))
+        params = ModelParams(EmbeddingPair(rng.normal(size=(3, 2)), rng.normal(size=(3, 2))),
+                             KernelBank([0.5, 1.5], [2.0, 0.3], [0.4, 0.3]), np.ones(3),
+                             np.full(3, 0.2))
+        few = [0.25, t_tie, t_tie + 1.0, t_long - 1.0, t_long, record.horizon]
+        qs = np.sort(np.concatenate([few, [t_tie + 200.0], times[::max(1, times.size // 20)]]))
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        S_want, D_want = brute_decayed_moments(record, params.kappa, qs)
+        S_got, D_got = np.zeros_like(S_want), np.zeros_like(D_want)
+        for rows, S, D in model._decayed_counts(record, params.kappa, qs, lagged=True):
+            S_got[rows], D_got[rows] = S, D
+        assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
+        scale = D_want + S_want / params.kappa[:, None]
+        assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
+        k = np.arange(len(few)) % 3  # one type a query: the oracle loops over every event
+        brute = [brute_intensity(record, params, k[q], t) for q, t in enumerate(few)]
+        assert_allclose(intensities_at(record, params, few)[np.arange(len(few)), k], brute,
+                        rtol=1e-12)
 
     def test_single_state_rates_are_the_simulators(self, rng):
         # simulate_thinning's records depend on these rates to the last bit;
@@ -487,6 +536,25 @@ class TestLogLikelihood:
             np.ones(2), np.array([0.3, 0.0]))
         with pytest.warns(NumericsWarning, match="scored event 2;"):
             assert log_likelihood(record, params, (0.7, 3.0)) == -np.inf
+
+
+class TestOverflow:
+    """Where a model's intensities overflow, each score is not finite and comes with
+    one ``NumericsWarning``, and no raw numpy warning."""
+
+    def test_scores_are_not_finite_with_a_numerics_warning(self):
+        record, params = overflowing()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(NumericsWarning, match="compensator is inf"):
+                assert compensator(record, params) == np.inf
+            with pytest.warns(NumericsWarning, match="log-likelihood is nan"):
+                assert np.isnan(log_likelihood(record, params))
+            with pytest.warns(NumericsWarning, match="intensities overflow"):
+                table = intensities_at(record, params, [0.05, 0.1003, 1.0])
+            assert np.array_equal(table[0], params.mu) and np.all(np.isinf(table[1:]))
+            with pytest.warns(NumericsWarning, match="intensities overflow"):
+                assert intensity(0, 1.0, record, params) == np.inf
 
 
 class TestInfluenceMatrix:
