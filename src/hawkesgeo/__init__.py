@@ -56,9 +56,8 @@ from .model import (
     NumericsWarning,
     compensator,
     influence_matrix,
-    intensity,
+    intensities_at,
     log_likelihood,
-    response,
 )
 from .simulate import (
     GroundTruth,
@@ -100,7 +99,7 @@ __all__ = [
     "hellinger_divergence",
     "influence_matrix",
     "init_params",
-    "intensity",
+    "intensities_at",
     "kendall_distance_correlation",
     "load_counts_csv",
     "load_embedding_csv",
@@ -109,7 +108,6 @@ __all__ = [
     "load_report",
     "log_likelihood",
     "phi_rmse",
-    "response",
     "sample_ground_truth",
     "save_events_csv",
     "save_model",

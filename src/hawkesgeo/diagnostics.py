@@ -182,9 +182,11 @@ def categorical_accuracy(record: EventRecord, params, window):
     Returns ``(score, naive)`` where the naive reference replaces the model
     intensity by the empirical per-type rates of the pre-window history (or of
     the window itself when nothing precedes it).  A realized type with zero
-    share drives the geometric mean to zero.  The window is checked as
-    ``compensator`` checks it; where the model's intensities overflow, the
-    score is nan, with a ``NumericsWarning``.
+    share drives the geometric mean to zero; an event with zero total
+    intensity (no background and nothing before it) has share zero, with a
+    ``NumericsWarning`` naming it.  The window is checked as ``compensator``
+    checks it; where the model's intensities overflow, the score is nan, with
+    a ``NumericsWarning``.
     """
     t_a, t_b = _window(record, window)
     events = _scored_events(record, (t_a, t_b))
@@ -193,10 +195,16 @@ def categorical_accuracy(record: EventRecord, params, window):
         warnings.warn("no events in the scored window", NumericsWarning)
         return float("nan"), float("nan")
     lam, total = _realized_rates(record, params, events, totals=True)
-    finite = bool(np.all(np.isfinite(total)))
-    if not finite:
+    if not np.all(np.isfinite(total)):
         warnings.warn("intensities overflow; accuracy is nan", NumericsWarning)
-    shares = lam / total if finite else np.full(lam.size, np.nan)
+        shares = np.full(lam.size, np.nan)
+    else:
+        live = total > 0.0
+        if not np.all(live):
+            bad = events.start + int(np.argmin(live))
+            warnings.warn(f"event {bad} has zero total intensity; its share is 0",
+                          NumericsWarning)
+        shares = np.divide(lam, total, out=np.zeros(lam.size), where=live)
 
     ref = record.types[record.times < t_a]
     if ref.size == 0:

@@ -333,54 +333,51 @@ def _require_positive(lam, start=0) -> None:
         raise DegenerateEventError(start + int(np.argmax(lam <= 0.0)))
 
 
-def _responses(record, params, blocks, ws):
-    """``_pair_response`` over each of ``_pair_blocks``' blocks in turn, in the
-    ``_Workspace`` ``ws``: yields ``(events, dt, H, lam)``.  An event with zero
-    intensity raises ``DegenerateEventError`` with its index in the record."""
+def _attributed_blocks(record, params, blocks, ws, floor):
+    """``_pair_response`` and its attribution at ``floor`` over each of ``_pair_blocks``'
+    blocks in turn, in the ``_Workspace`` ``ws``: yields ``(events, dt, lam, attribution)``,
+    ``attribution`` being ``_branching_from_response``'s, or None from the first block with
+    a non-finite intensity on.  An event with zero intensity raises ``DegenerateEventError``
+    with its index in the record."""
+    finite = True
     for events, rows, dt, dyad in blocks:
         H, lam = _pair_response(record, params, events, rows, dt, dyad, ws)
         _require_positive(lam, events.start)
-        yield events, dt, H, lam
+        finite = finite and bool(np.all(np.isfinite(lam)))
+        yield events, dt, lam, (_branching_from_response(record, params, events, H, lam,
+                                                         floor, ws) if finite else None)
 
 
-def _branching_from_response(H, lam, rows, floor, ws):
-    """Overwrite ``H`` with ``p = H / lam[rows]`` and return ``(kept, cuts)``:
-    the flat offsets into ``H`` of the entries at or above ``floor``, and
-    where each basis' entries start among them."""
-    t = np.take(1.0 / lam, rows, out=ws.t[:rows.size], mode="clip")
-    np.multiply(H, t, out=H)
-    mask = np.greater_equal(H.ravel(), floor, out=ws.mask[:H.size])
-    kept = np.flatnonzero(mask)
-    return kept, np.searchsorted(kept, rows.size * np.arange(H.shape[0] + 1))
-
-
-def _attribute(record, params, H, lam, floor, start, ws):
-    """The attribution of the events ``start + arange(lam.size)`` from
-    ``_pair_response``'s output in ``ws``: ``(cuts, e, rows, p, p_bg)``.  The
-    entries kept by ``_branching_from_response`` are basis-major, basis ``r``'s
-    at ``cuts[r]:cuts[r + 1]``, each with its offset ``e`` into the block, its
-    receiving row and its probability; each event's row is renormalized to sum
-    to one after the floor truncation, and ``p_bg`` holds the background
-    probabilities.  ``rows`` and ``p`` are views of ``ws``."""
+def _branching_from_response(record, params, events, H, lam, floor, ws):
+    """The attribution of ``events`` from ``_pair_response``'s output ``(H, lam)`` in
+    ``ws``: ``(e, cuts, rows, p, p_bg)``.  ``H`` is overwritten with ``p = H / lam[rows]``,
+    and its entries at or above ``floor`` are kept basis-major, basis ``r``'s at
+    ``cuts[r]:cuts[r + 1]``, each with its offset ``e`` into the block, its receiving row
+    and its probability; each event's row is renormalized to sum to one after the floor
+    truncation, and ``p_bg`` holds the background probabilities.  ``rows`` and ``p`` are
+    views of ``ws``."""
     m = H.shape[1]
-    kept, cuts = _branching_from_response(H, lam, ws.rows[:m], floor, ws)
+    np.multiply(H, np.take(1.0 / lam, ws.rows[:m], out=ws.t[:m], mode="clip"), out=H)
+    kept = np.flatnonzero(np.greater_equal(H.ravel(), floor, out=ws.mask[:H.size]))
+    cuts = np.searchsorted(kept, m * np.arange(H.shape[0] + 1))
     c = kept.size
     p = np.take(H.ravel(), kept, out=ws.kept_p[:c], mode="clip")
     for r in range(1, H.shape[0]):
         kept[cuts[r]:cuts[r + 1]] -= r * m
     rows = np.take(ws.rows[:m], kept, out=ws.kept_rows[:c], mode="clip")
-    p_bg = params.mu[record.types[start:start + lam.size]] / lam
+    p_bg = params.mu[record.types[events]] / lam
     scale = 1.0 / (p_bg + np.bincount(rows, weights=p, minlength=lam.size))
     np.multiply(p, np.take(scale, rows, out=ws.t[:c], mode="clip"), out=p)
-    return cuts, kept, rows, p, p_bg * scale
+    return kept, cuts, rows, p, p_bg * scale
 
 
 class _Columns:
-    """The entries ``_attribute`` keeps, added block by block to one trigger column ``i`` (in
-    ``_store``'s narrow type) and one probability column ``p`` that ``resize`` grows in place,
-    with per-(event, basis) counts ``runs``.  At R >= 2 each of a block's basis-major entries is
-    written straight to its slot in run order.  A column grows to its kept share of the pairs
-    walked so far times all pairs, at most doubling; no view of a column outlives a resize."""
+    """The entries ``_branching_from_response`` keeps, added block by block to one trigger
+    column ``i`` (in ``_store``'s narrow type) and one probability column ``p`` that ``resize``
+    grows in place, with per-(event, basis) counts ``runs``.  At R >= 2 each of a block's
+    basis-major entries is written straight to its slot in run order.  A column grows to its
+    kept share of the pairs walked so far times all pairs, at most doubling; no view of a
+    column outlives a resize."""
 
     def __init__(self, record, R):
         n_earlier = np.searchsorted(record.times, record.times, "left")
@@ -388,7 +385,7 @@ class _Columns:
         self.i, self.p = np.empty(0, np.min_scalar_type(max(record.N - 1, 0))), np.empty(0)
         self.used, self.runs = 0, np.zeros((record.N, R), np.int64)
 
-    def add(self, events, cuts, e, rows, p):
+    def add(self, events, e, cuts, rows, p):
         base = self.first[events] - self.first[events.start]
         walked, pairs = int(self.first[events.stop]), int(self.first[-1])
         runs = self.runs[events]
@@ -425,13 +422,13 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     returned entries is one block's, at any R.  A non-finite intensity raises ``NumericalError``.
     """
     p_bg, ws, columns = np.empty(record.N), _Workspace(params.R), _Columns(record, params.R)
-    for events, _, H, lam in _responses(record, params, _pair_blocks(record), ws):
-        if not np.all(np.isfinite(lam)):
+    for events, _, lam, attribution in _attributed_blocks(record, params, _pair_blocks(record),
+                                                          ws, floor):
+        if attribution is None:
             bad = events.start + int(np.argmin(np.isfinite(lam)))
             raise NumericalError(f"event {bad} has a non-finite intensity; no attribution exists")
-        cuts, e, rows, p, p_bg[events] = _attribute(record, params, H, lam, floor,
-                                                    events.start, ws)
-        columns.add(events, cuts, e, rows, p)
+        *kept, p_bg[events] = attribution
+        columns.add(events, *kept)
     return columns.branching(record, p_bg)
 
 
@@ -449,14 +446,12 @@ def _fit_e_step(record, params, blocks, ws):
     n, R = record.n, params.R
     lam_all, p_bg = np.empty(record.N), np.empty(record.N)
     mass, lag, dyad_mass = np.zeros(R), np.zeros(R), np.zeros(R * n * n)
-    finite = True
-    for events, dt, H, lam in _responses(record, params, blocks, ws):
+    for events, dt, lam, attribution in _attributed_blocks(record, params, blocks, ws,
+                                                           BRANCHING_FLOOR):
         lam_all[events] = lam
-        finite = finite and bool(np.all(np.isfinite(lam)))
-        if not finite:
+        if attribution is None:
             continue
-        cuts, e, r, p, p_bg[events] = _attribute(record, params, H, lam, BRANCHING_FLOOR,
-                                                 events.start, ws)
+        e, cuts, r, p, p_bg[events] = attribution
         flat = np.take(ws.dyad[:dt.size], e, out=ws.kept_dyad[:e.size], mode="clip")
         for b in range(R):  # the rows are spent: r becomes each entry's basis
             r[cuts[b]:cuts[b + 1]] = b
@@ -465,7 +460,7 @@ def _fit_e_step(record, params, blocks, ws):
         np.add.at(dyad_mass, flat, p)
         t = np.take(dt, e, out=ws.t[:e.size], mode="clip")
         np.add.at(lag, r, np.multiply(p, t, out=t))
-    if not finite:
+    if not np.all(np.isfinite(lam_all)):
         return lam_all, None
     return lam_all, AttributionStats(mass, lag, dyad_mass.reshape(R, n, n),
                                      np.bincount(record.types, weights=p_bg, minlength=n), R)

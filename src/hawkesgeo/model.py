@@ -113,28 +113,18 @@ def horizon_past(times) -> float:
     return horizon if horizon > times[-1] else times[-1] + 1e-9  # no pad at time zero
 
 
-def _earlier_pairs(times, start: int, stop: int):
-    """Flat ``(i_idx, j_idx)`` of every ``i`` with ``t_i < t_j``, ``j`` in ``[start, stop)``.
-
-    In sorted ``times`` the events before ``j`` are the first
-    ``searchsorted(times, t_j, "left")``, so tied events never pair.
-    """
-    n_earlier = np.searchsorted(times, times[start:stop], side="left")
-    total = int(n_earlier.sum())
-    j_idx = np.repeat(np.arange(start, stop, dtype=np.int64), n_earlier)
-    starts = np.cumsum(n_earlier) - n_earlier
-    i_idx = np.arange(total, dtype=np.int64) - np.repeat(starts, n_earlier)
-    return i_idx, j_idx
-
-
 def pair_indices(record: EventRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ordered pairs ``(i, j)`` with ``t_i < t_j`` in a sorted record.
 
-    Returns flat arrays ``(i_idx, j_idx, dt)``; events with tied times never
-    pair with each other.  The package builds its pairs block by block in
-    ``_pair_blocks``; this whole-record form is the reference they are held to.
+    Returns flat arrays ``(i_idx, j_idx, dt)``: the events before ``j`` are the first
+    ``searchsorted(times, t_j, "left")``, so tied events never pair.  The package builds
+    its pairs block by block in ``_pair_blocks``; this whole-record form is the reference
+    they are held to.
     """
-    i_idx, j_idx = _earlier_pairs(record.times, 0, record.N)
+    n_earlier = np.searchsorted(record.times, record.times, side="left")
+    j_idx = np.repeat(np.arange(record.N, dtype=np.int64), n_earlier)
+    starts = np.cumsum(n_earlier) - n_earlier
+    i_idx = np.arange(j_idx.size, dtype=np.int64) - np.repeat(starts, n_earlier)
     return i_idx, j_idx, record.times[j_idx] - record.times[i_idx]
 
 
@@ -335,34 +325,6 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# kernels
-
-
-def response(k_to: int, k_from: int, tau: float, params, r: int | None = None) -> float:
-    """Excitation of a type ``k_from`` occurrence on type ``k_to`` at lag tau.
-
-    Zero at and before lag zero.  With ``r`` given, only that basis kernel's
-    term is returned.  A type outside ``[0, n)`` raises ``ValueError``.
-    """
-    _check_type(k_to, params.n)
-    _check_type(k_from, params.n)
-    if tau <= 0.0:
-        return 0.0
-    A = params.amplitudes()
-    kappa = params.kappa
-    rs = range(A.shape[0]) if r is None else (r,)
-    val = 0.0
-    for rr in rs:
-        val += A[rr, k_to, k_from] * kappa[rr] * np.exp(-kappa[rr] * tau)
-    return float(val)
-
-
-def _check_type(k, n: int) -> None:
-    if not 0 <= k < n:
-        raise ValueError(f"type {k} lies outside [0, {n})")
-
-
-# ---------------------------------------------------------------------------
 # intensity and likelihood
 
 
@@ -467,30 +429,18 @@ def _exclusive_cumsums(first, types, weights):
     return np.cumsum(C, axis=0, out=C)
 
 
-def intensity(k: int, t: float, record: EventRecord, params) -> float:
-    """Conditional intensity of type ``k`` at time ``t``.
-
-    Conditions on all record events strictly before ``t``; an event exactly at
-    ``t`` contributes nothing.  A type outside ``[0, n)`` raises ``ValueError``;
-    an intensity that overflows is inf, as in ``intensities_at``.
-    """
-    _check_type(k, record.n)
-    if not 0.0 <= t <= record.horizon:
-        raise ValueError("t must lie in [0, horizon]")
-    return float(intensities_at(record, params, [t])[0, k])
-
-
 def intensities_at(record: EventRecord, params, times) -> np.ndarray:
     """Conditional intensities of every type at each query time, ``(q, n)``.
 
-    Each query sees the events strictly before it.  Costs ``O((N + q) n R)`` for
-    the counts, ``O(q n^2 R)`` for the rates and ``O(SCAN_BLOCK n R)`` extra memory.
-    A query time that is not finite raises ``ValueError``.  Where a model's
+    Each query sees the events strictly before it, so an event at a query time
+    contributes nothing.  Costs ``O((N + q) n R)`` for the counts, ``O(q n^2 R)``
+    for the rates and ``O(SCAN_BLOCK n R)`` extra memory.  A query time outside
+    ``[0, horizon]`` (so also nan or inf) raises ``ValueError``.  Where a model's
     intensities overflow, their entries are inf, with a ``NumericsWarning``.
     """
     ts = np.asarray(times, dtype=np.float64)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("query times must be finite")
+    if not np.all((ts >= 0.0) & (ts <= record.horizon)):
+        raise ValueError("query times must lie in [0, horizon]")
     order = np.argsort(ts, kind="stable")
     out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
     for rows, rates in _rate_blocks(record, params, ts[order]):

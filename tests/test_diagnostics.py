@@ -544,6 +544,18 @@ class TestCategoricalAccuracy:
             with pytest.raises(ValueError, match="window must satisfy"):
                 score(record, params, window)
 
+    def test_event_with_zero_total_intensity_has_share_zero(self):
+        # no background and nothing before the first event: its share would be 0 / 0
+        record = EventRecord([0, 1, 0], [0.5, 1.0, 1.5], 2, 2.0)
+        params = FullRankParams(np.full((2, 2), 0.5), [1.0], [1.0], [0.0, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score, _ = categorical_accuracy(record, params, (0.0, 2.0))
+        assert score == 0.0
+        assert all(w.category is NumericsWarning for w in caught)
+        assert [str(w.message) for w in caught if "total" in str(w.message)] == \
+            ["event 0 has zero total intensity; its share is 0"]
+
     def test_missing_history_warns_and_uses_window(self, rng):
         record = make_record(rng, n=3, N=15, T=10.0)
         params = make_model(rng, n=3)

@@ -25,7 +25,7 @@ from hawkesgeo.em import (
     FullRankParams,
     GammaPrior,
     NumericalError,
-    _attribute,
+    _branching_from_response,
     _fit_e_step,
     _initial_frb,
     _scan_stats,
@@ -52,7 +52,6 @@ from hawkesgeo.model import (
     compensator,
     influence_matrix,
     log_likelihood,
-    response,
 )
 from hawkesgeo.simulate import ground_truth_branching, sample_ground_truth, simulate_thinning
 from hawkesgeo.spectral import init_params
@@ -117,7 +116,7 @@ class TestEStep:
             EmbeddingPair(np.zeros((1, 2)), np.zeros((1, 2))),
             KernelBank([1.0], [1.0], [0.6]),
             np.ones(1), np.array([0.1]))
-        h = response(0, 0, np.log(2.0), params)
+        h = brute_response(params, 0, 0, np.log(2.0))
         assert_allclose(h, 0.3, rtol=1e-12)
         br = e_step(record, params)
         assert_allclose(br.p, [0.75], rtol=1e-12)
@@ -155,6 +154,20 @@ class TestEStep:
         params = FullRankParams(np.full((2, 2), 1e308), [1.0], [1.0], [0.5, 0.5])
         with pytest.raises(NumericalError, match="event 3 has a non-finite intensity"):
             attribute(record, params)
+
+    def test_error_order_across_blocks(self, monkeypatch):
+        # blocks of two pairs put event 2 (intensity inf) and event 3 (type 1, no
+        # background, nothing excites it: intensity 0) in blocks of their own
+        monkeypatch.setattr(model, "PAIR_BLOCK", 2)
+        record = EventRecord([0, 0, 0, 1], [0.1, 0.1001, 0.1002, 0.2], 2, 1.0)
+        params = FullRankParams([[1e308, 0.0], [0.0, 0.0]], [1.0], [1.0], [0.1, 0.0])
+        assert [b[0] for b in _pair_blocks(record)] == [slice(0, 2), slice(2, 3), slice(3, 4)]
+        # e_step stops at the first non-finite block; fit walks on and finds the zero
+        with pytest.raises(NumericalError, match="event 2 has a non-finite intensity"):
+            e_step(record, params)
+        with pytest.raises(DegenerateEventError) as exc:
+            fit(record, FitConfig(mode="frb", epochs=2), init=params)
+        assert exc.value.index == 3
 
 
 def assert_matches_oracle(record, params, floor):
@@ -346,9 +359,11 @@ def unblocked_attribution(record, params, floor):
 
 
 def attribution_of(record, params, response, floor):
-    """``_attribute`` of ``unblocked_response``'s output, as a ``BranchingStructure``."""
+    """``_branching_from_response`` of ``unblocked_response``'s output, as a
+    ``BranchingStructure``."""
     H, lam, pairs, ws = response
-    cuts, e, _, p, p_bg = _attribute(record, params, H, lam, floor, 0, ws)
+    e, cuts, _, p, p_bg = _branching_from_response(record, params, slice(None), H, lam,
+                                                   floor, ws)
     r = np.repeat(np.arange(H.shape[0]), np.diff(cuts))
     return BranchingStructure(record, pairs[0][e], pairs[1][e], r, p.copy(), p_bg, H.shape[0])
 
@@ -890,7 +905,7 @@ class TestObjectiveBounds:
         # log is finite, so the bound is too
         record = EventRecord([0, 0], [0.0, 400.0], 1, 401.0)
         params = with_kernels(make_model(rng, 1), kappa=np.array([2.0]))
-        assert response(0, 0, 400.0, params) == 0.0
+        assert brute_response(params, 0, 0, 400.0) == 0.0
         expected = (np.log(params.amplitudes()[0, 0, 0]) + np.log(2.0) - 800.0
                     + np.log(params.mu[0]) - compensator(record, params))
         assert_allclose(complete_data_loglik(record, params, one_pair_branching(record)),

@@ -34,10 +34,8 @@ from hawkesgeo.model import (
     horizon_past,
     influence_matrix,
     intensities_at,
-    intensity,
     log_likelihood,
     pair_indices,
-    response,
 )
 
 from conftest import brute_decayed_moments, brute_intensity, brute_loglik, brute_response, \
@@ -55,6 +53,13 @@ def tied_record(rng, n, N, T=5.0):
     """A random record on whole-number times: N > T events force ties."""
     record = make_record(rng, n, N, T)
     return EventRecord(record.types, np.floor(record.times), n, T)
+
+
+def excitation(params, tau):
+    """The response of a lone type-0 event at time zero on type 0 at lag ``tau``, read off
+    ``intensities_at`` less the background."""
+    return intensities_at(EventRecord([0], [0.0], params.n, tau + 1.0), params, [tau])[0, 0] \
+        - params.mu[0]
 
 
 def make_full_rank(rng, n, R=2):
@@ -228,39 +233,42 @@ class TestKernels:
         # one type carries its whole unit mass, so the response is the clock
         # kappa e^(-kappa tau): at tau = ln 2 / kappa with kappa=2 it is 1
         params = unit_model(np.zeros((1, 2)), np.zeros((1, 2)), kappa=2.0)
-        assert_allclose(response(0, 0, np.log(2.0) / 2.0, params), 1.0, rtol=1e-14)
+        assert_allclose(excitation(params, np.log(2.0) / 2.0), 1.0, rtol=1e-14)
 
     def test_half_life(self):
         # ln 2 / 0.2075 = 3.3404683400479292: the clock halves over that lag
         params = unit_model(np.zeros((1, 2)), np.zeros((1, 2)), kappa=0.2075)
-        assert_allclose(response(0, 0, 0.5 + 3.3404683400479292, params),
-                        0.5 * response(0, 0, 0.5, params), rtol=1e-12)
+        assert_allclose(excitation(params, 0.5 + 3.3404683400479292),
+                        0.5 * excitation(params, 0.5), rtol=1e-12)
 
 
 class TestResponse:
+    """The responses the package forms against the oracle: per pair in ``_pair_response``,
+    and none at or before lag zero."""
+
     def test_zero_for_nonpositive_lag(self, rng):
+        # at and before an event's time its response is not in the intensity
         params = make_model(rng, n=3)
-        assert response(0, 1, 0.0, params) == 0.0
-        assert response(0, 1, -1.0, params) == 0.0
+        record = EventRecord([1], [1.0], 3, 2.0)
+        assert_array_equal(intensities_at(record, params, [0.5, 1.0]), [params.mu] * 2)
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
             params = make_model(rng, n=4, m=2, R=2)
-            tau = rng.uniform(0.05, 2.0)
-            k_to, k_from = rng.integers(0, 4, size=2)
-            assert_allclose(response(k_to, k_from, tau, params),
-                            brute_response(params, k_to, k_from, tau), rtol=1e-12)
+            record = make_record(rng, 4, N=8, T=2.0)
+            H, _, (i, j, dt), _ = unblocked_response(record, params)
+            brute = [brute_response(params, record.types[b], record.types[a], tau)
+                     for a, b, tau in zip(i, j, dt)]
+            assert_allclose(H.sum(axis=0), brute, rtol=1e-12)
 
     def test_single_basis_slice(self, rng):
         params = make_model(rng, n=3, R=2)
-        total = response(1, 2, 0.7, params)
-        parts = [response(1, 2, 0.7, params, r=r) for r in range(2)]
-        assert_allclose(total, sum(parts), rtol=1e-12)
-
-    @pytest.mark.parametrize("k_to, k_from", [(-1, 0), (0, -1), (3, 0), (0, 3)])
-    def test_type_outside_the_model_raises(self, rng, k_to, k_from):
-        with pytest.raises(ValueError, match="outside \\[0, 3\\)"):
-            response(k_to, k_from, 0.7, make_model(rng, n=3))
+        record = make_record(rng, 3, N=8, T=2.0)
+        H, _, (i, j, dt), _ = unblocked_response(record, params)
+        for r in range(2):
+            brute = [brute_response(params, record.types[b], record.types[a], tau, r)
+                     for a, b, tau in zip(i, j, dt)]
+            assert_allclose(H[r], brute, rtol=1e-12)
 
 
 class TestIntensity:
@@ -271,29 +279,24 @@ class TestIntensity:
             params = make_model(rng, n, R=int(rng.integers(1, 3)))
             t = rng.uniform(0.0, 6.0)
             k = int(rng.integers(0, n))
-            assert_allclose(intensity(k, t, record, params),
+            assert_allclose(intensities_at(record, params, [t])[0, k],
                             brute_intensity(record, params, k, t), rtol=1e-10)
 
-    @pytest.mark.parametrize("k", [-1, 3])
-    def test_type_outside_the_record_raises(self, rng, k):
-        record = make_record(rng, 3, N=10)
-        with pytest.raises(ValueError, match="outside \\[0, 3\\)"):
-            intensity(k, 1.0, record, make_model(rng, 3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, np.nextafter(10.0, 11.0)])
     def test_non_finite_query_times_raise(self, rng, bad):
+        # as does any time outside [0, horizon]; its ends are valid queries
         record = make_record(rng, 3, N=10)
-        with pytest.raises(ValueError, match="finite"):
-            intensities_at(record, make_model(rng, 3), [1.0, bad])
-        with pytest.raises(ValueError, match="horizon"):
-            intensity(0, bad, record, make_model(rng, 3))
+        params = make_model(rng, 3)
+        with pytest.raises(ValueError, match="must lie in \\[0, horizon\\]"):
+            intensities_at(record, params, [1.0, bad])
+        assert intensities_at(record, params, [0.0, 10.0]).shape == (2, 3)
 
     def test_never_below_background(self, rng):
         record = make_record(rng, 3, N=10)
         params = make_model(rng, 3)
         for t in rng.uniform(0.0, 10.0, size=5):
             for k in range(3):
-                assert intensity(k, t, record, params) >= params.mu[k]
+                assert intensities_at(record, params, [t])[0, k] >= params.mu[k]
 
     def test_intensities_at_matches_pointwise(self, rng):
         record = make_record(rng, 4, N=20)
@@ -442,11 +445,13 @@ class TestIntensity:
                 assert np.array_equal(total, table.sum(axis=1))
                 assert np.array_equal(_realized_rates(record, params, events)[0], lam)
                 if lam.size:
-                    # mu = 0 rows share 0 / 0, and a window at 0 has no naive history
-                    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                    # a mu = 0 row with no event before it has share 0, not 0 / 0, with a
+                    # warning, and a window at 0 has no naive history
+                    with warnings.catch_warnings():
                         warnings.simplefilter("ignore", NumericsWarning)
-                        shares = table[np.arange(lam.size), record.types[events]] / \
-                            table.sum(axis=1)
+                        rows = table.sum(axis=1)
+                        shares = np.divide(table[np.arange(lam.size), record.types[events]],
+                                           rows, out=np.zeros(lam.size), where=rows > 0.0)
                         want = 0.0 if np.any(shares <= 0.0) else np.exp(np.mean(np.log(shares)))
                         got = categorical_accuracy(record, params, window)[0]
                     assert_array_equal(got, want)
@@ -455,8 +460,8 @@ class TestIntensity:
         # evaluation at an event time sees only strictly earlier events
         record = EventRecord([0, 0], [1.0, 2.0], 1, 3.0)
         params = make_model(rng, 1)
-        lam = intensity(0, 2.0, record, params)
-        assert_allclose(lam, params.mu[0] + response(0, 0, 1.0, params), rtol=1e-12)
+        lam = intensities_at(record, params, [2.0])[0, 0]
+        assert_allclose(lam, params.mu[0] + brute_response(params, 0, 0, 1.0), rtol=1e-12)
 
 
 class TestCompensator:
@@ -553,8 +558,6 @@ class TestOverflow:
             with pytest.warns(NumericsWarning, match="intensities overflow"):
                 table = intensities_at(record, params, [0.05, 0.1003, 1.0])
             assert np.array_equal(table[0], params.mu) and np.all(np.isinf(table[1:]))
-            with pytest.warns(NumericsWarning, match="intensities overflow"):
-                assert intensity(0, 1.0, record, params) == np.inf
 
 
 class TestInfluenceMatrix:

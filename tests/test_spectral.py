@@ -23,11 +23,13 @@ def chunked_bincount_guess(record):
     """The influence guess as one ``bincount`` over all pairs of each 512
     receiving events: the rounding every fit without ``init`` starts from."""
     kap = 1.0 / event_time_scale(record)
-    n, times, types = record.n, record.times, record.types
+    n, types = record.n, record.types
+    i_idx, j_idx, dt = model.pair_indices(record)
     phi = np.zeros(n * n)
     for s in range(0, record.N, 512):
-        ii, jj = model._earlier_pairs(times, s, min(s + 512, record.N))
-        vals = kap * np.exp(-kap * (times[jj] - times[ii]))
+        chunk = slice(*np.searchsorted(j_idx, [s, s + 512]))  # pairs run in j order
+        ii, jj = i_idx[chunk], j_idx[chunk]
+        vals = kap * np.exp(-kap * dt[chunk])
         phi += np.bincount(types[jj] * n + types[ii], weights=vals, minlength=n * n)
     return phi.reshape(n, n)
 
