@@ -10,7 +10,6 @@ file that cannot be read or written, 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, fields
@@ -218,14 +217,6 @@ def _frozen_embedding(args, record):
     return EmbeddingPair(X, Y)
 
 
-def _emit_json(doc: dict, path) -> None:
-    if path is None:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        write_json(doc, path)
-
-
 def _opt_float(v):
     # a zero-intensity event scores -inf and a collapsed embedding has no
     # distance ranking (nan); keep the document strict JSON
@@ -328,7 +319,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("give --split-time or --test-days")
     doc = {"schema_version": SCHEMA_VERSION, "split_time": split_time,
            **_split_scores(record, params, split_time)}
-    _emit_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 
@@ -366,7 +357,7 @@ def _cmd_diagnose(args) -> int:
             doc["notes"].append("kendall_tau needs embeddings on both models")
     else:
         doc["notes"].append("no truth model: hellinger/phi_rmse/kendall_tau skipped")
-    _emit_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 

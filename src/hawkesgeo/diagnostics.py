@@ -14,7 +14,7 @@ from .model import (
     NumericsWarning,
     _decayed_counts,
     _event_blocks,
-    _rates,
+    _own_rates,
     _realized_rates,
     _scored_events,
     _sq_distances,
@@ -100,8 +100,9 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     ``(sqrt(mu mu')[k] + sum_r sum_l sqrt(kappa_r kappa'_r A_r A'_r)[k, l]
     S_rl(t_j)) / sqrt(lam_j lam'_j)``, with ``S`` the counts decayed at the mean
     clock ``(kappa_r + kappa'_r) / 2``.  One ``_decayed_counts`` scan over both
-    sets' clocks and their means yields ``lam``, ``lam'`` and that sum, in
-    ``O(N n R + N n^2 R)`` time.  Equals, up to rounding,
+    sets' clocks and their means yields ``lam``, ``lam'`` and that sum, each a
+    dot of the event's own rows with its counts (``model._own_rates``), in ``O(N n
+    R)`` time past the ``O(n^2 R)`` amplitudes.  Equals, up to rounding,
     ``hellinger_divergence`` of the two unfloored ``e_step`` attributions, whose sum of
     squares it cannot form without per-pair terms: its ``1 - BC`` cancels where the two
     nearly agree.  An event with zero intensity under either set raises ``DegenerateEventError``;
@@ -120,11 +121,10 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     types = record.types
     lam_a, lam_b, common = estimated.mu[types], truth.mu[types], np.zeros(record.N)
     for rows, S in _decayed_counts(record, clocks, record.times):
-        realized = (np.arange(S.shape[0]), types[rows])
-        with np.errstate(over="ignore", invalid="ignore"):  # 0 inf in an A_bar that overflows
-            lam_a[rows] = _rates(estimated.mu, ka, Aa, S[:, :Ra])[realized]
-            lam_b[rows] = _rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb])[realized]
-            common[rows] = _rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:])[realized]
+        k = types[rows]
+        lam_a[rows] = _own_rates(estimated.mu, ka, Aa, S[:, :Ra], k)[0]
+        lam_b[rows] = _own_rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb], k)[0]
+        common[rows] = _own_rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:], k)[0]
     _require_positive(lam_a)
     _require_positive(lam_b)
     if not all(np.all(np.isfinite(v)) for v in (lam_a, lam_b, common)):

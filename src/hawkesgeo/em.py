@@ -29,8 +29,9 @@ from .model import (
     _sq_distances,
     _Workspace,
     _compensator,
+    _check_types,
     _decayed_counts,
-    _rates,
+    _own_rates,
     compensator,
     influence_matrix,
 )
@@ -419,8 +420,10 @@ def e_step(record: EventRecord, params, floor: float = BRANCHING_FLOOR) -> Branc
     renormalized to sum to one exactly; ``floor=0`` keeps every pair.  Events are attributed
     in blocks of about ``model.PAIR_BLOCK`` pairs, each built when reached and its kept entries
     written into the output's columns, so the time is ``O(N^2 R)`` but the memory beyond the
-    returned entries is one block's, at any R.  A non-finite intensity raises ``NumericalError``.
+    returned entries is one block's, at any R.  A non-finite intensity raises ``NumericalError``,
+    and a model of another type count than the record's ``ValueError``.
     """
+    _check_types(record, params)
     p_bg, ws, columns = np.empty(record.N), _Workspace(params.R), _Columns(record, params.R)
     for events, _, lam, attribution in _attributed_blocks(record, params, _pair_blocks(record),
                                                           ws, floor):
@@ -468,35 +471,33 @@ def _fit_e_step(record, params, blocks, ws):
 
 def _scan_stats(record, params):
     """``_fit_e_step``'s ``(lam, AttributionStats)`` from one decayed-count walk, with
-    no event pairs and ``O(SCAN_BLOCK n R)`` memory.  Event ``j`` reads the counts
-    ``S_r(t_j)`` and lag moments ``D_r(t_j)`` of the events strictly before it;
-    ``lam`` is ``_realized_rates``', and the statistics are those of the unfloored
-    attribution: ``dyad_mass[r] = kappa_r A_r * sum_j onehot(k_j) S_r(t_j) / lam_j``,
-    ``lag_mass_by_r[r] = kappa_r sum_j A_r[k_j] . D_r(t_j) / lam_j`` and the
-    background ``mu[k_j] / lam_j``.  A zero intensity raises ``DegenerateEventError``;
-    after a non-finite one the statistics are None.  Nothing divides by either.
+    no event pairs, ``O(N n R)`` time and ``O(SCAN_BLOCK n R)`` memory.  Event ``j``
+    reads the counts ``S_r(t_j)`` of the events strictly before it and their lag moments
+    ``D_r(t_j) = u_j S_r(t_j) - Yf_r(t_j)``; ``lam`` is ``_realized_rates``', and the
+    statistics are the unfloored attribution's: ``dyad_mass[r] = kappa_r A_r * W_r``,
+    ``W_r[k_j, l]`` a ``bincount`` of ``S_rl(t_j) / lam_j``, ``lag_mass_by_r[r] = kappa_r
+    sum_j A_r[k_j] . D_r(t_j) / lam_j`` from row dots, and the background ``mu[k_j] /
+    lam_j``.  A zero intensity raises ``DegenerateEventError``; after a non-finite one
+    the statistics are None.  Nothing divides by either.
     """
     n, R, types = record.n, params.R, record.types
     A, kappa, mu = params.amplitudes(), params.kappa, params.mu
     lam, usable = mu[types], True
-    W, lag = np.zeros((R, n, n)), np.zeros(R)  # the sums of S / lam and of A[k] . D / lam
-    for rows, S, D in _decayed_counts(record, kappa, record.times, lagged=True):
+    W, lag = np.zeros((R, n * n)), np.zeros(R)  # the sums of S / lam and of A[k] . D / lam
+    for rows, S, u, Yf in _decayed_counts(record, kappa, record.times, lagged=True):
         k = types[rows]
-        with np.errstate(over="ignore"):  # fit reports an infinite intensity
-            lam[rows] = _rates(mu, kappa, A, S)[np.arange(k.size), k]
-        own = lam[rows]
+        own, dots, A_k = _own_rates(mu, kappa, A, S, k)
+        lam[rows] = own
         usable = usable and bool(np.all(np.isfinite(own) & (own > 0.0)))
         if usable:
-            inv = 1.0 / own
-            P = np.zeros((k.size, n))  # row j holds 1 / lam_j at column k_j
-            P[np.arange(k.size), k] = inv
+            inv, cells = 1.0 / own, ((k * n)[:, None] + np.arange(n)).ravel()  # k_j n + l
             for r in range(R):
-                W[r] += P.T @ S[:, r]
-                lag[r] += np.einsum("jl,jl->j", A[r][k], D[:, r]) @ inv
+                W[r] += np.bincount(cells, (S[:, r] * inv[:, None]).ravel(), n * n)
+                lag[r] += (u * dots[r] - np.einsum("jl,jl->j", A_k[r], Yf[:, r])) @ inv
     _require_positive(lam)
     if not usable:
         return lam, None
-    dyad = kappa[:, None, None] * (A * W)
+    dyad = kappa[:, None, None] * (A * W.reshape(R, n, n))
     lag *= kappa
     return lam, AttributionStats(dyad.sum(axis=(1, 2)), lag, dyad,
                                  _weighted_counts(types, mu[types] / lam, n), R)
@@ -731,7 +732,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     floor's truncation, and ``curve`` is ``log_likelihood`` to the bit; the report's
     ``p_background`` is ``mu[k_j] / lam_j`` of the best epoch's scan, which is
     ``background_probabilities`` to the bit, so the record is walked once an epoch
-    and once for the initial guess.
+    and once for the initial guess.  An ``init`` of another type count than the
+    record's raises ``ValueError``.
     """
     from .diagnostics import background_probabilities
     from .spectral import init_params
@@ -752,6 +754,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
             raise ValueError("frb mode init must be FullRankParams")
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
+        _check_types(record, params)
 
     pairwise = _within_pair_cache(record)
     blocks, ws = (list(_pair_blocks(record)), _Workspace(params.R)) if pairwise else (None, None)

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -112,11 +113,18 @@ def _type_labels(labels, n: int) -> list[str]:
     return labels
 
 
-def write_json(doc: dict, path) -> None:
-    """Write a JSON document atomically: indent 2, sorted keys, trailing newline."""
+def write_json(doc: dict, path=None) -> None:
+    """Write a JSON object atomically to ``path``, or to standard output when None: one
+    sorted top-level key per line, indented by 2, its value by ``json.dumps(value,
+    sort_keys=True)`` (the C encoder, which ``indent`` bypasses), and a trailing newline."""
+    items = ",\n".join(f"  {json.dumps(key)}: {json.dumps(doc[key], sort_keys=True)}"
+                        for key in sorted(doc))
+    text = "{\n" + items + "\n}\n" if doc else "{}\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with atomic_write(path) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def read_json(path) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 SQDIST_CLAMP = 700.0
 
 # decayed-count scan: events per chunk, queries per block, chunk span in decay lengths
-SCAN_BLOCK = 4096
+SCAN_BLOCK = 512
 SCAN_SPAN = 500.0
 # attribution: stored event pairs per block of receiving events
 PAIR_BLOCK = 1 << 16
@@ -364,6 +364,18 @@ def _rates(mu, kappa, A, S) -> np.ndarray:
     return lam
 
 
+def _own_rates(mu, kappa, A, S, k):
+    """``(lam, dots, rows)``: each query's own-type intensity ``mu[k_j] + sum_r kappa_r
+    dots[r, j]`` with ``dots[r, j] = rows[r, j] . S[j, r]``, ``rows = A[:, k]``, in ``O(c n
+    R)`` from decayed counts ``S``; an overflow is inf or nan, without a numpy warning."""
+    rows, dots, lam = A[:, k], np.empty((A.shape[0], k.size)), mu[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(A.shape[0]):
+            np.einsum("jl,jl->j", rows[r], S[:, r], out=dots[r])
+            lam += kappa[r] * dots[r]
+    return lam, dots, rows
+
+
 def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
     """Yield ``(rows, S)`` over the sorted queries ``ts`` that follow an event:
     ``S[q, r, l]`` sums ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events
@@ -378,10 +390,10 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
     As each query is read by the chunk of its last earlier event, a chunk edge
     may fall inside a tie run.
 
-    With ``lagged`` it yields ``(rows, S, D)``, where ``D`` sums ``(t_q - t_i)
-    exp(-kappa_r (t_q - t_i))`` alike: ``D = u_q S - exp(-kappa u_q) Y[g - a]``,
-    ``Y[i] = -D_c + sum_{a <= e < a + i} onehot(k_e) u_e exp(kappa u_e)`` with
-    ``D_c`` the carried ``D``; a gap ``d`` takes ``D`` to ``D exp(-kappa d) + d S``."""
+    With ``lagged`` it yields ``(rows, S, u, Yf)``: the sums ``D`` of ``(t_q - t_i)
+    exp(-kappa_r (t_q - t_i))`` are ``u S - Yf``, never formed.  In a chunk ``u = u_q``,
+    ``Yf = Y[g - a] exp(-kappa u_q)``, ``Y[i] = -D_c + sum_{a <= e < a + i} onehot(k_e) u_e
+    exp(kappa u_e)``; after its last event ``u = d``, the gap, and ``Yf = -D_e exp(-kappa d)``."""
     times, types = record.times, record.types
     g = np.searchsorted(times, ts, side="left")  # events strictly before each query
     stop = int(g[-1]) if g.size else 0  # later events precede no query
@@ -402,7 +414,7 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
             if np.array_equal(i, np.arange(i[0], i[0] + i.size)):
                 i = slice(i[0], i[0] + i.size)
             S = X[i] * fall
-            yield (rows, S, u_q[:, None, None] * S - Y[i] * fall) if lagged else (rows, S)
+            yield (rows, S, u_q, Y[i] * fall) if lagged else (rows, S)
         fall = np.exp(-kappa * u[-1])[:, None]
         S_e = X[-1] * fall  # the state just after event b - 1
         D_e = u[-1] * S_e - Y[-1] * fall if lagged else None
@@ -412,7 +424,7 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
             d = ts[rows] - times[b - 1]
             decay = np.exp(np.outer(-d, kappa))[..., None]
             S = S_e * decay
-            yield (rows, S, D_e * decay + d[:, None, None] * S) if lagged else (rows, S)
+            yield (rows, S, d, -D_e * decay) if lagged else (rows, S)
         if b < stop:
             d = times[b] - times[b - 1]
             S_c = S_e * np.exp(-kappa * d)[:, None]
@@ -435,30 +447,28 @@ def intensities_at(record: EventRecord, params, times) -> np.ndarray:
     Each query sees the events strictly before it, so an event at a query time
     contributes nothing.  Costs ``O((N + q) n R)`` for the counts, ``O(q n^2 R)``
     for the rates and ``O(SCAN_BLOCK n R)`` extra memory.  A query time outside
-    ``[0, horizon]`` (so also nan or inf) raises ``ValueError``.  Where a model's
-    intensities overflow, their entries are inf, with a ``NumericsWarning``.
+    ``[0, horizon]`` (so also nan or inf) raises ``ValueError``, as does a model
+    of another type count than the record's.  Where a model's intensities
+    overflow, their entries are inf, with a ``NumericsWarning``.
     """
+    _check_types(record, params)
     ts = np.asarray(times, dtype=np.float64)
     if not np.all((ts >= 0.0) & (ts <= record.horizon)):
         raise ValueError("query times must lie in [0, horizon]")
     order = np.argsort(ts, kind="stable")
     out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
-    for rows, rates in _rate_blocks(record, params, ts[order]):
-        out[order[rows]] = rates
+    for rows, S in _decayed_counts(record, params.kappa, ts[order]):
+        with np.errstate(over="ignore"):
+            out[order[rows]] = _rates(params.mu, params.kappa, params.amplitudes(), S)
     if not np.all(np.isfinite(out)):
         warnings.warn("intensities overflow; their entries are inf", NumericsWarning)
     return out
 
 
-def _rate_blocks(record: EventRecord, params, ts):
-    """Yield ``(rows, rates)``: the ``(b, n)`` intensities at the sorted queries
-    ``ts[rows]`` that follow an event, one ``_decayed_counts`` block at a time; a
-    rate that overflows is inf, without a numpy warning."""
-    A = params.amplitudes()
-    for rows, S in _decayed_counts(record, params.kappa, ts):
-        with np.errstate(over="ignore"):
-            rates = _rates(params.mu, params.kappa, A, S)
-        yield rows, rates
+def _check_types(record: EventRecord, params) -> None:
+    """``ValueError`` unless ``params`` models the record's ``n`` types."""
+    if params.n != record.n:
+        raise ValueError(f"the record has {record.n} event types but the model {params.n}")
 
 
 def _window(record: EventRecord, window) -> tuple[float, float]:
@@ -476,17 +486,19 @@ def _scored_events(record: EventRecord, window) -> slice:
 
 
 def _realized_rates(record: EventRecord, params, events: slice, totals: bool = False):
-    """Each event's intensity at its own type, over the slice ``events``, read
-    off ``intensities_at``'s rates block by block without building its table;
-    with ``totals`` also the intensity summed over types."""
-    types = record.types[events]
+    """Each event's intensity at its own type over the slice ``events`` by ``_own_rates``,
+    and with ``totals`` the sum over types, ``sum(mu) + sum_r kappa_r S_r . acol_r``, ``acol
+    = A.sum(axis=1)``: ``O((N + q) n R)``, no ``(q, n)`` table; an overflow is inf, silently."""
+    _check_types(record, params)
+    A, kappa, types = params.amplitudes(), params.kappa, record.types[events]
     lam = params.mu[types]
     total = np.full(types.size, params.mu.sum()) if totals else None
-    for rows, rates in _rate_blocks(record, params, record.times[events]):
-        lam[rows] = rates[np.arange(rates.shape[0]), types[rows]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        emitted = kappa[:, None] * A.sum(axis=1)  # (R, n): kappa_r acol_r
+    for rows, S in _decayed_counts(record, kappa, record.times[events]):
+        lam[rows] = _own_rates(params.mu, kappa, A, S, types[rows])[0]
         if totals:
-            with np.errstate(over="ignore"):
-                total[rows] = rates.sum(axis=1)
+            total[rows] += np.einsum("jrl,rl->j", S, emitted)
     return lam, total
 
 
@@ -496,8 +508,10 @@ def compensator(record: EventRecord, params, window=None) -> float:
     Exact for this model: each occurrence's spatial mass sums to one over the
     receptor set, so only the exponential clocks need integrating.  Where a
     model's response mass overflows the result is not finite, with a
-    ``NumericsWarning``.
+    ``NumericsWarning``; a model of another type count than the record's
+    raises ``ValueError``.
     """
+    _check_types(record, params)
     total = _compensator(record, params, *_window(record, window))
     if not np.isfinite(total):
         warnings.warn(f"compensator is {total}: the response mass overflows", NumericsWarning)

@@ -327,7 +327,7 @@ def hellinger_problems(draw):
 
 
 class TestAttributionHellinger:
-    @pytest.mark.parametrize("block", [2, 7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [2, 7, model.SCAN_BLOCK, 4096])
     def test_tie_runs_across_scan_chunks(self, rng, monkeypatch, block):
         # chunks of 2 and 7 events end inside the runs of tied times
         monkeypatch.setattr(model, "SCAN_BLOCK", block)

@@ -60,6 +60,7 @@ from conftest import (
     Surrogate,
     argmax_scalar,
     brute_branching,
+    brute_intensity,
     brute_response,
     make_branching,
     make_model,
@@ -91,6 +92,22 @@ def set_entry(arr, idx, value):
 
 
 class TestEStep:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_model_of_other_types_raises_naming_both_counts(self, rng, monkeypatch, n):
+        # before any pair is built: a record of fewer types would index the model's
+        # amplitudes with the wrong stride, and one of more types past their rows
+        def no_pairs(record):
+            raise AssertionError("built pairs for a model of other types")
+        monkeypatch.setattr(em, "_pair_blocks", no_pairs)
+        record = EventRecord(np.arange(3) % n, [0.1, 0.2, 0.3], n, 1.0)
+        msg = f"the record has {n} event types but the model 3"
+        for params in (random_full_rank(rng, 3, 2), make_model(rng, 3)):
+            mode = "frb" if isinstance(params, FullRankParams) else "geo"
+            for run in (lambda: e_step(record, params),
+                        lambda: fit(record, FitConfig(mode=mode, epochs=1), init=params)):
+                with pytest.raises(ValueError, match=msg):
+                    run()
+
     def test_single_event_is_background(self, rng):
         record = EventRecord([0], [0.5], 1, 1.0)
         br = e_step(record, make_model(rng, 1))
@@ -848,7 +865,7 @@ def assert_scan_stats_hold(record, params):
 
 
 class TestScanStatistics:
-    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK, 4096])
     def test_matches_the_unfloored_attribution_and_oracle(self, rng, monkeypatch, block):
         # blocked_cases: tie runs across chunk edges, silent and mu = 0 types, R = 2
         # and 3, full-rank parameters, kappa T = 1800, and an empty record
@@ -868,6 +885,26 @@ class TestScanStatistics:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "SCAN_BLOCK", block)
             assert_scan_stats_hold(record, params)
+
+    def test_decay_then_contract_keeps_huge_amplitudes_finite(self, rng):
+        # one chunk whose clock runs to kappa u = 490 of SCAN_SPAN = 500: its cumsums reach
+        # e^490 ~ 1e212, so an amplitude of 1e100 dotted with an undecayed count overflows,
+        # while A S, the intensities and the statistics are finite
+        times = np.sort(rng.uniform(0.0, 490.0, 40))
+        times[0], times[-3:] = 0.0, [489.0, 489.5, 490.0]  # 489 e^489 1e100 / 2 > 1e308
+        record = EventRecord(rng.integers(0, 3, size=40), times, 3, 491.0)
+        params = FullRankParams(np.full((3, 3), 1e100), [1.0, 0.5], [0.5, 0.5], [0.5, 0.2, 0.3])
+        assert params.kappa.max() * times[-1] > 0.95 * model.SCAN_SPAN
+        lam, stats = _scan_stats(record, params)
+        want = [brute_intensity(record, params, k, t) for k, t in zip(record.types, times)]
+        assert np.all(np.isfinite(lam))
+        assert_allclose(lam, want, rtol=1e-12, atol=0.0)
+        brute = brute_statistics(record, params)
+        for name in STATISTICS:
+            got = getattr(stats, name)
+            assert np.all(np.isfinite(got)), name
+            assert_allclose(got, brute[name], rtol=1e-12,
+                            atol=1e-12 * np.abs(brute[name]).max(), err_msg=name)
 
     def test_infinite_and_zero_intensities_are_checked_before_dividing(self):
         # event 3's predecessors excite it past the float range, and the type-2
@@ -1549,7 +1586,7 @@ class TestFit:
             report = fit(tied_record(rng, 4, N=60), FitConfig(mode="frb", epochs=8))
         assert report.aborted_epoch == 3 and report.p_background.shape == (60,)
         with pytest.raises(AssertionError, match="gathered"):
-            e_step(sim_record, report.params_final)
+            e_step(sim_record, init)
 
     @pytest.mark.parametrize("name", ["eps", "eps1", "eps2", "dm_alpha",
                                       "prior_alpha", "prior_beta"])

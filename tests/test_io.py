@@ -34,6 +34,7 @@ from hawkesgeo.io import (
     save_report,
     write_curve_csv,
     write_embedding_csv,
+    write_json,
     write_qq_csv,
 )
 from hawkesgeo.model import (
@@ -704,6 +705,42 @@ class TestReorder:
         params = make_model(rng, n=2)
         with pytest.raises(DataFormatError, match="labels disagree"):
             reorder_to_labels(params, ["a", "b"], ["a", "z"])
+
+
+class TestWriteJson:
+    def test_one_sorted_key_a_line(self, tmp_path, capsys):
+        doc = {"zeta": {"b": 1, "a": [0.1, None]}, "alpha": 1.0 / 3.0, "mid": "x\n"}
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        text = path.read_text()
+        assert text == ('{\n  "alpha": 0.3333333333333333,\n  "mid": "x\\n",\n'
+                        '  "zeta": {"a": [0.1, null], "b": 1}\n}\n')
+        assert json.loads(text) == doc
+        write_json(doc)  # standard output
+        assert capsys.readouterr().out == text
+        write_json({}, path)
+        assert path.read_text() == "{}\n"
+
+    def test_model_and_report_round_trip_exactly_in_sorted_lines(self, tmp_path, rng):
+        params = make_model(rng, n=4, m=3, R=2)
+        report = FitReport("frb", np.array([-10.0, -8.0 / 3.0]), params, params, best_epoch=1,
+                           p_background=rng.uniform(size=4500), wall_time=1.0)
+        for path, save, load in ((tmp_path / "model.json", lambda p: save_model(params, p),
+                                  lambda p: load_model(p)),
+                                 (tmp_path / "report.json",
+                                  lambda p: save_report(report, p, config={"z": 1, "a": 2}),
+                                  load_report)):
+            save(path)
+            lines = path.read_text().splitlines()
+            keys = [line.split('"')[1] for line in lines[1:-1]]
+            assert keys == sorted(keys) == sorted(json.loads(path.read_text()))
+            back = load(path)
+            if path.name == "model.json":
+                assert pickle.dumps(back) == pickle.dumps(params)
+            else:
+                assert back["curve"] == report.curve.tolist()
+                assert np.array(back["p_background"]).tobytes() == report.p_background.tobytes()
+                assert lines[keys.index("config") + 1] == '  "config": {"a": 2, "z": 1},'
 
 
 class TestReport:

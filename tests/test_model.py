@@ -17,8 +17,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import cdist
 
 from hawkesgeo import model
-from hawkesgeo.diagnostics import categorical_accuracy
-from hawkesgeo.em import FullRankParams
+from hawkesgeo.diagnostics import background_probabilities, categorical_accuracy
+from hawkesgeo.em import FullRankParams, _scan_stats
 from hawkesgeo.geometry import _gaussian_terms
 from hawkesgeo.io import reorder_to_labels
 from hawkesgeo.model import (
@@ -308,10 +308,10 @@ class TestIntensity:
                 assert_allclose(table[q, k], brute_intensity(record, params, k, t),
                                 rtol=1e-10)
 
-    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK, 4096])
     def test_scan_matches_brute_force_and_pairs(self, rng, monkeypatch, block):
         # chunks of 7 events end inside tie runs; the long record needs many
-        # chunks for its span alone
+        # chunks for its span alone, and chunks of 4096 hold the others whole
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         for record, params in scan_cases(rng):
             qs = scan_queries(rng, record)
@@ -338,10 +338,11 @@ class TestIntensity:
         brute = [[brute_intensity(record, params, k, t) for k in range(n)] for t in qs]
         assert_allclose(table, np.reshape(brute, (len(qs), n)), rtol=1e-10)
 
-    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK, 4096])
     def test_lag_moments_match_brute_force(self, rng, monkeypatch, block):
         # the lagged walk yields the plain walk's counts S to the bit; its lag moments
-        # D cancel within a chunk, so they hold to 1e-12 of D + S / kappa, the lag scale
+        # D = u S - Yf cancel within a chunk, so they hold to 1e-12 of D + S / kappa,
+        # the lag scale.  Chunks of 4096 events hold each case's record whole
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         for record, params in scan_cases(rng):
             kappa = np.asarray(params.kappa)
@@ -351,14 +352,14 @@ class TestIntensity:
                 plain = list(model._decayed_counts(record, kappa, qs))
                 lagged = list(model._decayed_counts(record, kappa, qs, lagged=True))
                 assert [out[0] for out in plain] == [out[0] for out in lagged]
-                for (rows, S), (_, S_lagged, D) in zip(plain, lagged):
+                for (rows, S), (_, S_lagged, u, Yf) in zip(plain, lagged):
                     assert S.tobytes() == S_lagged.tobytes()
-                    S_got[rows], D_got[rows] = S, D
+                    S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
                 assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
                 scale = D_want + S_want / kappa[:, None]
                 assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK, 4096])
     def test_walk_edge_cases_match_brute_force(self, rng, monkeypatch, block):
         # a tie run of three across index `block`, where chunks of `block` events
         # end; a gap past exp's range at kappa_max = 2; a tie run longer than a
@@ -378,8 +379,8 @@ class TestIntensity:
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         S_want, D_want = brute_decayed_moments(record, params.kappa, qs)
         S_got, D_got = np.zeros_like(S_want), np.zeros_like(D_want)
-        for rows, S, D in model._decayed_counts(record, params.kappa, qs, lagged=True):
-            S_got[rows], D_got[rows] = S, D
+        for rows, S, u, Yf in model._decayed_counts(record, params.kappa, qs, lagged=True):
+            S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
         assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
         scale = D_want + S_want / params.kappa[:, None]
         assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
@@ -428,8 +429,10 @@ class TestIntensity:
         _, peak = peak_of(lambda: log_likelihood(record, params))
         assert peak < table.nbytes
 
-    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [7, model.SCAN_BLOCK, 4096])
     def test_realized_rates_are_the_tables_to_the_bit(self, rng, monkeypatch, block):
+        # own rows against the whole table: each sum in its own order, so to 1e-13
+        # (6.8e-16 seen); the callers of _own_rates agree with each other to the bit
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         cases = scan_cases(rng) + [(make_record(rng, 100, N=3000, T=50.0),
                                     make_model(rng, 100, R=2))]
@@ -441,8 +444,9 @@ class TestIntensity:
                 assert np.array_equal(record.times[events], record.times[scored])
                 table = intensities_at(record, params, record.times[events])
                 lam, total = _realized_rates(record, params, events, totals=True)
-                assert np.array_equal(lam, table[np.arange(lam.size), record.types[events]])
-                assert np.array_equal(total, table.sum(axis=1))
+                want = table[np.arange(lam.size), record.types[events]]
+                assert_allclose(lam, want, rtol=1e-13, atol=0.0)
+                assert_allclose(total, table.sum(axis=1), rtol=1e-13, atol=0.0)
                 assert np.array_equal(_realized_rates(record, params, events)[0], lam)
                 if lam.size:
                     # a mu = 0 row with no event before it has share 0, not 0 / 0, with a
@@ -450,11 +454,15 @@ class TestIntensity:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", NumericsWarning)
                         rows = table.sum(axis=1)
-                        shares = np.divide(table[np.arange(lam.size), record.types[events]],
-                                           rows, out=np.zeros(lam.size), where=rows > 0.0)
+                        shares = np.divide(want, rows, out=np.zeros(lam.size), where=rows > 0.0)
                         want = 0.0 if np.any(shares <= 0.0) else np.exp(np.mean(np.log(shares)))
                         got = categorical_accuracy(record, params, window)[0]
-                    assert_array_equal(got, want)
+                    assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            lam = _realized_rates(record, params, slice(None))[0]
+            if np.all(lam > 0.0):
+                assert np.array_equal(_scan_stats(record, params)[0], lam)
+                assert np.array_equal(background_probabilities(record, params),
+                                      params.mu[record.types] / lam)
 
     def test_events_excluded_at_their_own_time(self, rng):
         # evaluation at an event time sees only strictly earlier events
@@ -558,6 +566,24 @@ class TestOverflow:
             with pytest.warns(NumericsWarning, match="intensities overflow"):
                 table = intensities_at(record, params, [0.05, 0.1003, 1.0])
             assert np.array_equal(table[0], params.mu) and np.all(np.isinf(table[1:]))
+
+
+class TestTypeCount:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_model_of_other_types_raises_naming_both_counts(self, rng, n):
+        # a record of fewer types would index the model's amplitudes with the wrong
+        # stride and one of more types past their rows
+        record = EventRecord(np.arange(3) % n, [0.1, 0.2, 0.3], n, 1.0)
+        msg = f"the record has {n} event types but the model 3"
+        for params in (make_full_rank(rng, 3), make_model(rng, 3, R=2)):
+            for run in (lambda: intensities_at(record, params, [0.5]),
+                        lambda: compensator(record, params),
+                        lambda: _realized_rates(record, params, slice(None)),
+                        lambda: log_likelihood(record, params),
+                        lambda: background_probabilities(record, params),
+                        lambda: categorical_accuracy(record, params, (0.15, 1.0))):
+                with pytest.raises(ValueError, match=msg):
+                    run()
 
 
 class TestInfluenceMatrix:
