@@ -125,13 +125,17 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """A parser of every subcommand, so usage, help and an unknown command read the
+    same, with the options of ``command`` alone: no other command's are parsed."""
     parser = _Parser(prog="hawkesgeo",
                      description="Hawkes processes with latent geometric "
                                  "excitation structure.")
     sub = parser.add_subparsers(dest="command")
-    for command, options in _OPTIONS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+    for name, options in _OPTIONS.items():
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__)
+        if name != command:
+            continue
         for flag, kind, default, help_ in options:
             if default is not None:
                 help_ = f"{help_} (default {default})"
@@ -406,7 +410,7 @@ _COMMANDS = {
 
 def cli_dispatch(argv) -> int:
     """Run one subcommand; returns the process exit status."""
-    parser = _build_parser()
+    parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if args.command is None:

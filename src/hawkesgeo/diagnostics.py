@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import BranchingStructure, _require_positive
-from .model import (
+from .em import BranchingStructure
+from .model import (  # background_probabilities is also diagnostics', where callers import it
     EmbeddingPair,
     EventRecord,
     NumericsWarning,
@@ -16,9 +16,11 @@ from .model import (
     _event_blocks,
     _own_rates,
     _realized_rates,
+    _require_positive,
     _scored_events,
     _sq_distances,
     _window,
+    background_probabilities,
     log_likelihood,
 )
 
@@ -135,16 +137,6 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     bc = np.sqrt(estimated.mu[types] / lam_a * (truth.mu[types] / lam_b))
     bc += common / (np.sqrt(lam_a) * np.sqrt(lam_b))
     return float(np.sqrt(np.maximum(0.0, 1.0 - bc)).mean())
-
-
-def background_probabilities(record: EventRecord, params) -> np.ndarray:
-    """Each event's probability of being background, ``mu[k_j] / lam_j``, from
-    the decayed-count scan; an event with zero intensity raises
-    ``DegenerateEventError``, as in ``e_step``, and one whose intensity
-    overflows gets 0, the limit."""
-    lam, _ = _realized_rates(record, params, slice(None))
-    _require_positive(lam)
-    return params.mu[record.types] / lam
 
 
 def background_qq(record: EventRecord, params, branching: BranchingStructure | None = None,

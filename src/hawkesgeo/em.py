@@ -18,11 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
+from .geometry import embedding_inner_loop, hhg_a_step, reception_gradient
+from .model import (  # the two error types are also em's, where callers import them
+    DegenerateEventError,
     EmbeddingPair,
     EventRecord,
     KernelBank,
     ModelParams,
+    NumericalError,
     NumericsWarning,
     _pair_blocks,
     _pair_response,
@@ -32,30 +35,20 @@ from .model import (
     _check_types,
     _decayed_counts,
     _own_rates,
+    _require_positive,
+    _within_pair_cache,
+    background_probabilities,
     compensator,
     influence_matrix,
 )
+from .spectral import _initial_rates, density_normalize, diffusion_embed, \
+    init_influence_guess, init_params
 
 MODES = ("hhg-a", "hhg-b", "hhg-dm", "frb", "geo")
 
 # Attribution entries below this probability are dropped and each event's row
 # renormalized, so the stored attribution keeps only pairs that carry mass.
 BRANCHING_FLOOR = 1e-12
-# fit and its initial guess sum over a record's event pairs, kept across epochs, up to
-# this many pairs (about 46 MB at 11 bytes a pair) and over its decayed counts past it
-PAIR_CACHE = 1 << 22
-
-
-class NumericalError(RuntimeError):
-    """A fit or simulation left the numerically trustworthy regime."""
-
-
-class DegenerateEventError(NumericalError):
-    """An event has zero intensity, so no attribution exists."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"event {index} has zero intensity and zero background rate")
 
 
 @dataclass(frozen=True)
@@ -318,20 +311,6 @@ class FitReport:
 
 # ---------------------------------------------------------------------------
 # E-step
-
-
-def _within_pair_cache(record: EventRecord) -> bool:
-    """Whether ``record`` has at most ``PAIR_CACHE`` event pairs, read at call time: up
-    to there ``fit`` and ``spectral.init_influence_guess`` sum over the pairs, past it
-    over the decayed counts."""
-    return int(np.searchsorted(record.times, record.times, "left").sum()) <= PAIR_CACHE
-
-
-def _require_positive(lam, start=0) -> None:
-    """Raise ``DegenerateEventError`` for the first event with zero intensity
-    among the intensities ``lam`` of events ``start``, ``start + 1``, ..."""
-    if np.any(lam <= 0.0):
-        raise DegenerateEventError(start + int(np.argmax(lam <= 0.0)))
 
 
 def _attributed_blocks(record, params, blocks, ws, floor):
@@ -664,8 +643,6 @@ def frb_kernel_weights(stats: AttributionStats, current) -> np.ndarray:
 
 
 def _initial_frb(record: EventRecord, config: FitConfig):
-    from .spectral import _initial_rates, init_influence_guess
-
     kappa0, w0, mu0 = _initial_rates(record, config.R)
     guess = init_influence_guess(record)
     total = guess.sum()
@@ -677,9 +654,6 @@ def _initial_frb(record: EventRecord, config: FitConfig):
 
 
 def _m_step_geometric(record, params, br, config):
-    from .geometry import embedding_inner_loop, hhg_a_step, reception_gradient
-    from .spectral import density_normalize, diffusion_embed
-
     kern = params.kernels
     kappa_new = update_kappa(br, config.prior, kern.kappa)
     beta_new = update_beta_sq(br, params.embedding, kern.beta_sq)
@@ -725,7 +699,7 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     coordinates.  The exact train log-likelihood of the parameters entering
     each epoch is recorded, and the best-scoring snapshot is kept.  If the
     objective turns non-finite the loop stops and reports the last finite
-    state (``aborted_epoch`` set).  A record with at most ``PAIR_CACHE`` event
+    state (``aborted_epoch`` set).  A record with at most ``model.PAIR_CACHE`` event
     pairs keeps them across epochs, and each E-step attributes pair by pair at
     ``BRANCHING_FLOOR``.  Past the budget no pair is built: each E-step reads the
     unfloored statistics off ``_scan_stats``, which differ in rounding and by the
@@ -735,9 +709,6 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     and once for the initial guess.  An ``init`` of another type count than the
     record's raises ``ValueError``.
     """
-    from .diagnostics import background_probabilities
-    from .spectral import init_params
-
     t0 = time.perf_counter()
     if record.N == 0:
         raise ValueError("cannot fit an empty record")

@@ -420,11 +420,11 @@ def save_report(report: FitReport, path, config: dict | None = None) -> None:
         "schema_version": SCHEMA_VERSION,
         "mode": report.mode,
         "epochs_run": int(report.curve.size),
-        "curve": [float(v) for v in report.curve],
+        "curve": report.curve.tolist(),
         "best_epoch": int(report.best_epoch),
         "aborted_epoch": None if report.aborted_epoch is None else int(report.aborted_epoch),
         "p_background": ([] if report.p_background is None
-                         else [float(v) for v in report.p_background]),
+                         else report.p_background.tolist()),
         "config": config or {},
     }
     write_json(doc, path)

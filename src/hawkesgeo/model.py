@@ -27,10 +27,32 @@ SCAN_BLOCK = 512
 SCAN_SPAN = 500.0
 # attribution: stored event pairs per block of receiving events
 PAIR_BLOCK = 1 << 16
+# fit and its initial guess sum over a record's event pairs, kept across epochs, up to
+# this many pairs (about 46 MB at 11 bytes a pair) and over its decayed counts past it
+PAIR_CACHE = 1 << 22
 
 
 class NumericsWarning(UserWarning):
     """Raised when a computation hits a guarded degenerate branch."""
+
+
+class NumericalError(RuntimeError):
+    """A fit or simulation left the numerically trustworthy regime."""
+
+
+class DegenerateEventError(NumericalError):
+    """An event has zero intensity, so no attribution exists."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"event {index} has zero intensity and zero background rate")
+
+
+def _require_positive(lam, start=0) -> None:
+    """Raise ``DegenerateEventError`` for the first event with zero intensity
+    among the intensities ``lam`` of events ``start``, ``start + 1``, ..."""
+    if np.any(lam <= 0.0):
+        raise DegenerateEventError(start + int(np.argmax(lam <= 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +188,20 @@ def _pair_blocks(record: EventRecord):
     ``n <= 256`` with at most 256 events in a block a pair takes 11 bytes.
     Each block is built when reached, so a caller that walks the generator
     holds one block, and one that keeps the list all of them: ``e_step`` walks
-    it, and ``fit`` keeps it up to ``em.PAIR_CACHE`` pairs and builds none past.
+    it, and ``fit`` keeps it up to ``PAIR_CACHE`` pairs and builds none past.
     """
     n_earlier = np.searchsorted(record.times, record.times, "left")
     dyad_type = np.min_scalar_type(record.n * record.n - 1)
     for s, e in _event_blocks(np.concatenate(([0], np.cumsum(n_earlier)))):
         rows = np.repeat(np.arange(e - s, dtype=np.min_scalar_type(e - s - 1)), n_earlier[s:e])
         yield slice(s, e), rows, *_pair_block(record, n_earlier, s, e, dyad_type)
+
+
+def _within_pair_cache(record: EventRecord) -> bool:
+    """Whether ``record`` has at most ``PAIR_CACHE`` event pairs, read at call time: up
+    to there ``fit`` and ``spectral.init_influence_guess`` sum over the pairs, past it
+    over the decayed counts."""
+    return int(np.searchsorted(record.times, record.times, "left").sum()) <= PAIR_CACHE
 
 
 class _Workspace:
@@ -386,7 +415,8 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
     exp(kappa u_e)``, ``S_c`` the state carried to ``t_a``.  A query with ``g``
     events strictly before it and ``a <= g < b`` reads ``S = X[g - a] exp(-kappa
     u_q)``: one decay, and a slice of ``X`` at untied events.  One after the
-    chunk's last event (in a gap, or at the horizon) decays the chunk's end state.
+    chunk's last event (in a gap, or at the horizon) decays the chunk's end state,
+    which is all a chunk that no query reads keeps (``_chunk_sums``).
     As each query is read by the chunk of its last earlier event, a chunk edge
     may fall inside a tie run.
 
@@ -404,9 +434,11 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
         b = min(a + SCAN_BLOCK, stop, times.searchsorted(t_a + SCAN_SPAN / kappa.max(), "right"))
         u = times[a:b] - t_a
         grow = np.exp(np.outer(u, kappa))
-        X = _exclusive_cumsums(S_c, types[a:b], grow)
-        Y = _exclusive_cumsums(-D_c, types[a:b], u[:, None] * grow) if lagged else None
         q1 = int(np.searchsorted(g, b))
+        # a chunk that no query reads needs only the cumsums' last rows
+        sums = _exclusive_cumsums if q1 > q else _chunk_sums
+        X = sums(S_c, types[a:b], grow)
+        Y = sums(-D_c, types[a:b], u[:, None] * grow) if lagged else None
         for lo in range(q, q1, SCAN_BLOCK):
             rows = slice(lo, min(lo + SCAN_BLOCK, q1))
             i, u_q = g[rows] - a, ts[rows] - t_a
@@ -439,6 +471,15 @@ def _exclusive_cumsums(first, types, weights):
     C[0] = first
     C[np.arange(1, types.size + 1), :, types] = weights
     return np.cumsum(C, axis=0, out=C)
+
+
+def _chunk_sums(first, types, weights):
+    """``_exclusive_cumsums``' last row alone, ``(1, R, n)``: the cumsums add each column's
+    weights in order and zeros elsewhere, which change no value."""
+    last = first.copy()
+    for r in range(first.shape[0]):
+        np.add.at(last[r], types, weights[:, r])
+    return last[None]
 
 
 def intensities_at(record: EventRecord, params, times) -> np.ndarray:
@@ -500,6 +541,16 @@ def _realized_rates(record: EventRecord, params, events: slice, totals: bool = F
         if totals:
             total[rows] += np.einsum("jrl,rl->j", S, emitted)
     return lam, total
+
+
+def background_probabilities(record: EventRecord, params) -> np.ndarray:
+    """Each event's probability of being background, ``mu[k_j] / lam_j``, from
+    the decayed-count scan; an event with zero intensity raises
+    ``DegenerateEventError``, as in ``e_step``, and one whose intensity
+    overflows gets 0, the limit."""
+    lam, _ = _realized_rates(record, params, slice(None))
+    _require_positive(lam)
+    return params.mu[record.types] / lam
 
 
 def compensator(record: EventRecord, params, window=None) -> float:

@@ -12,9 +12,8 @@ import warnings
 
 import numpy as np
 
-from .em import _within_pair_cache
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
-    _decayed_counts, _event_blocks, _pair_block, _sq_distances
+    _decayed_counts, _event_blocks, _pair_block, _sq_distances, _within_pair_cache
 
 _SMOOTHING = 1e-12
 
@@ -112,7 +111,7 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
 
     Each ordered pair of types accumulates the clock value at its observed
     lags, with the clock's rate set from the mean interarrival time.  Up to
-    ``em.PAIR_CACHE`` pairs it is a pair sum over 512 receiving events at a time,
+    ``model.PAIR_CACHE`` pairs it is a pair sum over 512 receiving events at a time,
     since fits under that budget depend on its rounding; a chunk's pairs are built
     from the record's prefixes by ``_pair_block`` in blocks of about ``PAIR_BLOCK``,
     and ``np.add.at`` continues its sums from block to block in pair order, as its

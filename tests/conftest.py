@@ -221,6 +221,58 @@ def brute_branching(record, params, floor):
 
 
 # ---------------------------------------------------------------------------
+# the decayed-count walk with no chunk skipped
+
+
+def reference_decayed_counts(record, kappa, ts, lagged=False):
+    """``model._decayed_counts`` with every chunk's exclusive cumsums built whole, read or
+    not, at ``model.SCAN_BLOCK`` and ``model.SCAN_SPAN`` as they are at call time: the
+    walker must yield these bytes."""
+    def cumsums(first, types, weights):
+        C = np.zeros((types.size + 1,) + first.shape)
+        C[0] = first
+        C[np.arange(1, types.size + 1), :, types] = weights
+        return np.cumsum(C, axis=0, out=C)
+
+    times, types, block = record.times, record.types, model.SCAN_BLOCK
+    g = np.searchsorted(times, ts, side="left")
+    stop = int(g[-1]) if g.size else 0
+    S_c = D_c = np.zeros((kappa.size, record.n))
+    a, q = 0, int(np.searchsorted(g, 1))
+    while a < stop:
+        t_a = times[a]
+        b = min(a + block, stop, times.searchsorted(t_a + model.SCAN_SPAN / kappa.max(), "right"))
+        u = times[a:b] - t_a
+        grow = np.exp(np.outer(u, kappa))
+        X = cumsums(S_c, types[a:b], grow)
+        Y = cumsums(-D_c, types[a:b], u[:, None] * grow) if lagged else None
+        q1 = int(np.searchsorted(g, b))
+        for lo in range(q, q1, block):
+            rows = slice(lo, min(lo + block, q1))
+            i, u_q = g[rows] - a, ts[rows] - t_a
+            fall = np.exp(np.outer(-u_q, kappa))[..., None]
+            if np.array_equal(i, np.arange(i[0], i[0] + i.size)):
+                i = slice(i[0], i[0] + i.size)
+            S = X[i] * fall
+            yield (rows, S, u_q, Y[i] * fall) if lagged else (rows, S)
+        fall = np.exp(-kappa * u[-1])[:, None]
+        S_e = X[-1] * fall
+        D_e = u[-1] * S_e - Y[-1] * fall if lagged else None
+        q2 = max(q1, int(np.searchsorted(ts, times[b]))) if b < stop else ts.size
+        for lo in range(q1, q2, block):
+            rows = slice(lo, min(lo + block, q2))
+            d = ts[rows] - times[b - 1]
+            decay = np.exp(np.outer(-d, kappa))[..., None]
+            S = S_e * decay
+            yield (rows, S, d, -D_e * decay) if lagged else (rows, S)
+        if b < stop:
+            d = times[b] - times[b - 1]
+            S_c = S_e * np.exp(-kappa * d)[:, None]
+            D_c = D_e * np.exp(-kappa * d)[:, None] + d * S_c if lagged else D_c
+        a, q = b, q2
+
+
+# ---------------------------------------------------------------------------
 # per-event loops of the simulator, the count discretizer and the events CSV
 # writer; the package's vectorized forms must reproduce them byte for byte
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hawkesgeo
-from hawkesgeo import em
+from hawkesgeo import model
 from hawkesgeo.cli import _OPTIONS, _build_parser, _finite_float, cli_dispatch
 from hawkesgeo.diagnostics import background_probabilities, background_qq
 from hawkesgeo.em import FitConfig, FullRankParams, e_step
@@ -76,8 +76,7 @@ class TestDispatch:
 
     def test_config_keys_are_the_parsed_options(self, tmp_path, capsys):
         commands = ("simulate", "fit", "evaluate", "diagnose", "discretize", "export")
-        parser = _build_parser()
-        names = {c: set(vars(parser.parse_args([c]))) - {"command", "config"}
+        names = {c: set(vars(_build_parser(c).parse_args([c]))) - {"command", "config"}
                  for c in commands}
         every = set().union(*names.values())
         cfg = tmp_path / "cfg.json"
@@ -392,8 +391,8 @@ class TestFit:
                                                                 np.full(record.n, 0.1)))
 
         monkeypatch.setattr(cli, "fit", overflowing_fit)
-        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
-            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+        for budget in (model.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(model, "PAIR_CACHE", budget)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NumericsWarning)
                 rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
@@ -594,7 +593,7 @@ class TestDiagnose:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["hellinger"] is not None) == with_truth
         # past the pair budget, fit in every mode and its initial guess scan instead
-        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "PAIR_CACHE", 0)
         emb = tmp_path / "emb.csv"
         assert cli_dispatch(["export", "--what", "embedding", "--model",
                              str(workdir / "truth.json"), "--out", str(emb)]) == 0

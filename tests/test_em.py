@@ -517,7 +517,7 @@ class TestBlockedAttribution:
                            params.xi, np.array([0.3, 0.0]))
 
         def scan_fit():
-            monkeypatch.setattr(em, "PAIR_CACHE", 0)
+            monkeypatch.setattr(model, "PAIR_CACHE", 0)
             return fit(record, FitConfig(mode="geo", epochs=2), init=dead)
 
         for run in (lambda: e_step(record, dead),
@@ -613,7 +613,7 @@ class TestBlockedAttribution:
         # past the budget fit walks the decayed counts SCAN_BLOCK events at a time, so
         # its peak is about 12 (block, R, n) arrays and 8 of the record's (N,) ones;
         # one whole-record (N, R, n) array alone takes 1.3 MB here, and the pairs 64 MB
-        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "PAIR_CACHE", 0)
         monkeypatch.setattr(model, "SCAN_BLOCK", 64)
         n, R = 20, 2
         record = make_record(rng, n, N=4000, T=50.0)
@@ -642,12 +642,12 @@ class TestBlockedAttribution:
         monkeypatch.setattr(em, "_pair_blocks", counted)
         record = make_record(rng, 3, N=100, T=5.0)
         pairs = model.pair_indices(record)[0].size
-        monkeypatch.setattr(em, "PAIR_CACHE", pairs)
+        monkeypatch.setattr(model, "PAIR_CACHE", pairs)
         report = fit(record, FitConfig(mode="frb", epochs=4))
         assert report.curve.size == 4 and builds == [record.N]
         # at one pair less neither the initial guess nor any epoch builds a pair
         request.getfixturevalue("no_pairs")
-        monkeypatch.setattr(em, "PAIR_CACHE", pairs - 1)
+        monkeypatch.setattr(model, "PAIR_CACHE", pairs - 1)
         for mode, kwargs in (("hhg-a", {}), ("hhg-b", {"eps2": 0.1}), ("hhg-dm", {}),
                              ("frb", {"R": 2})):
             report = fit(record, FitConfig(mode=mode, epochs=4, **kwargs))
@@ -663,7 +663,7 @@ class TestBlockedAttribution:
             return walk(*args, **kwargs)
         for module in (model, em, spectral, diagnostics):
             monkeypatch.setattr(module, "_decayed_counts", counted)
-        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "PAIR_CACHE", 0)
         record = make_record(rng, 3, N=100, T=5.0)
         for mode, kwargs in (("hhg-b", {"eps2": 0.1}), ("frb", {"R": 2})):
             walks.clear()
@@ -762,7 +762,7 @@ def assert_fit_reproduces_unblocked(record, config, init=None, arm=lambda: None)
         arm()
         report = fit(record, config, init=init)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(em, "PAIR_CACHE", 0)
+            mp.setattr(model, "PAIR_CACHE", 0)
             arm()
             entered = entering_params(mp)
             scan = fit(record, config, init=init)
@@ -1542,8 +1542,8 @@ class TestFit:
         assert np.all(report.p_background[record.types != 0] == 0.0)
 
     def test_infinite_objective_warns_only_numerics(self, sim_record, monkeypatch):
-        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
-            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+        for budget in (model.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(model, "PAIR_CACHE", budget)
             monkeypatch.setattr(em, "_m_step_frb", exploding_frb_step(3))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -1556,8 +1556,8 @@ class TestFit:
         # the float range raised a raw "overflow encountered in add"
         n = sim_record.n
         start = FullRankParams(np.full((n, n), 1e308), [1.0, 1.0], [0.5, 0.5], np.full(n, 0.1))
-        for budget in (em.PAIR_CACHE, 0):  # the kept pairs, then the scan
-            monkeypatch.setattr(em, "PAIR_CACHE", budget)
+        for budget in (model.PAIR_CACHE, 0):  # the kept pairs, then the scan
+            monkeypatch.setattr(model, "PAIR_CACHE", budget)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 warnings.simplefilter("error", RuntimeWarning)

@@ -39,7 +39,7 @@ from hawkesgeo.model import (
 )
 
 from conftest import brute_decayed_moments, brute_intensity, brute_loglik, brute_response, \
-    make_model, make_record, overflowing, unblocked_response
+    make_model, make_record, overflowing, reference_decayed_counts, unblocked_response
 
 
 def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
@@ -388,6 +388,58 @@ class TestIntensity:
         brute = [brute_intensity(record, params, k[q], t) for q, t in enumerate(few)]
         assert_allclose(intensities_at(record, params, few)[np.arange(len(few)), k], brute,
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 512])
+    def test_sparse_and_windowed_queries_are_the_dense_walk(self, rng, monkeypatch, block):
+        # a chunk that no query reads keeps only its end state; the walk yields the
+        # bytes of conftest's dense one, whose every chunk builds its cumsums.  Six
+        # chunks of `block` events with a tie run of four across the edge of chunks 1
+        # and 2: windowed queries from the run on (chunk 0 unread, and the first chunk
+        # read ends inside the run), and sparse ones in chunks 2 and 5 (chunks 3 and 4
+        # unread), in the gap after the last event and at the horizon
+        N, edge = 6 * block, 2 * block
+        times = 0.01 * np.arange(N)
+        times[edge - 2:edge + 2] = times[edge - 2]
+        record = EventRecord(rng.integers(0, 3, size=N), times, 3, horizon_past(times))
+
+        def chunk(c):
+            return times[c * block:(c + 1) * block]
+        windowed = np.sort(np.concatenate([times[edge - 2:], [record.horizon]]))
+        sparse = np.sort(np.concatenate([chunk(2)[::3], chunk(5)[1::2], chunk(5)[-1:] + 0.005,
+                                         [record.horizon]]))
+        monkeypatch.setattr(model, "SCAN_BLOCK", block)
+        for kappa in (np.array([1.3]), np.array([2.0, 0.3])):
+            for qs in (windowed, sparse):
+                for lagged in (False, True):
+                    got = list(model._decayed_counts(record, kappa, qs, lagged=lagged))
+                    want = list(reference_decayed_counts(record, kappa, qs, lagged=lagged))
+                    assert [out[0] for out in got] == [out[0] for out in want]
+                    for out_got, out_want in zip(got, want):
+                        for a, b in zip(out_got[1:], out_want[1:]):
+                            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                S_got, D_got = np.zeros((2, qs.size, kappa.size, 3))
+                for rows, S, u, Yf in model._decayed_counts(record, kappa, qs, lagged=True):
+                    S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
+                few = np.unique(np.linspace(0, qs.size - 1, 12).astype(int))  # the oracle loops
+                S_want, D_want = brute_decayed_moments(record, kappa, qs[few])
+                assert_allclose(S_got[few], S_want, rtol=1e-12, atol=0.0)
+                scale = D_want + S_want / kappa[:, None]
+                assert np.all(np.abs(D_got[few] - D_want) <= 1e-12 * scale)
+        # the scoring calls over the window from the median event, to the bit
+        params = make_model(rng, 3, R=2)
+        window = (float(times[N // 2]), record.horizon)
+
+        def scores():
+            return (log_likelihood(record, params, window),
+                    categorical_accuracy(record, params, window),
+                    intensities_at(record, params, times[N // 2:]),
+                    background_probabilities(record, params))
+        got = scores()
+        monkeypatch.setattr(model, "_decayed_counts", reference_decayed_counts)
+        want = scores()
+        assert repr(got[:2]) == repr(want[:2])
+        for a, b in zip(got[2:], want[2:]):
+            assert a.tobytes() == b.tobytes()
 
     def test_single_state_rates_are_the_simulators(self, rng):
         # simulate_thinning's records depend on these rates to the last bit;

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawkesgeo import em, model
+from hawkesgeo import model
 from hawkesgeo.model import EmbeddingPair, EventRecord, NumericsWarning
 from hawkesgeo.spectral import (
     density_normalize,
@@ -185,7 +185,7 @@ class TestInfluenceGuess:
                    make_record(rng, 1, N=1501, T=5.0))
         wants = [chunked_bincount_guess(record) for record in records]
         request.getfixturevalue("no_pairs")
-        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "PAIR_CACHE", 0)
         for record, want in zip(records, wants):
             got = init_influence_guess(record)
             assert got.dtype == np.float64 and got.shape == want.shape
@@ -195,7 +195,7 @@ class TestInfluenceGuess:
     def test_memory_past_the_budget_is_one_scan_block(self, rng, monkeypatch):
         # a few (SCAN_BLOCK, n) arrays and the record's (N,) ones: 94 KB measured, where
         # one whole-record (N, n) array takes 640 KB
-        monkeypatch.setattr(em, "PAIR_CACHE", 0)
+        monkeypatch.setattr(model, "PAIR_CACHE", 0)
         monkeypatch.setattr(model, "SCAN_BLOCK", 64)
         record = make_record(rng, 20, N=4000, T=50.0)
         bound = 6 * 8 * model.SCAN_BLOCK * record.n + 4 * 8 * record.N
