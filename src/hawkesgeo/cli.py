@@ -85,7 +85,7 @@ _OPTIONS = {
         ("--prior-alpha", _finite_float, _FIT["prior_alpha"], "Gamma prior shape on decay rates"),
         ("--prior-beta", _finite_float, _FIT["prior_beta"], "Gamma prior rate on decay rates"),
         ("--frozen-embedding", str, None,
-         "coordinates CSV; required for geo, otherwise an initialization"),
+         "coordinates CSV; required for geo, an initialization for hhg-*, none for frb"),
         ("--horizon", _finite_float, None, "override the record horizon"),
         ("--train-end", _finite_float, None, "drop events at or after this time before fitting"),
         ("--out", str, "model.json", "best-scoring model path"),
@@ -261,6 +261,10 @@ def _fit_config(args) -> FitConfig:
 def _cmd_fit(args) -> int:
     """estimate a model from an event record"""
     _require(args, "events")
+    if args.mode == "geo" and args.frozen_embedding is None:
+        raise UsageError("mode geo requires --frozen-embedding")
+    if args.mode == "frb" and args.frozen_embedding is not None:
+        raise UsageError("mode frb has no embedding; drop --frozen-embedding")
     record = load_events_csv(args.events, horizon=args.horizon)
     if args.train_end is not None:
         record = record.truncated(args.train_end)
@@ -273,8 +277,6 @@ def _cmd_fit(args) -> int:
         if args.m is not None and args.m != emb.reception.shape[1]:
             raise UsageError("--m disagrees with the frozen embedding's dimension")
         args.m = emb.reception.shape[1]
-    elif args.mode == "geo":
-        raise UsageError("mode geo requires --frozen-embedding")
     config = _fit_config(args)
     if args.frozen_embedding is not None:
         init = init_params(record, R=config.R, m=config.m,

@@ -434,7 +434,8 @@ def load_report(path) -> dict:
     """Load a fit report document; its ``curve`` must be a list of numbers."""
     doc = _read_document(path)
     curve = doc.get("curve")
-    if not (isinstance(curve, list) and all(isinstance(v, (int, float)) for v in curve)):
+    # by type: JSON's true and false load as bool, an int subclass
+    if not (isinstance(curve, list) and all(type(v) in (int, float) for v in curve)):
         raise DataFormatError(f"{path}: report lacks a numeric curve")
     return doc
 

@@ -162,39 +162,34 @@ def _event_blocks(first):
     return blocks
 
 
-def _pair_block(record: EventRecord, n_earlier, s: int, e: int, dyad_type):
-    """The lags and flat type pairs ``types[j] * n + types[i]`` (as
-    ``dyad_type``) of every pair that events ``s..e-1`` receive, in
-    ``pair_indices``' order.  Event ``j``'s triggers are its ``n_earlier[j]``
-    predecessors, the prefix ``[0, n_earlier[j])`` of the sorted record, so
-    both come from concatenated prefixes without index arrays or gathers."""
-    times, types, c = record.times, record.types, n_earlier[s:e]
-    prefixes = c.tolist()
-    dt = np.repeat(times[s:e], c)
-    dt -= np.concatenate([times[:k] for k in prefixes])
-    dyad = np.concatenate([types[:k] for k in prefixes])
-    dyad += np.repeat(types[s:e] * record.n, c)
-    return dt, dyad.astype(dyad_type, copy=False)
+def _pair_blocks(record: EventRecord, start: int = 0, stop: int | None = None):
+    """``pair_indices`` in blocks of the receiving events ``start..stop-1`` (all by default).
 
-
-def _pair_blocks(record: EventRecord):
-    """``pair_indices`` in blocks of receiving events, for attribution.
-
-    Yields ``(events, rows, dt, dyad)``: ``events`` a slice of the record and,
-    for the pairs its events receive, about ``PAIR_BLOCK`` of them, the
-    receiving event ``j - events.start``, the lag and the flat type pair
-    ``types[j] * n + types[i]``.  Rows and type pairs take the narrowest
-    unsigned type that holds the block's last row and ``n * n - 1``, so at
-    ``n <= 256`` with at most 256 events in a block a pair takes 11 bytes.
-    Each block is built when reached, so a caller that walks the generator
-    holds one block, and one that keeps the list all of them: ``e_step`` walks
-    it, and ``fit`` keeps it up to ``PAIR_CACHE`` pairs and builds none past.
+    Yields ``(events, rows, dt, dyad)``: ``events`` a slice of the record and, for the
+    pairs its events receive, about ``PAIR_BLOCK`` of them, the receiving event
+    ``j - events.start``, the lag and the flat type pair ``types[j] * n + types[i]``.
+    Event ``j``'s triggers, the events before its time, are a prefix of the sorted record, so
+    both come from concatenated prefixes without index arrays or gathers.  Rows and type
+    pairs take the narrowest unsigned type that holds the block's last row and
+    ``n * n - 1``, so at ``n <= 256`` with at most 256 events in a block a pair takes
+    11 bytes.  Each block is built when reached: ``e_step`` and the initial guess walk
+    the generator, holding one block, and ``fit`` keeps the list up to ``PAIR_CACHE``
+    pairs and builds none past.
     """
-    n_earlier = np.searchsorted(record.times, record.times, "left")
+    times, types = record.times, record.types
+    n_earlier = np.searchsorted(times, times, "left")
     dyad_type = np.min_scalar_type(record.n * record.n - 1)
-    for s, e in _event_blocks(np.concatenate(([0], np.cumsum(n_earlier)))):
-        rows = np.repeat(np.arange(e - s, dtype=np.min_scalar_type(e - s - 1)), n_earlier[s:e])
-        yield slice(s, e), rows, *_pair_block(record, n_earlier, s, e, dyad_type)
+    first = np.concatenate(([0], np.cumsum(n_earlier)))
+    for a, b in _event_blocks(first[start:None if stop is None else stop + 1]):
+        s, e = start + a, start + b
+        c = n_earlier[s:e]
+        prefixes = c.tolist()
+        rows = np.repeat(np.arange(e - s, dtype=np.min_scalar_type(e - s - 1)), c)
+        dt = np.repeat(times[s:e], c)
+        dt -= np.concatenate([times[:k] for k in prefixes])
+        dyad = np.concatenate([types[:k] for k in prefixes])
+        dyad += np.repeat(types[s:e] * record.n, c)
+        yield slice(s, e), rows, dt, dyad.astype(dyad_type, copy=False)
 
 
 def _within_pair_cache(record: EventRecord) -> bool:

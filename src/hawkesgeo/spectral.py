@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .model import EmbeddingPair, EventRecord, KernelBank, ModelParams, NumericsWarning, \
-    _decayed_counts, _event_blocks, _pair_block, _sq_distances, _within_pair_cache
+    _decayed_counts, _pair_blocks, _sq_distances, _within_pair_cache
 
 _SMOOTHING = 1e-12
 
@@ -111,12 +111,10 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
 
     Each ordered pair of types accumulates the clock value at its observed
     lags, with the clock's rate set from the mean interarrival time.  Up to
-    ``model.PAIR_CACHE`` pairs it is a pair sum over 512 receiving events at a time,
-    since fits under that budget depend on its rounding; a chunk's pairs are built
-    from the record's prefixes by ``_pair_block`` in blocks of about ``PAIR_BLOCK``,
-    and ``np.add.at`` continues its sums from block to block in pair order, as its
-    ``bincount``.  Past the budget, as ``fit`` does, it builds no pairs: it sums
-    ``kappa S(t_j)``, the decayed counts at each event, by the event's type.
+    ``model.PAIR_CACHE`` pairs, since fits under that budget depend on its rounding, it
+    sums ``_pair_blocks``' pairs 512 receiving events at a time with ``np.add.at``, in
+    pair order, as its ``bincount``.  Past the budget, as ``fit`` does, it builds no
+    pairs: it sums ``kappa S(t_j)``, the decayed counts at each event, by the event's type.
     """
     t_hat = event_time_scale(record)
     kap = 1.0 / t_hat
@@ -127,14 +125,10 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
             phi += np.bincount(((record.types[rows] * n)[:, None] + np.arange(n)).ravel(),
                                S.ravel(), n * n)
         return kap * phi.reshape(n, n)
-    n_earlier = np.searchsorted(record.times, record.times, "left")
-    first = np.concatenate(([0], np.cumsum(n_earlier)))
     phi, part = np.zeros(n * n), np.empty(n * n)
-    chunk = 512
-    for s in range(0, record.N, chunk):
+    for s in range(0, record.N, 512):
         part[:] = 0.0
-        for a, b in _event_blocks(first[s:s + chunk + 1]):
-            dt, dyad = _pair_block(record, n_earlier, s + a, s + b, np.intp)
+        for _, _, dt, dyad in _pair_blocks(record, s, s + 512):
             np.add.at(part, dyad, kap * np.exp(-kap * dt))
         phi += part
     return phi.reshape(n, n)

@@ -486,7 +486,7 @@ def no_pairs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("event pairs were built")
 
-    for builder in (model._pair_block, model.pair_indices):
+    for builder in (model._pair_blocks, model.pair_indices):
         for name, module in list(sys.modules.items()):
             if name == "hawkesgeo" or name.startswith("hawkesgeo."):
                 for key, value in list(vars(module).items()):

@@ -320,6 +320,29 @@ class TestFit:
         assert cli_dispatch(base + ["--m", "2"]) == 1
         assert "disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_header_only_events_are_a_data_error(self, tmp_path, capsys, frozen):
+        # refused before the frozen embedding is read and a time scale asked of no events
+        events, emb = tmp_path / "events.csv", tmp_path / "emb.csv"
+        events.write_text("type,time\n")
+        emb.write_text("type_label,coord_1,coord_2\n0,0.0,0.1\n")
+        out = tmp_path / "model.json"
+        extra = ["--mode", "geo", "--frozen-embedding", str(emb)] if frozen else []
+        assert cli_dispatch(["fit", "--events", str(events), "--out", str(out)] + extra) == 2
+        assert "data error: cannot fit an empty record" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, frozen, msg", [
+        ("frb", True, "mode frb has no embedding"),  # the full-rank baseline has none
+        ("geo", False, "mode geo requires --frozen-embedding"),
+    ])
+    def test_mode_and_frozen_embedding_clash_before_any_file_is_read(
+            self, tmp_path, capsys, mode, frozen, msg):
+        missing = str(tmp_path / "missing.csv")
+        extra = ["--frozen-embedding", missing] if frozen else []
+        assert cli_dispatch(["fit", "--events", missing, "--mode", mode] + extra) == 1
+        assert f"usage error: {msg}" in capsys.readouterr().err
+
     def test_directory_inputs_are_data_errors(self, workdir, tmp_path, capsys):
         events = str(workdir / "events.csv")
         for argv in (["--events", str(tmp_path)],
@@ -772,6 +795,16 @@ class TestExport:
             capsys.readouterr()
             assert cli_dispatch(["export", "--what", what, flag, str(path)]) == 2
             assert "data error:" in capsys.readouterr().err
+
+    def test_curve_of_booleans_is_a_data_error(self, tmp_path, capsys):
+        # JSON's true and false load as Python bools, an int subclass
+        report = tmp_path / "bools.json"
+        report.write_text(json.dumps({"schema_version": 1, "curve": [True, False, 3]}))
+        out = tmp_path / "curve.csv"
+        assert cli_dispatch(["export", "--what", "curve", "--report", str(report),
+                             "--out", str(out)]) == 2
+        assert "report lacks a numeric curve" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_rank_model_has_no_embedding(self, workdir, tmp_path, capsys):
         rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),

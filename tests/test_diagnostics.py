@@ -297,6 +297,11 @@ class TestHellinger:
         with pytest.raises(ValueError, match="different records"):
             hellinger_divergence(all_background(ra), all_background(rb))
 
+    def test_empty_record_rejected(self):
+        empty = all_background(EventRecord([], [], 2, 1.0))
+        with pytest.raises(ValueError, match="empty record"):
+            hellinger_divergence(empty, empty)
+
 
 def with_mu(params, mu):
     return ModelParams(params.embedding, params.kernels, params.xi, np.asarray(mu, float))

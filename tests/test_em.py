@@ -6,6 +6,7 @@ independently of the package.
 """
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -54,7 +55,7 @@ from hawkesgeo.model import (
     log_likelihood,
 )
 from hawkesgeo.simulate import ground_truth_branching, sample_ground_truth, simulate_thinning
-from hawkesgeo.spectral import init_params
+from hawkesgeo.spectral import init_influence_guess, init_params
 
 from conftest import (
     Surrogate,
@@ -311,6 +312,22 @@ class TestRunLayout:
         with pytest.raises(ValueError, match="may appear only once"):
             BranchingStructure(record, i, j, [0] * len(i), [0.25] * len(i),
                                [1.0, 0.5, 0.25], 1)
+
+    @pytest.mark.parametrize("field, value, msg", [
+        ("i_idx", [0, 0], "entry arrays must share a common length"),
+        ("p", [[0.5]], "entry arrays must share a common length"),
+        ("p", [1.5], "probabilities must lie in [0, 1]"),
+        ("p", [-0.5], "probabilities must lie in [0, 1]"),
+        ("p_background", [1.0, 0.5], "p_background must have one entry per event"),
+        ("p_background", [[1.0, 0.5, 1.0]], "p_background must have one entry per event"),
+        ("p_background", [1.0, -0.5, 1.0], "background probabilities must be nonnegative"),
+    ])
+    def test_malformed_entries_are_rejected(self, field, value, msg):
+        record = EventRecord([0, 0, 0], [0.0, 1.0, 2.0], 1, 3.0)
+        entries = {"i_idx": [0], "j_idx": [1], "r_idx": [0], "p": [0.5],
+                   "p_background": [1.0, 0.5, 1.0]}
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            BranchingStructure(record, R=1, **dict(entries, **{field: value}))
 
     @pytest.mark.parametrize("N, dtype", [(256, np.uint8), (257, np.uint16)])
     def test_i_idx_takes_the_narrowest_unsigned_type(self, rng, N, dtype):
@@ -1014,6 +1031,14 @@ class TestObjectiveBounds:
         with pytest.warns(NumericsWarning):
             assert complete_data_loglik(record, poisson, br) == -np.inf
 
+    def test_background_mass_on_a_zero_rate_is_minus_inf(self, rng):
+        record = EventRecord([0, 1], [0.0, 1.0], 2, 2.0)
+        params = make_model(rng, 2)
+        silent = ModelParams(params.embedding, params.kernels, params.xi, np.array([0.0, 0.3]))
+        br = BranchingStructure(record, [0], [1], [0], [0.5], [1.0, 0.5], 1)
+        with pytest.warns(NumericsWarning, match="background attribution on a zero rate"):
+            assert complete_data_loglik(record, silent, br) == -np.inf
+
     def test_row_sum_violation_rejected(self, rng):
         record = EventRecord([0, 0], [0.0, 1.0], 1, 2.0)
         params = make_model(rng, 1)
@@ -1243,6 +1268,17 @@ class TestXiUpdate:
         assert xi.shape == (3,)
         assert_allclose(xi.mean(), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma, msg", [
+        ([0.0, 0.0], "all bases dormant; exertion left uniform"),
+        ([0.5, 0.5], "zero mean exertion; exertion left uniform"),  # nothing attributed
+    ])
+    def test_degenerate_exertion_stays_uniform_with_a_warning(self, gamma, msg):
+        record = EventRecord([0, 1, 0], [0.0, 1.0, 2.0], 2, 3.0)
+        background_only = BranchingStructure(record, [], [], [], [], np.ones(3), 2)
+        with pytest.warns(NumericsWarning, match=msg):
+            xi, gamma_out = update_xi(background_only, record, np.array(gamma))
+        assert np.array_equal(xi, np.ones(2)) and np.array_equal(gamma_out, gamma)
+
     def test_matches_numeric_argmax(self, rng):
         for _ in range(4):
             n = int(rng.integers(2, 4))
@@ -1347,6 +1383,11 @@ class TestFullRankUpdate:
             bad = dict(good, **{name: np.array(good[name]) * value})
             with pytest.raises(ValueError, match=f"{match} .*finite"):
                 FullRankParams(**bad)
+
+    @pytest.mark.parametrize("kappa, w", [([0.5, 2.0], [1.0]), ([[0.5]], [[1.0]])])
+    def test_params_reject_clocks_of_other_shapes(self, kappa, w):
+        with pytest.raises(ValueError, match=re.escape("kappa and w must share shape (R,)")):
+            FullRankParams(np.full((2, 2), 0.1), kappa, w, [0.2, 0.3])
 
     def test_single_type_mass_over_count(self, rng):
         record = cyclic_record(rng, 1, 8)
@@ -1479,6 +1520,37 @@ class TestFit:
     def test_hhg_b_requires_a_regularizer(self):
         with pytest.raises(ValueError):
             FitConfig(mode="hhg-b", epochs=5)
+
+    @pytest.mark.parametrize("kwargs, msg", [
+        ({"mode": "hhg-c"}, "mode must be one of"),
+        ({"R": 0}, "R and m must be >= 1"),
+        ({"m": 0}, "R and m must be >= 1"),
+        ({"eps": 0.0}, "eps must be positive when given"),
+        ({"eps1": -1.0}, "eps1 must be positive when given"),
+        ({"eps2": -0.1}, "eps2 must be nonnegative"),
+        ({"inner_steps": 0}, "inner_steps must be >= 1"),
+    ])
+    def test_config_rejects_values_out_of_range(self, kwargs, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            FitConfig(**{"eps2": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("mode, msg", [
+        ("frb", "frb mode init must be FullRankParams"),
+        ("hhg-a", "geometric modes need ModelParams init"),
+        ("geo", "geometric modes need ModelParams init"),
+    ])
+    def test_init_of_the_other_family_is_rejected(self, rng, sim_record, mode, msg):
+        init = make_model(rng, 5) if mode == "frb" else random_full_rank(rng, 5, 1)
+        with pytest.raises(ValueError, match=msg):
+            fit(sim_record, FitConfig(mode=mode, epochs=1), init=init)
+
+    def test_frb_starts_uniform_where_the_guess_underflows(self):
+        # two tie clumps a unit apart: the guess's clock rate is (N - 1) / n = 799.5,
+        # so every pair's clock value underflows to zero
+        record = EventRecord(np.arange(1600) % 2, np.repeat([0.0, 1.0], 800), 2, 2.0)
+        assert not init_influence_guess(record).any()
+        assert np.array_equal(_initial_frb(record, FitConfig(mode="frb")).phi,
+                              np.full((2, 2), 0.5))
 
     def test_prior_fields_build_a_checked_prior(self):
         config = FitConfig(mode="frb", prior_alpha=2.0, prior_beta=0.5)

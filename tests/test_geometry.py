@@ -168,6 +168,11 @@ class TestHHGAStep:
         assert np.array_equal(out[1], params.embedding.reception[1])
         assert not np.array_equal(out[0], params.embedding.reception[0])
 
+    @pytest.mark.parametrize("eps, N", [(0.0, 10), (-0.5, 10), (0.5, 0)])
+    def test_nonpositive_rate_or_count_rejected(self, rng, eps, N):
+        with pytest.raises(ValueError, match="eps and N must be positive"):
+            hhg_a_step(make_model(rng, 3), np.zeros((3, 2)), eps, N)
+
     def test_default_learning_rate_is_n_over_N(self):
         truth = sample_ground_truth(4, seed=2)
         record = simulate_thinning(truth, target_events=80, seed=3)
@@ -179,6 +184,12 @@ class TestHHGAStep:
 
 
 class TestHHGBStep:
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_nonpositive_count_rejected(self, rng, N):
+        flat = ReceptionHessian(np.zeros(3), np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="N must be positive"):
+            hhg_b_step(make_model(rng, 3), np.zeros((3, 2)), flat, None, 0.3, N)
+
     def test_vanishing_curvature_reduces_to_scaled_ascent(self, rng):
         params = make_model(rng, 3)
         a = rng.normal(size=(3, 2))

@@ -86,6 +86,15 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["taken"]
         assert os.listdir(tmp_path / "taken") == []
 
+    def test_failure_after_the_temp_file_vanished_raises_the_writers_error(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="writer failed"):
+            with atomic_write(target):
+                (temp,) = os.listdir(tmp_path)  # the sibling temp file
+                os.unlink(tmp_path / temp)
+                raise RuntimeError("writer failed")
+        assert os.listdir(tmp_path) == []
+
 
 # one valid file per reader; the first line of each CSV is its header
 READERS = {
@@ -332,6 +341,17 @@ class TestCountsCsv:
         with pytest.raises(DataFormatError, match="empty"):
             load_counts_csv(path)
 
+    @pytest.mark.parametrize("labels, days, cumulative, msg", [
+        (("LA", "SF"), ([0.0, 1.0],), ([0.0, 2.0],), "labels, days, cumulative must align"),
+        (("LA",), ([0.0, 1.0],), ([0.0, 2.0], [0.0, 1.0]), "labels, days, cumulative must align"),
+        (("LA",), ([0.0, 1.0],), ([0.0],), "location LA: days and counts must be matched"),
+        (("LA",), ([[0.0, 1.0]],), ([[0.0, 2.0]],), "location LA: days and counts must be matched"),
+        (("LA",), ([],), ([],), "location LA: days and counts must be matched"),
+    ])
+    def test_series_rejects_unmatched_arrays(self, labels, days, cumulative, msg):
+        with pytest.raises(ValueError, match=msg):
+            CountSeries(labels, days, cumulative)
+
 
 class TestDiscretize:
     def test_log_linear_crossings_by_hand(self):
@@ -539,6 +559,12 @@ class TestModelDocuments:
         assert second.read_bytes() == first.read_bytes()
         assert pickle.dumps(back) == pickle.dumps(params)
 
+    @pytest.mark.parametrize("params", [None, {"mu": [0.1]}, np.eye(2)])
+    def test_save_rejects_other_objects(self, tmp_path, params):
+        with pytest.raises(TypeError, match="params must be ModelParams or FullRankParams"):
+            save_model(params, tmp_path / "model.json")
+        assert os.listdir(tmp_path) == []
+
     def test_round_trip_is_exact(self, tmp_path, rng):
         params = make_model(rng, n=4, m=3, R=2)
         path = tmp_path / "model.json"
@@ -705,6 +731,11 @@ class TestReorder:
         params = make_model(rng, n=2)
         with pytest.raises(DataFormatError, match="labels disagree"):
             reorder_to_labels(params, ["a", "b"], ["a", "z"])
+
+    @pytest.mark.parametrize("params", [None, {"mu": [0.1, 0.2]}, np.eye(2)])
+    def test_other_objects_rejected(self, params):
+        with pytest.raises(TypeError, match="params must be ModelParams or FullRankParams"):
+            reorder_to_labels(params, ["a", "b"], ["b", "a"])
 
 
 class TestWriteJson:

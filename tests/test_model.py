@@ -6,6 +6,7 @@ quadrature reimplementation in conftest.
 """
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -159,6 +160,63 @@ class TestEventRecord:
         assert got == [(0, 2), (1, 2)]
         assert_allclose(dt, [0.5, 0.5])
         assert all(a.size == 0 for a in pair_indices(EventRecord([], [], 1, 1.0)))
+
+    @pytest.mark.parametrize("types, times, n, labels, msg", [
+        ([0, 1], [0.5], 2, None, "types and times must be 1-d arrays of equal length"),
+        ([[0]], [[0.5]], 1, None, "types and times must be 1-d arrays of equal length"),
+        ([0], [0.5], 0, None, "n must be positive when events are present"),
+        ([], [], -1, None, "n must be positive when events are present"),
+        ([0, 0], [0.5, np.nan], 1, None, "event times must be finite"),
+        ([0, 0], [-0.5, 0.5], 1, None, "event times must be nonnegative"),
+        ([0, 1], [0.5, 0.7], 2, ("a",), "labels must have length n"),
+    ])
+    def test_malformed_records_are_rejected(self, types, times, n, labels, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            EventRecord(types, times, n, 1.0, labels)
+
+    def test_equality_with_another_type_is_left_to_it(self):
+        rec = EventRecord([0], [0.5], 1, 1.0)
+        assert rec.__eq__((rec.types, rec.times)) is NotImplemented
+        assert rec != "a record" and rec == EventRecord([0], [0.5], 1, 1.0)
+
+
+class TestParameterGuards:
+    @pytest.mark.parametrize("beta_sq, kappa, gamma, msg", [
+        ([1.0, 1.0], [1.0], [1.0], "beta_sq, kappa, gamma must share shape (R,)"),
+        ([], [], [], "kernel bank must hold at least one basis kernel"),
+        ([[1.0]], [[1.0]], [[1.0]], "kernel bank must hold at least one basis kernel"),
+        ([0.0], [1.0], [1.0], "beta_sq entries must be positive and finite"),
+        ([1.0], [0.0], [1.0], "kappa entries must be positive and finite"),
+        ([1.0], [np.inf], [1.0], "kappa entries must be positive and finite"),
+        ([1.0], [1.0], [-1.0], "gamma entries must be nonnegative and finite"),
+        ([1.0], [1.0], [np.nan], "gamma entries must be nonnegative and finite"),
+    ])
+    def test_kernel_bank(self, beta_sq, kappa, gamma, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            KernelBank(beta_sq, kappa, gamma)
+
+    @pytest.mark.parametrize("X, Y, msg", [
+        (np.zeros((2, 2)), np.zeros((3, 2)), "must be (n, m) arrays of equal shape"),
+        (np.zeros(2), np.zeros(2), "must be (n, m) arrays of equal shape"),
+        (np.zeros((2, 2)), np.array([[0.0, 1.0], [np.inf, 0.0]]),
+         "embedding coordinates must be finite"),
+    ])
+    def test_embedding_pair(self, X, Y, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            EmbeddingPair(X, Y)
+
+    @pytest.mark.parametrize("xi, mu, msg", [
+        (np.ones(3), np.ones(2), "xi and mu must have shape (n,)"),
+        (np.ones((2, 1)), np.ones(2), "xi and mu must have shape (n,)"),
+        (np.array([1.0, -1.0]), np.ones(2), "xi entries must be nonnegative and finite"),
+        (np.array([1.0, np.nan]), np.ones(2), "xi entries must be nonnegative and finite"),
+        (np.ones(2), np.array([0.1, -0.1]), "mu entries must be nonnegative and finite"),
+        (np.ones(2), np.array([0.1, np.inf]), "mu entries must be nonnegative and finite"),
+    ])
+    def test_model_params(self, xi, mu, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            ModelParams(EmbeddingPair(np.zeros((2, 2)), np.ones((2, 2))),
+                        KernelBank([1.0], [1.0], [1.0]), xi, mu)
 
 
 @st.composite

@@ -50,6 +50,11 @@ class TestGroundTruthSampling:
             assert rho < 1.0
             assert_allclose(truth.stability_radius, rho, rtol=1e-10)
 
+    @pytest.mark.parametrize("n, m, R", [(0, 2, 1), (3, 0, 1), (3, 2, 0)])
+    def test_sizes_below_one_rejected(self, n, m, R):
+        with pytest.raises(ValueError, match="n, m, R must be positive"):
+            sample_ground_truth(n, m=m, R=R)
+
     def test_unit_exertion(self):
         truth = sample_ground_truth(n=7, seed=3)
         assert_allclose(truth.params.xi, np.ones(7))

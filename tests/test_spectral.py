@@ -55,6 +55,16 @@ class TestDensityNormalize:
         assert np.all(np.isfinite(out))
         assert np.all(out > 0.0)
 
+    @pytest.mark.parametrize("phi, msg", [
+        (np.ones((2, 3)), "phi must be square"),
+        (np.ones(4), "phi must be square"),
+        (np.array([[1.0, -0.5], [0.5, 1.0]]), "phi entries must be nonnegative and finite"),
+        (np.array([[1.0, np.inf], [0.5, 1.0]]), "phi entries must be nonnegative and finite"),
+    ])
+    def test_malformed_matrices_rejected(self, phi, msg):
+        with pytest.raises(ValueError, match=msg):
+            density_normalize(phi, 1.0)
+
 
 class TestDiffusionEmbed:
     def test_output_shapes(self, rng):
@@ -66,6 +76,16 @@ class TestDiffusionEmbed:
     def test_dimension_must_be_positive(self, rng):
         with pytest.raises(ValueError, match="m must be >= 1"):
             diffusion_embed(rng.uniform(0.1, 1.0, size=(3, 3)), 0)
+
+    @pytest.mark.parametrize("A, msg", [
+        (np.ones((2, 3)), "A must be square"),
+        (np.ones(4), "A must be square"),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), "A must have positive row and column sums"),
+        (np.array([[1.0, 0.0], [1.0, 0.0]]), "A must have positive row and column sums"),
+    ])
+    def test_malformed_affinities_rejected(self, A, msg):
+        with pytest.raises(ValueError, match=msg):
+            diffusion_embed(A, 1)
 
     def test_scale_invariance(self, rng):
         A = rng.uniform(0.1, 1.0, size=(5, 5))
@@ -246,3 +266,10 @@ class TestInitParams:
         emb = EmbeddingPair(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
         with pytest.raises(ValueError):
             init_params(record, R=1, m=2, embedding=emb)
+
+    def test_collapsed_embedding_floors_the_bandwidth(self, rng):
+        record = make_record(rng, 3, N=20)
+        point = EmbeddingPair(np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.warns(NumericsWarning, match="collapsed initial embedding"):
+            params = init_params(record, R=2, m=2, embedding=point)
+        assert np.array_equal(params.kernels.beta_sq, [1e-12, 1e-12])
