@@ -54,10 +54,9 @@ def _finite_float(text: str) -> float:
 _FIT = {f.name: f.default for f in fields(FitConfig)}
 
 # Each subcommand's options as (flag, kind, default, help); kind is a type or
-# a tuple of allowed values.  argparse defaults every option to None so "was
-# this flag given" stays decidable; the defaults here apply after the config
-# file, whose accepted keys are exactly these options.  The fit options named
-# like FitConfig's fields become its fields, with its defaults (``_FIT``).
+# a tuple of allowed values, and a None default means "not given".  The config
+# file's accepted keys are exactly these options.  The fit options named like
+# FitConfig's fields become its fields, with its defaults (``_FIT``).
 _OPTIONS = {
     "simulate": (
         ("--n", int, None, "number of event types (required)"),
@@ -125,9 +124,10 @@ _OPTIONS = {
 }
 
 
-def _build_parser(command: str | None) -> _Parser:
+def _build_parser(command: str | None, defaults: dict | None = None) -> _Parser:
     """A parser of every subcommand, so usage, help and an unknown command read the
-    same, with the options of ``command`` alone: no other command's are parsed."""
+    same, with the options of ``command`` alone: no other command's are parsed.
+    ``defaults`` (a config file's values) replace the built-in ones of ``command``."""
     parser = _Parser(prog="hawkesgeo",
                      description="Hawkes processes with latent geometric "
                                  "excitation structure.")
@@ -138,39 +138,32 @@ def _build_parser(command: str | None) -> _Parser:
             continue
         for flag, kind, default, help_ in options:
             if default is not None:
-                help_ = f"{help_} (default {default})"
+                help_ += " (default %(default)s)"
             if isinstance(kind, tuple):
-                p.add_argument(flag, default=None, choices=kind, help=help_)
+                p.add_argument(flag, default=default, choices=kind, help=help_)
             else:
-                p.add_argument(flag, default=None, type=kind, help=help_)
+                p.add_argument(flag, default=default, type=kind, help=help_)
         p.add_argument("--config", default=None, help="JSON file with option values")
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-def _resolve(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
-    """Fill unset options from the config file, then from built-in defaults.
-
-    ``parser`` converts and checks each config value as its flag's text.
-    """
-    defaults = {flag[2:].replace("-", "_"): default
-                for flag, _, default, _ in _OPTIONS[args.command]}
-    if args.config is not None:
-        doc = read_json(args.config)
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise UsageError(f"unknown config keys for {args.command}: "
-                             + ", ".join(unknown))
-        for key, value in doc.items():
-            if getattr(args, key) is None and value is not None:
-                flag = f"--{key.replace('_', '-')}={value}"
-                try:
-                    setattr(args, key, getattr(parser.parse_args([args.command, flag]), key))
-                except UsageError as exc:
-                    raise UsageError(f"config file {args.config}: {exc}") from None
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+def _config_defaults(args: argparse.Namespace, parser: _Parser) -> dict:
+    """The ``--config`` file's non-null values, each converted and checked by
+    ``parser`` as its flag's text."""
+    doc = read_json(args.config)
+    unknown = sorted(set(doc) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise UsageError(f"unknown config keys for {args.command}: " + ", ".join(unknown))
+    values = {}
+    for key, value in doc.items():
+        if value is not None:
+            flag = f"--{key.replace('_', '-')}={value}"
+            try:
+                values[key] = getattr(parser.parse_args([args.command, flag]), key)
+            except UsageError as exc:
+                raise UsageError(f"config file {args.config}: {exc}") from None
+    return values
 
 
 def _require(args, *names) -> None:
@@ -252,7 +245,7 @@ def _cmd_simulate(args) -> int:
 
 def _fit_config(args) -> FitConfig:
     given = {f.name: getattr(args, f.name) for f in fields(FitConfig)}
-    try:  # unset options take FitConfig's defaults
+    try:  # an unset --m takes FitConfig's default
         return FitConfig(**{key: v for key, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -418,7 +411,8 @@ def cli_dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        args = _resolve(args, parser)
+        if args.config is not None:  # re-parse so explicit flags beat the file
+            args = _build_parser(args.command, _config_defaults(args, parser)).parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -383,6 +383,8 @@ def load_model(path, with_labels: bool = False):
             )
     except (ValueError, TypeError) as exc:
         raise DataFormatError(f"{path}: inconsistent model document ({exc})") from None
+    if not isinstance(doc["type_labels"], list):
+        raise DataFormatError(f"{path}: type_labels must be a list of one label per type")
     labels = tuple(str(x) for x in doc["type_labels"])
     if len(labels) != params.n:
         raise DataFormatError(f"{path}: type_labels length disagrees with n")

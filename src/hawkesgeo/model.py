@@ -122,7 +122,10 @@ class EventRecord:
         return np.bincount(self.types, minlength=self.n).astype(np.float64)
 
     def truncated(self, t_end: float) -> "EventRecord":
-        """The sub-record of events with ``t < t_end``, with horizon ``t_end``."""
+        """The sub-record of events with ``t < t_end``, with horizon ``t_end``.
+        ``t_end`` may not pass ``horizon``: time past it was never observed."""
+        if t_end > self.horizon:
+            raise ValueError(f"t_end {t_end:.6g} is past the record horizon {self.horizon:.6g}")
         keep = self.times < t_end
         return EventRecord(self.types[keep], self.times[keep], self.n, t_end, self.labels)
 

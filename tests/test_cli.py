@@ -65,6 +65,18 @@ class TestDispatch:
         assert cli_dispatch(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", sorted(_OPTIONS))
+    def test_every_command_help_shows_its_defaults(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a help text
+        assert cli_dispatch([command, "--help"]) == 0
+        entries = capsys.readouterr().out.split("\n  -")  # one per option
+        for flag, _, default, _ in _OPTIONS[command]:
+            [entry] = [e for e in entries if e.split()[0] == flag[1:]]
+            if default is not None:
+                assert f"(default {default})" in entry, entry
+            else:
+                assert "(default None)" not in entry, entry
+
     def test_unknown_subcommand(self, capsys):
         assert cli_dispatch(["calibrate"]) == 1
 
@@ -90,6 +102,13 @@ class TestDispatch:
                 cfg.write_text(json.dumps({key: None}))
                 assert cli_dispatch([command, "--config", str(cfg)]) == 1
                 assert f"unknown config keys for {command}: {key}" in capsys.readouterr().err
+
+    def test_config_cannot_name_config_or_command(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for key in ("config", "command"):
+            cfg.write_text(json.dumps({key: "fit"}))
+            assert cli_dispatch(["fit", "--config", str(cfg)]) == 1
+            assert f"unknown config keys for fit: {key}\n" in capsys.readouterr().err
 
     def test_float_options_reject_non_finite_values(self, capsys):
         for command, options in _OPTIONS.items():
@@ -258,6 +277,16 @@ class TestFit:
                                 + given) == 1
             assert message in capsys.readouterr().err
 
+    def test_config_value_errors_name_the_file(self, workdir, tmp_path, capsys):
+        # a bad value is refused even where an explicit flag would override it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": "many"}))
+        for flags in ([], ["--epochs", "3"]):
+            assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                                 "--config", str(cfg)] + flags) == 1
+            assert capsys.readouterr().err == (f"usage error: config file {cfg}: argument "
+                                               "--epochs: invalid int value: 'many'\n")
+
     def test_options_are_the_config_fields(self, workdir, capsys, monkeypatch):
         table = {flag[2:].replace("-", "_"): default
                  for flag, _, default, _ in _OPTIONS["fit"]}
@@ -384,6 +413,19 @@ class TestFit:
         n_kept = int(np.sum(record.times < 20.0))
         assert len(load_report(tmp_path / "r.json")["p_background"]) == n_kept
 
+    def test_train_end_past_the_horizon_is_a_data_error(self, workdir, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr("hawkesgeo.cli.fit", lambda *a, **k: pytest.fail("fit ran"))
+        record = load_events_csv(workdir / "events.csv")
+        assert cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
+                             "--mode", "frb", "--epochs", "3",
+                             "--train-end", repr(record.horizon * 1000.0),
+                             "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "past the record horizon" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_runaway_step_aborts_with_status_3(self, workdir, tmp_path, capsys):
         rc = cli_dispatch(["fit", "--events", str(workdir / "events.csv"),
                            "--mode", "hhg-a", "--eps", "1e290",
@@ -498,6 +540,18 @@ class TestEvaluate:
         direct = json.loads(capsys.readouterr().out)
         assert cli_dispatch(args + [str(tmp_path / "shuffled.json")]) == 0
         assert json.loads(capsys.readouterr().out) == direct
+
+    @pytest.mark.parametrize("labels", [5, None, "abcd"])
+    def test_model_type_labels_not_a_list(self, workdir, tmp_path, capsys, labels):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["type_labels"] = labels
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert cli_dispatch(["evaluate", "--events", str(workdir / "events.csv"),
+                             "--model", str(tmp_path / "bad.json"),
+                             "--split-time", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "type_labels must be a list" in err
+        assert err.count("\n") == 1
 
     def test_horizon_override_must_clear_events(self, workdir, capsys):
         assert cli_dispatch(["evaluate", "--events", str(workdir / "events.csv"),
@@ -692,6 +746,14 @@ class TestDiscretize:
         assert cli_dispatch(["discretize", "--counts", str(counts),
                              "--config", str(cfg)]) == 0
         assert load_events_csv(tmp_path / "ev.csv").N == 3
+
+    def test_null_config_values_keep_the_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(COUNTS)
+        (tmp_path / "cfg.json").write_text(json.dumps({"threshold": None, "out": None}))
+        assert cli_dispatch(["discretize", "--counts", "counts.csv",
+                             "--config", "cfg.json"]) == 0
+        assert load_events_csv(tmp_path / "events.csv").N == 6  # threshold 10
 
     def test_missing_and_bad_inputs(self, tmp_path, capsys):
         assert cli_dispatch(["discretize"]) == 1

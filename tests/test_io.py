@@ -685,6 +685,20 @@ class TestModelDocuments:
         with pytest.raises(DataFormatError, match="type_labels"):
             load_model(path)
 
+    @pytest.mark.parametrize("labels", [5, None, "ab", "abcd"])
+    def test_type_labels_must_be_a_list(self, tmp_path, rng, labels):
+        # a string would be split into one-character labels, as many as n here
+        path, doc = self._doc(tmp_path, rng)
+        doc["type_labels"] = labels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="type_labels must be a list"):
+            load_model(path)
+
+    def test_type_labels_items_are_read_as_text(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        save_model(make_model(rng, n=2), path, labels=[1, 2])
+        assert load_model(path, with_labels=True)[1] == ("1", "2")
+
     def test_invalid_values_are_flagged(self, tmp_path, rng):
         path, doc = self._doc(tmp_path, rng)
         doc["beta_sq"] = [-1.0]

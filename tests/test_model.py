@@ -151,6 +151,12 @@ class TestEventRecord:
         head = rec.truncated(1.0)
         assert head.N == 1
         assert head.horizon == 1.0
+        assert rec.truncated(3.0) == rec
+
+    def test_truncated_refuses_time_past_the_horizon(self):
+        rec = EventRecord([0, 0, 0], [0.5, 1.0, 2.0], 1, 3.0)
+        with pytest.raises(ValueError, match="past the record horizon 3"):
+            rec.truncated(3.5)
 
     def test_pair_indices_strict_order(self):
         # the two tied events must not pair with each other
