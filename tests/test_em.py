@@ -611,7 +611,8 @@ class TestBlockedAttribution:
         # 319,600 pairs in blocks of 4,096, none of more than 256 events: fit
         # keeps the receiving row, the lag and the type pair of each, in
         # 1 + 8 + 1 bytes at n = 3; whole-record temporaries would add 8 bytes
-        # a pair each
+        # a pair each; the budget holds the record's pairs
+        monkeypatch.setattr(model, "PAIR_CACHE", 1 << 22)
         monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
         record = make_record(rng, 3, N=800, T=5.0)
         pairs = record.N * (record.N - 1) // 2
@@ -669,6 +670,42 @@ class TestBlockedAttribution:
                              ("frb", {"R": 2})):
             report = fit(record, FitConfig(mode=mode, epochs=4, **kwargs))
             assert report.curve.size == 4 and builds == [record.N]
+
+    def test_default_budget_is_one_block_of_pairs(self, rng, monkeypatch, request):
+        # nothing patched: 362 untied events hold 65,341 pairs and keep them, bit for bit
+        # the pairwise fit; 363 hold 65,703, and neither the fit nor its guess builds one
+        assert model.PAIR_CACHE == model.PAIR_BLOCK == 1 << 16
+        builds = []
+
+        def counted(record):
+            builds.append(record.N)
+            return _pair_blocks(record)
+        kept, scanned = make_record(rng, 3, N=362, T=5.0), make_record(rng, 3, N=363, T=5.0)
+        assert model.pair_indices(kept)[0].size == 65_341
+        assert model.pair_indices(scanned)[0].size == 65_703
+        configs = (FitConfig(mode="hhg-b", epochs=3, eps2=0.1), FitConfig(mode="frb", epochs=3))
+        with monkeypatch.context() as mp:
+            mp.setattr(em, "_pair_blocks", counted)
+            for config in configs:
+                report = fit(kept, config)
+                curve, final, best_epoch, best, aborted = unblocked_fit(kept, config)
+                assert np.array_equal(report.curve, curve)
+                assert_same_params(report.params_final, final)
+                assert_same_params(report.params_best, best)
+                assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
+        assert builds == [kept.N] * len(configs)
+        wants = [unblocked_fit(scanned, config) for config in configs]
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "PAIR_CACHE", 1 << 22)
+            pair_guess = init_influence_guess(scanned)
+        request.getfixturevalue("no_pairs")
+        assert_allclose(init_influence_guess(scanned), pair_guess, rtol=1e-12, atol=0.0)
+        for config, (curve, final, best_epoch, best, aborted) in zip(configs, wants):
+            report = fit(scanned, config)
+            assert_allclose(report.curve, curve, rtol=SCAN_CURVE_RTOL, atol=0.0)
+            assert_close_params(report.params_final, final)
+            assert_close_params(report.params_best, best)
+            assert (report.best_epoch, report.aborted_epoch) == (best_epoch, aborted)
 
     def test_scan_fit_walks_the_record_once_an_epoch_and_once_for_its_guess(
             self, rng, monkeypatch):
@@ -1543,6 +1580,30 @@ class TestFit:
         init = make_model(rng, 5) if mode == "frb" else random_full_rank(rng, 5, 1)
         with pytest.raises(ValueError, match=msg):
             fit(sim_record, FitConfig(mode=mode, epochs=1), init=init)
+
+    @pytest.mark.parametrize("mode, R, m, msg", [
+        ("hhg-b", 2, 2, "config.R is 2 but the init has 1 bases"),
+        ("frb", 2, 2, "config.R is 2 but the init has 1 bases"),
+        ("geo", 1, 3, "config.m is 3 but the init's embedding has 2 dimensions"),
+        ("hhg-dm", 1, 3, "config.m is 3 but the init's embedding has 2 dimensions"),
+    ])
+    def test_init_of_another_shape_than_the_config_is_rejected(self, sim_record, monkeypatch,
+                                                              mode, R, m, msg):
+        # refused before any epoch, so the init cannot silently overrule the config
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+        monkeypatch.setattr(em, "_fit_e_step", no_epoch)
+        monkeypatch.setattr(em, "_scan_stats", no_epoch)
+        init = (_initial_frb(sim_record, FitConfig(mode="frb")) if mode == "frb"
+                else init_params(sim_record, R=1, m=2))
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            fit(sim_record, FitConfig(mode=mode, epochs=1, R=R, m=m, eps2=0.1), init=init)
+
+    def test_frb_init_of_another_m_is_accepted(self, sim_record):
+        # a full-rank model has no embedding, so config.m does not apply to it
+        init = _initial_frb(sim_record, FitConfig(mode="frb"))
+        report = fit(sim_record, FitConfig(mode="frb", epochs=1, m=3), init=init)
+        assert report.curve.size == 1
 
     def test_frb_starts_uniform_where_the_guess_underflows(self):
         # two tie clumps a unit apart: the guess's clock rate is (N - 1) / n = 799.5,

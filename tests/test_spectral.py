@@ -173,6 +173,8 @@ class TestInfluenceGuess:
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_blocked_guess_is_the_chunked_bincount(self, rng, monkeypatch, block):
+        # about 600,000 pairs a record: the pair sum runs under a budget that holds them
+        monkeypatch.setattr(model, "PAIR_CACHE", 1 << 22)
         monkeypatch.setattr(model, "PAIR_BLOCK", block)
         tied = np.sort(rng.integers(0, 300, size=1100)) * 0.5
         for record in (make_record(rng, 4, N=1100, T=5.0),
@@ -181,7 +183,9 @@ class TestInfluenceGuess:
             assert got.dtype == np.float64 and np.array_equal(got, chunked_bincount_guess(record))
 
     def test_memory_beyond_the_output_is_one_block(self, rng, monkeypatch):
-        # late 512-event chunks hold about 800,000 pairs; blocks hold 4,096
+        # late 512-event chunks hold about 800,000 pairs; blocks hold 4,096, and the
+        # budget holds the record's 2,000,000
+        monkeypatch.setattr(model, "PAIR_CACHE", 1 << 22)
         monkeypatch.setattr(model, "PAIR_BLOCK", 4096)
         record = make_record(rng, 3, N=2000, T=5.0)
         tracemalloc.start()
