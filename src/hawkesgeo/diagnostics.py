@@ -122,11 +122,12 @@ def attribution_hellinger(record: EventRecord, estimated, truth) -> float:
     clocks = np.concatenate([ka, kb, 0.5 * (ka[:c] + kb[:c])])
     types = record.types
     lam_a, lam_b, common = estimated.mu[types], truth.mu[types], np.zeros(record.N)
-    for rows, S in _decayed_counts(record, clocks, record.times):
+    a, b, m = slice(Ra), slice(Ra, Ra + Rb), slice(Ra + Rb, None)  # the sets' clocks, means
+    for rows, X, fall in _decayed_counts(record, clocks, record.times):
         k = types[rows]
-        lam_a[rows] = _own_rates(estimated.mu, ka, Aa, S[:, :Ra], k)[0]
-        lam_b[rows] = _own_rates(truth.mu, kb, Ab, S[:, Ra:Ra + Rb], k)[0]
-        common[rows] = _own_rates(np.zeros(record.n), np.ones(c), A_bar, S[:, Ra + Rb:], k)[0]
+        lam_a[rows] = _own_rates(estimated.mu, ka, Aa, X[:, a], fall[:, a], k)[0]
+        lam_b[rows] = _own_rates(truth.mu, kb, Ab, X[:, b], fall[:, b], k)[0]
+        common[rows] = _own_rates(np.zeros(record.n), np.ones(c), A_bar, X[:, m], fall[:, m], k)[0]
     _require_positive(lam_a)
     _require_positive(lam_b)
     if not all(np.all(np.isfinite(v)) for v in (lam_a, lam_b, common)):

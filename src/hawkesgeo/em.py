@@ -451,28 +451,30 @@ def _fit_e_step(record, params, blocks, ws):
 def _scan_stats(record, params):
     """``_fit_e_step``'s ``(lam, AttributionStats)`` from one decayed-count walk, with
     no event pairs, ``O(N n R)`` time and ``O(SCAN_BLOCK n R)`` memory.  Event ``j``
-    reads the counts ``S_r(t_j)`` of the events strictly before it and their lag moments
-    ``D_r(t_j) = u_j S_r(t_j) - Yf_r(t_j)``; ``lam`` is ``_realized_rates``', and the
-    statistics are the unfloored attribution's: ``dyad_mass[r] = kappa_r A_r * W_r``,
-    ``W_r[k_j, l]`` a ``bincount`` of ``S_rl(t_j) / lam_j``, ``lag_mass_by_r[r] = kappa_r
-    sum_j A_r[k_j] . D_r(t_j) / lam_j`` from row dots, and the background ``mu[k_j] /
-    lam_j``.  A zero intensity raises ``DegenerateEventError``; after a non-finite one
-    the statistics are None.  Nothing divides by either.
+    reads the counts ``S_r(t_j) = X_r(t_j) fall_r(t_j)`` of the events strictly before it
+    and their lag moments ``D_r(t_j) = u_j S_r(t_j) - Y_r(t_j) fall_r(t_j)``; ``lam`` is
+    ``_realized_rates``', and the statistics are the unfloored attribution's:
+    ``dyad_mass[r] = kappa_r A_r * W_r``, ``W_r[k_j, l]`` a ``bincount`` of ``X_rl(t_j)
+    (fall_r(t_j) / lam_j)``, ``lag_mass_by_r[r] = kappa_r sum_j A_r[k_j] . D_r(t_j) /
+    lam_j`` from decay-first row dots, and the background ``mu[k_j] / lam_j``.  A zero
+    intensity raises ``DegenerateEventError``; after a non-finite one the statistics are
+    None.  Nothing divides by either.
     """
     n, R, types = record.n, params.R, record.types
     A, kappa, mu = params.amplitudes(), params.kappa, params.mu
     lam, usable = mu[types], True
     W, lag = np.zeros((R, n * n)), np.zeros(R)  # the sums of S / lam and of A[k] . D / lam
-    for rows, S, u, Yf in _decayed_counts(record, kappa, record.times, lagged=True):
+    for rows, X, fall, u, Y in _decayed_counts(record, kappa, record.times, lagged=True):
         k = types[rows]
-        own, dots, A_k = _own_rates(mu, kappa, A, S, k)
+        own, dots, A_k = _own_rates(mu, kappa, A, X, fall, k)
         lam[rows] = own
         usable = usable and bool(np.all(np.isfinite(own) & (own > 0.0)))
         if usable:
             inv, cells = 1.0 / own, ((k * n)[:, None] + np.arange(n)).ravel()  # k_j n + l
             for r in range(R):
-                W[r] += np.bincount(cells, (S[:, r] * inv[:, None]).ravel(), n * n)
-                lag[r] += (u * dots[r] - np.einsum("jl,jl->j", A_k[r], Yf[:, r])) @ inv
+                W[r] += np.bincount(cells, (X[:, r] * (fall[:, r] * inv)[:, None]).ravel(), n * n)
+                ydots = np.einsum("j,jl,jl->j", fall[:, r], Y[:, r], A_k[r])  # decay first
+                lag[r] += (u * dots[r] - ydots) @ inv
     _require_positive(lam)
     if not usable:
         return lam, None

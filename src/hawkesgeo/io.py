@@ -106,10 +106,13 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _type_labels(labels, n: int) -> list[str]:
-    """The given type labels, or ``"0" .. "n-1"``; there must be ``n`` of them."""
+    """The given type labels, or ``"0" .. "n-1"``; there must be ``n`` distinct ones, as
+    written, or reading the file back would merge the types that share one."""
     labels = list(labels) if labels is not None else [str(k) for k in range(n)]
     if len(labels) != n:
         raise ValueError("labels must have length n")
+    if len(set(map(str, labels))) < n:
+        raise ValueError("labels must be distinct")
     return labels
 
 

@@ -77,10 +77,16 @@ class EventRecord:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        types = np.asarray(self.types, dtype=np.int64)
+        given = np.asarray(self.types)  # a fractional id would truncate to another type
+        if given.dtype.kind == "f" and not np.all(np.isfinite(given) & (given == np.round(given))):
+            raise ValueError("type ids must be whole numbers")
+        if not float(self.n).is_integer():
+            raise ValueError("n must be a whole number")
+        types = np.asarray(given, dtype=np.int64)
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "horizon", float(self.horizon))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -103,6 +109,8 @@ class EventRecord:
                 raise ValueError("type ids must lie in [0, n)")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels must have length n")
+        if self.labels is not None and len(set(map(str, self.labels))) < self.n:
+            raise ValueError("labels must be distinct: a file would merge the types they share")
 
     @property
     def N(self) -> int:
@@ -393,37 +401,39 @@ def _rates(mu, kappa, A, S) -> np.ndarray:
     return lam
 
 
-def _own_rates(mu, kappa, A, S, k):
+def _own_rates(mu, kappa, A, X, fall, k):
     """``(lam, dots, rows)``: each query's own-type intensity ``mu[k_j] + sum_r kappa_r
-    dots[r, j]`` with ``dots[r, j] = rows[r, j] . S[j, r]``, ``rows = A[:, k]``, in ``O(c n
-    R)`` from decayed counts ``S``; an overflow is inf or nan, without a numpy warning."""
+    dots[r, j]`` with ``dots[r, j] = rows[r, j] . X[j, r] fall[j, r]``, ``rows = A[:, k]``,
+    in ``O(c n R)`` from a walk's rows and decays.  einsum multiplies left to right, so no
+    amplitude meets an undecayed count; an overflow is inf or nan, without a warning."""
     rows, dots, lam = A[:, k], np.empty((A.shape[0], k.size)), mu[k]
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(A.shape[0]):
-            np.einsum("jl,jl->j", rows[r], S[:, r], out=dots[r])
+            np.einsum("j,jl,jl->j", fall[:, r], X[:, r], rows[r], out=dots[r])
             lam += kappa[r] * dots[r]
     return lam, dots, rows
 
 
 def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
-    """Yield ``(rows, S)`` over the sorted queries ``ts`` that follow an event:
-    ``S[q, r, l]`` sums ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events
-    before ``t_q``.  This is the Ozaki (1979) recursion as cumsums over chunks
-    ``[a, b)`` of at most ``SCAN_BLOCK`` events spanning at most ``SCAN_SPAN /
-    max(kappa)``, so no ``exp(kappa u)``, ``u = t - t_a``, overflows.  A chunk
-    keeps the exclusive cumsums ``X[i] = S_c + sum_{a <= e < a + i} onehot(k_e)
-    exp(kappa u_e)``, ``S_c`` the state carried to ``t_a``.  A query with ``g``
-    events strictly before it and ``a <= g < b`` reads ``S = X[g - a] exp(-kappa
-    u_q)``: one decay, and a slice of ``X`` at untied events.  One after the
-    chunk's last event (in a gap, or at the horizon) decays the chunk's end state,
-    which is all a chunk that no query reads keeps (``_chunk_sums``).
-    As each query is read by the chunk of its last earlier event, a chunk edge
-    may fall inside a tie run.
+    """Yield ``(rows, X, fall)`` over the sorted queries ``ts`` that follow an event:
+    undecayed rows ``X[q, r, l]`` and decays ``fall[q, r]`` whose product ``S`` sums
+    ``exp(-kappa_r (t_q - t_i))`` over type-``l`` events before ``t_q``.  This is the
+    Ozaki (1979) recursion as cumsums over chunks ``[a, b)`` of at most ``SCAN_BLOCK``
+    events spanning at most ``SCAN_SPAN / max(kappa)``, so no ``exp(kappa u)``, ``u = t -
+    t_a``, overflows.  A chunk keeps the exclusive cumsums ``X[i] = S_c + sum_{a <= e < a
+    + i} onehot(k_e) exp(kappa u_e)``, ``S_c`` the state carried to ``t_a``.  A query with
+    ``g`` events strictly before it and ``a <= g < b`` reads the row ``X[g - a]``, a slice
+    at untied events, and ``fall = exp(-kappa u_q)``.  One after the chunk's last event
+    (in a gap, or at the horizon) reads the chunk's end state, broadcast, with the decay
+    since that event; the end state is all a chunk that no query reads keeps
+    (``_chunk_sums``).  As each query is read by the chunk of its last earlier event, a
+    chunk edge may fall inside a tie run.  No decayed copy of the rows is made: each
+    consumer contracts them decay first, and only one that wants the table forms ``S``.
 
-    With ``lagged`` it yields ``(rows, S, u, Yf)``: the sums ``D`` of ``(t_q - t_i)
-    exp(-kappa_r (t_q - t_i))`` are ``u S - Yf``, never formed.  In a chunk ``u = u_q``,
-    ``Yf = Y[g - a] exp(-kappa u_q)``, ``Y[i] = -D_c + sum_{a <= e < a + i} onehot(k_e) u_e
-    exp(kappa u_e)``; after its last event ``u = d``, the gap, and ``Yf = -D_e exp(-kappa d)``."""
+    With ``lagged`` it yields ``(rows, X, fall, u, Y)``: the sums ``D`` of ``(t_q - t_i)
+    exp(-kappa_r (t_q - t_i))`` are ``u S - Y fall``, never formed.  In a chunk ``u = u_q``
+    and ``Y`` the row ``g - a`` of ``-D_c + sum_{a <= e < a + i} onehot(k_e) u_e exp(kappa
+    u_e)``; after its last event ``u = d``, the gap, and ``Y = -D_e``, broadcast."""
     times, types = record.times, record.types
     g = np.searchsorted(times, ts, side="left")  # events strictly before each query
     stop = int(g[-1]) if g.size else 0  # later events precede no query
@@ -442,11 +452,10 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
         for lo in range(q, q1, SCAN_BLOCK):
             rows = slice(lo, min(lo + SCAN_BLOCK, q1))
             i, u_q = g[rows] - a, ts[rows] - t_a
-            fall = np.exp(np.outer(-u_q, kappa))[..., None]
+            fall = np.exp(np.outer(-u_q, kappa))
             if np.array_equal(i, np.arange(i[0], i[0] + i.size)):
                 i = slice(i[0], i[0] + i.size)
-            S = X[i] * fall
-            yield (rows, S, u_q, Y[i] * fall) if lagged else (rows, S)
+            yield (rows, X[i], fall, u_q, Y[i]) if lagged else (rows, X[i], fall)
         fall = np.exp(-kappa * u[-1])[:, None]
         S_e = X[-1] * fall  # the state just after event b - 1
         D_e = u[-1] * S_e - Y[-1] * fall if lagged else None
@@ -454,9 +463,9 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
         for lo in range(q1, q2, SCAN_BLOCK):
             rows = slice(lo, min(lo + SCAN_BLOCK, q2))
             d = ts[rows] - times[b - 1]
-            decay = np.exp(np.outer(-d, kappa))[..., None]
-            S = S_e * decay
-            yield (rows, S, d, -D_e * decay) if lagged else (rows, S)
+            end, decay = np.broadcast_to(S_e, (d.size,) + S_e.shape), np.exp(np.outer(-d, kappa))
+            yield (rows, end, decay, d, np.broadcast_to(-D_e, end.shape)) if lagged else \
+                (rows, end, decay)
         if b < stop:
             d = times[b] - times[b - 1]
             S_c = S_e * np.exp(-kappa * d)[:, None]
@@ -466,11 +475,18 @@ def _decayed_counts(record: EventRecord, kappa, ts, lagged: bool = False):
 
 def _exclusive_cumsums(first, types, weights):
     """``(types.size + 1, R, n)``: ``first``, then its running sums with row ``i``
-    of ``weights`` added at type ``types[i]`` of each basis."""
-    C = np.zeros((types.size + 1,) + first.shape)
-    C[0] = first
-    C[np.arange(1, types.size + 1), :, types] = weights
-    return np.cumsum(C, axis=0, out=C)
+    of ``weights`` added at type ``types[i]`` of each basis.  The sums run down a
+    ``complex128`` view, two columns an add (one zero column pads an odd ``R n``): a
+    complex add is the two float adds in the same order, so each column's sums are
+    ``np.cumsum``'s to the bit, and the pad is never returned."""
+    (R, n), c = first.shape, types.size
+    C = np.zeros((c + 1, R * n + R * n % 2))
+    X = C[:, :R * n].reshape(c + 1, R, n)
+    X[0] = first
+    X[np.arange(1, c + 1), :, types] = weights
+    pairs = C.view(np.complex128)
+    np.cumsum(pairs, axis=0, out=pairs)
+    return X
 
 
 def _chunk_sums(first, types, weights):
@@ -498,9 +514,10 @@ def intensities_at(record: EventRecord, params, times) -> np.ndarray:
         raise ValueError("query times must lie in [0, horizon]")
     order = np.argsort(ts, kind="stable")
     out = np.tile(params.mu, (ts.size, 1))  # the rates before the first event
-    for rows, S in _decayed_counts(record, params.kappa, ts[order]):
+    for rows, X, fall in _decayed_counts(record, params.kappa, ts[order]):
         with np.errstate(over="ignore"):
-            out[order[rows]] = _rates(params.mu, params.kappa, params.amplitudes(), S)
+            out[order[rows]] = _rates(params.mu, params.kappa, params.amplitudes(),
+                                      X * fall[..., None])
     if not np.all(np.isfinite(out)):
         warnings.warn("intensities overflow; their entries are inf", NumericsWarning)
     return out
@@ -536,10 +553,10 @@ def _realized_rates(record: EventRecord, params, events: slice, totals: bool = F
     total = np.full(types.size, params.mu.sum()) if totals else None
     with np.errstate(over="ignore", invalid="ignore"):
         emitted = kappa[:, None] * A.sum(axis=1)  # (R, n): kappa_r acol_r
-    for rows, S in _decayed_counts(record, kappa, record.times[events]):
-        lam[rows] = _own_rates(params.mu, kappa, A, S, types[rows])[0]
-        if totals:
-            total[rows] += np.einsum("jrl,rl->j", S, emitted)
+        for rows, X, fall in _decayed_counts(record, kappa, record.times[events]):
+            lam[rows] = _own_rates(params.mu, kappa, A, X, fall, types[rows])[0]
+            if totals:  # einsum multiplies left to right: the decay, then the mass
+                total[rows] += np.einsum("jr,jrl,rl->j", fall, X, emitted)
     return lam, total
 
 

@@ -121,9 +121,9 @@ def init_influence_guess(record: EventRecord) -> np.ndarray:
     n = record.n
     if not _within_pair_cache(record):
         phi = np.zeros(n * n)
-        for rows, S in _decayed_counts(record, np.array([kap]), record.times):
+        for rows, X, fall in _decayed_counts(record, np.array([kap]), record.times):
             phi += np.bincount(((record.types[rows] * n)[:, None] + np.arange(n)).ravel(),
-                               S.ravel(), n * n)
+                               (X * fall[..., None]).ravel(), n * n)
         return kap * phi.reshape(n, n)
     phi, part = np.zeros(n * n), np.empty(n * n)
     for s in range(0, record.N, 512):

@@ -226,8 +226,8 @@ def brute_branching(record, params, floor):
 
 def reference_decayed_counts(record, kappa, ts, lagged=False):
     """``model._decayed_counts`` with every chunk's exclusive cumsums built whole, read or
-    not, at ``model.SCAN_BLOCK`` and ``model.SCAN_SPAN`` as they are at call time: the
-    walker must yield these bytes."""
+    not, by a plain float ``np.cumsum``, at ``model.SCAN_BLOCK`` and ``model.SCAN_SPAN`` as
+    they are at call time: the walker must yield these bytes."""
     def cumsums(first, types, weights):
         C = np.zeros((types.size + 1,) + first.shape)
         C[0] = first
@@ -250,11 +250,10 @@ def reference_decayed_counts(record, kappa, ts, lagged=False):
         for lo in range(q, q1, block):
             rows = slice(lo, min(lo + block, q1))
             i, u_q = g[rows] - a, ts[rows] - t_a
-            fall = np.exp(np.outer(-u_q, kappa))[..., None]
+            fall = np.exp(np.outer(-u_q, kappa))
             if np.array_equal(i, np.arange(i[0], i[0] + i.size)):
                 i = slice(i[0], i[0] + i.size)
-            S = X[i] * fall
-            yield (rows, S, u_q, Y[i] * fall) if lagged else (rows, S)
+            yield (rows, X[i], fall, u_q, Y[i]) if lagged else (rows, X[i], fall)
         fall = np.exp(-kappa * u[-1])[:, None]
         S_e = X[-1] * fall
         D_e = u[-1] * S_e - Y[-1] * fall if lagged else None
@@ -262,14 +261,25 @@ def reference_decayed_counts(record, kappa, ts, lagged=False):
         for lo in range(q1, q2, block):
             rows = slice(lo, min(lo + block, q2))
             d = ts[rows] - times[b - 1]
-            decay = np.exp(np.outer(-d, kappa))[..., None]
-            S = S_e * decay
-            yield (rows, S, d, -D_e * decay) if lagged else (rows, S)
+            end, decay = np.broadcast_to(S_e, (d.size,) + S_e.shape), np.exp(np.outer(-d, kappa))
+            yield (rows, end, decay, d, np.broadcast_to(-D_e, end.shape)) if lagged else \
+                (rows, end, decay)
         if b < stop:
             d = times[b] - times[b - 1]
             S_c = S_e * np.exp(-kappa * d)[:, None]
             D_c = D_e * np.exp(-kappa * d)[:, None] + d * S_c if lagged else D_c
         a, q = b, q2
+
+
+def walked_moments(walk, q, R, n):
+    """The decayed counts ``S`` and lag moments ``D``, ``(q, R, n)`` each, that a lagged
+    walk's yields ``(rows, X, fall, u, Y)`` stand for: ``S = X fall`` and ``D = u S - Y
+    fall``."""
+    S, D = np.zeros((2, q, R, n))
+    for rows, X, fall, u, Y in walk:
+        S[rows] = X * fall[..., None]
+        D[rows] = u[:, None, None] * S[rows] - Y * fall[..., None]
+    return S, D
 
 
 # ---------------------------------------------------------------------------

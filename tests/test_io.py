@@ -208,6 +208,16 @@ class TestEventsCsv:
         record = load_events_csv(path)
         assert np.array_equal(record.types, [2, 0, 1])
 
+    def test_duplicate_labels_never_reach_a_file(self, tmp_path):
+        # two types saved under one label read back as one: n = 1 and types [0, 0, 0]
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            record = EventRecord([0, 1, 0], [0.1, 0.2, 0.3], 2, 1.0, labels=("a", "a"))
+            save_events_csv(record, tmp_path / "events.csv")
+        assert os.listdir(tmp_path) == []
+        record = EventRecord([0, 1, 0], [0.1, 0.2, 0.3], 2, 1.0, labels=("a", "b"))
+        save_events_csv(record, tmp_path / "events.csv")
+        assert load_events_csv(tmp_path / "events.csv", horizon=1.0) == record
+
     def test_unlabeled_fallback_round_trips(self, tmp_path):
         record = EventRecord([1, 0], [1.0, 2.0], 2, 3.0)
         path = tmp_path / "events.csv"
@@ -591,6 +601,15 @@ class TestModelDocuments:
         params = make_model(rng, n=3)
         for write in (save_model, write_embedding_csv):
             with pytest.raises(ValueError, match="labels must have length n"):
+                write(params, path=tmp_path / "out", labels=labels)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("labels", [["a", "b", "a"], [1, "1", "b"]])
+    def test_labels_must_be_distinct(self, tmp_path, rng, labels):
+        # reading the file back would give two types one label
+        params = make_model(rng, n=3)
+        for write in (save_model, write_embedding_csv):
+            with pytest.raises(ValueError, match="labels must be distinct"):
                 write(params, path=tmp_path / "out", labels=labels)
         assert os.listdir(tmp_path) == []
 

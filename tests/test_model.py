@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from hawkesgeo import model
 from hawkesgeo.diagnostics import background_probabilities, categorical_accuracy
-from hawkesgeo.em import FullRankParams, _scan_stats
+from hawkesgeo.em import FullRankParams, _scan_stats, e_step
 from hawkesgeo.geometry import _gaussian_terms
 from hawkesgeo.io import reorder_to_labels
 from hawkesgeo.model import (
@@ -40,7 +40,8 @@ from hawkesgeo.model import (
 )
 
 from conftest import brute_decayed_moments, brute_intensity, brute_loglik, brute_response, \
-    make_model, make_record, overflowing, reference_decayed_counts, unblocked_response
+    make_model, make_record, overflowing, reference_decayed_counts, unblocked_response, \
+    walked_moments
 
 
 def unit_model(X, Y, beta_sq=1.0, kappa=1.0):
@@ -175,10 +176,24 @@ class TestEventRecord:
         ([0, 0], [0.5, np.nan], 1, None, "event times must be finite"),
         ([0, 0], [-0.5, 0.5], 1, None, "event times must be nonnegative"),
         ([0, 1], [0.5, 0.7], 2, ("a",), "labels must have length n"),
+        # a fractional type id was truncated, and a fractional n built a record whose
+        # count_by_type raised TypeError
+        ([0.7, 1.9, 1.2], [0.1, 0.2, 0.3], 2, None, "type ids must be whole numbers"),
+        ([0.0, np.nan], [0.1, 0.2], 2, None, "type ids must be whole numbers"),
+        ([0, 1], [0.1, 0.2], 2.5, None, "n must be a whole number"),
+        # the events CSV would read two types under one label back as one type
+        ([0, 1, 0], [0.1, 0.2, 0.3], 2, ("a", "a"), "labels must be distinct"),
+        ([0, 1], [0.1, 0.2], 2, (1, "1"), "labels must be distinct"),
     ])
     def test_malformed_records_are_rejected(self, types, times, n, labels, msg):
         with pytest.raises(ValueError, match=re.escape(msg)):
             EventRecord(types, times, n, 1.0, labels)
+
+    def test_whole_number_floats_are_ids(self):
+        rec = EventRecord([0.0, 1.0, 1.0], [0.1, 0.2, 0.3], 2.0, 1.0)
+        assert rec == EventRecord([0, 1, 1], [0.1, 0.2, 0.3], 2, 1.0)
+        assert rec.types.dtype == np.int64
+        assert type(rec.n) is int and np.array_equal(rec.count_by_type(), [1.0, 2.0])
 
     def test_equality_with_another_type_is_left_to_it(self):
         rec = EventRecord([0], [0.5], 1, 1.0)
@@ -404,21 +419,21 @@ class TestIntensity:
 
     @pytest.mark.parametrize("block", [1, 7, model.SCAN_BLOCK, 4096])
     def test_lag_moments_match_brute_force(self, rng, monkeypatch, block):
-        # the lagged walk yields the plain walk's counts S to the bit; its lag moments
-        # D = u S - Yf cancel within a chunk, so they hold to 1e-12 of D + S / kappa,
-        # the lag scale.  Chunks of 4096 events hold each case's record whole
+        # the lagged walk yields the plain walk's rows X and decays to the bit; its lag
+        # moments D = u S - Y fall cancel within a chunk, so they hold to 1e-12 of D + S /
+        # kappa, the lag scale.  Chunks of 4096 events hold each case's record whole
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         for record, params in scan_cases(rng):
             kappa = np.asarray(params.kappa)
             for qs in (record.times, np.sort(scan_queries(rng, record))):
                 S_want, D_want = brute_decayed_moments(record, kappa, qs)
-                S_got, D_got = np.zeros_like(S_want), np.zeros_like(D_want)
                 plain = list(model._decayed_counts(record, kappa, qs))
                 lagged = list(model._decayed_counts(record, kappa, qs, lagged=True))
                 assert [out[0] for out in plain] == [out[0] for out in lagged]
-                for (rows, S), (_, S_lagged, u, Yf) in zip(plain, lagged):
-                    assert S.tobytes() == S_lagged.tobytes()
-                    S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
+                for out, out_lagged in zip(plain, lagged):
+                    for a, b in zip(out[1:], out_lagged[1:3]):  # X and fall
+                        assert a.tobytes() == b.tobytes()
+                S_got, D_got = walked_moments(lagged, qs.size, kappa.size, record.n)
                 assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
                 scale = D_want + S_want / kappa[:, None]
                 assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
@@ -442,9 +457,8 @@ class TestIntensity:
         qs = np.sort(np.concatenate([few, [t_tie + 200.0], times[::max(1, times.size // 20)]]))
         monkeypatch.setattr(model, "SCAN_BLOCK", block)
         S_want, D_want = brute_decayed_moments(record, params.kappa, qs)
-        S_got, D_got = np.zeros_like(S_want), np.zeros_like(D_want)
-        for rows, S, u, Yf in model._decayed_counts(record, params.kappa, qs, lagged=True):
-            S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
+        S_got, D_got = walked_moments(model._decayed_counts(record, params.kappa, qs, lagged=True),
+                                      qs.size, 2, 3)
         assert_allclose(S_got, S_want, rtol=1e-12, atol=0.0)
         scale = D_want + S_want / params.kappa[:, None]
         assert np.all(np.abs(D_got - D_want) <= 1e-12 * scale)
@@ -481,9 +495,8 @@ class TestIntensity:
                     for out_got, out_want in zip(got, want):
                         for a, b in zip(out_got[1:], out_want[1:]):
                             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-                S_got, D_got = np.zeros((2, qs.size, kappa.size, 3))
-                for rows, S, u, Yf in model._decayed_counts(record, kappa, qs, lagged=True):
-                    S_got[rows], D_got[rows] = S, u[:, None, None] * S - Yf
+                S_got, D_got = walked_moments(model._decayed_counts(record, kappa, qs, lagged=True),
+                                              qs.size, kappa.size, 3)
                 few = np.unique(np.linspace(0, qs.size - 1, 12).astype(int))  # the oracle loops
                 S_want, D_want = brute_decayed_moments(record, kappa, qs[few])
                 assert_allclose(S_got[few], S_want, rtol=1e-12, atol=0.0)
@@ -586,6 +599,66 @@ class TestIntensity:
         params = make_model(rng, 1)
         lam = intensities_at(record, params, [2.0])[0, 0]
         assert_allclose(lam, params.mu[0] + brute_response(params, 0, 0, 1.0), rtol=1e-12)
+
+
+class TestWalkArithmetic:
+    """The walk yields undecayed rows; every contraction decays them before an amplitude
+    meets them, and its cumsums add two columns at a time."""
+
+    def test_undecayed_rows_meet_no_amplitude(self, monkeypatch):
+        # a row of 1e300 with decay 1e-300 and amplitude 1e10: the amplitude times the row
+        # is inf, the decayed count times the amplitude about 1e10
+        X, fall = np.full((4, 1, 2), 1e300), np.full((4, 1), 1e-300)
+        lam, dots, _ = model._own_rates(np.ones(2), np.ones(1), np.full((1, 2, 2), 1e10),
+                                        X, fall, np.zeros(4, dtype=np.int64))
+        assert_allclose(dots, 2e10, rtol=1e-14)
+        assert_allclose(lam, 1.0 + 2e10, rtol=1e-14)
+        # a real walk: chunks spanning 700 decay lengths, and events at 0, 690.8, 690.85 and
+        # 690.9, so the third reads the row 1 + e^690.8 (1.6e300) and the decay e^-690.85
+        monkeypatch.setattr(model, "SCAN_SPAN", 700.0)
+        record = EventRecord([0, 0, 0, 0], [0.0, 690.8, 690.85, 690.9], 1, 691.0)
+        params = ModelParams(EmbeddingPair(np.zeros((1, 2)), np.zeros((1, 2))),
+                             KernelBank([1.0], [1.0], [1e10]), np.ones(1), np.full(1, 0.5))
+        rows = [X for _, X, _ in model._decayed_counts(record, params.kappa, record.times)]
+        assert max(float(X.max()) for X in rows) > 1e300
+        brute = [brute_intensity(record, params, 0, t) for t in record.times]
+        lam, total = _realized_rates(record, params, slice(None), totals=True)
+        assert_allclose(lam, brute, rtol=1e-12)
+        assert_allclose(total, brute, rtol=1e-12)  # one type: the total is its rate
+        lam_scan, stats = _scan_stats(record, params)
+        assert np.array_equal(lam_scan, lam)
+        br = e_step(record, params, floor=0.0)
+        for name in ("mass_by_r", "lag_mass_by_r", "dyad_mass"):
+            assert_allclose(getattr(stats, name), getattr(br, name), rtol=1e-10)
+
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 15, 100])
+    def test_complex_pair_cumsums_are_the_float_cumsums(self, rng, monkeypatch, R, n):
+        # the cumsums run down a complex128 view, one zero column padding an odd R n: each
+        # column's sums are a float cumsum's to the bit, and no yield holds the pad
+        c = 37
+        first, types = rng.uniform(0.0, 5.0, size=(R, n)), rng.integers(0, n, size=c)
+        weights = np.exp(rng.uniform(-30.0, 30.0, size=(c, R)))
+        want = np.zeros((c + 1, R, n))
+        want[0], want[np.arange(1, c + 1), :, types] = first, weights
+        got = model._exclusive_cumsums(first, types, weights)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.cumsum(want, axis=0).tobytes()
+        times = np.sort(rng.uniform(0.0, 10.0, size=60))
+        times[20:24] = times[20]  # a tie run across the edge of chunks of 16 events
+        record = EventRecord(rng.integers(0, n, size=60), times, n, horizon_past(times))
+        kappa = rng.uniform(0.5, 2.0, size=R)
+        qs = np.sort(np.concatenate([times[::2], rng.uniform(0.0, record.horizon, size=9),
+                                     [record.horizon]]))
+        monkeypatch.setattr(model, "SCAN_BLOCK", 16)
+        for lagged in (False, True):
+            got = list(model._decayed_counts(record, kappa, qs, lagged=lagged))
+            want = list(reference_decayed_counts(record, kappa, qs, lagged=lagged))
+            assert [out[0] for out in got] == [out[0] for out in want]
+            for out_got, out_want in zip(got, want):
+                assert out_got[1].shape[1:] == (R, n)
+                for a, b in zip(out_got[1:], out_want[1:]):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestCompensator:
